@@ -1,4 +1,5 @@
-"""Exact minimum vertex covers: optimum, complete enumeration, per-vertex search.
+"""Exact minimum vertex covers: optimum, complete enumeration, per-vertex search,
+plus the guard configurations that vertex covers support.
 
 Branch-and-bound on the maximum-degree vertex with a matching-based lower
 bound.  Enumeration collects *all* optimal covers (the fixpoint decider needs
@@ -8,7 +9,9 @@ order; a cap guards against exponential cover counts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import PreconditionError
 from .graph import Graph, bits, mask_of
@@ -167,8 +170,9 @@ def min_vc_containing(g: Graph, v: int):
     return _cover_of_size_containing(g, k, 1 << v)
 
 
-def enumerate_covers_up_to(g: Graph, k: int, limit: int | None = None):
-    """All vertex covers (not only minimal ones) of size at most ``k``.
+def enumerate_covers_up_to(g: Graph, k: int) -> list[int]:
+    """All vertex covers (not only minimal ones) of size at most ``k``, as
+    masks in ascending order.
 
     Subset scan; intended for small graphs (the game solver's state space).
     """
@@ -187,20 +191,36 @@ def enumerate_covers_up_to(g: Graph, k: int, limit: int | None = None):
                 break
         if ok:
             covers.append(mask)
-            if limit is not None and len(covers) > limit:
-                return covers, True
-    return covers, False
+    return covers
+
+
+def cover_configurations(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """Every k-guard count vector whose support is a vertex cover.
+
+    Covers come in mask order; each takes one guard per support vertex and
+    spreads the remaining guards over its support in every possible way.
+    """
+    for cover_mask in enumerate_covers_up_to(g, k):
+        support = tuple(bits(cover_mask))
+        base = [0] * g.n
+        for v in support:
+            base[v] = 1
+        for extra in itertools.combinations_with_replacement(
+            support, k - len(support)
+        ):
+            counts = base.copy()
+            for v in extra:
+                counts[v] += 1
+            yield tuple(counts)
 
 
 def brute_force_min_covers(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
     """Subset brute force; test oracle for the branch-and-bound paths."""
-    from itertools import combinations
-
     if g.m == 0:
         return 0, [()]
     for size in range(g.n + 1):
         found = []
-        for combo in combinations(range(g.n), size):
+        for combo in itertools.combinations(range(g.n), size):
             cm = mask_of(combo)
             if all((cm >> u & 1) or (cm >> v & 1) for u, v in g.edges):
                 found.append(combo)

@@ -15,13 +15,12 @@ matching-based decision machinery.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 
-from .covers import enumerate_covers_up_to, mvc_mask
+from .covers import cover_configurations, mvc_mask
 from .errors import IntegrityError, PreconditionError, ResourceLimitError
-from .graph import Graph, bits, connected_components, is_connected
+from .graph import Graph, connected_components, is_connected
 from .reachability import (
     GuardConfiguration,
     compatible_configs,
@@ -44,28 +43,13 @@ def _state_budget(budget: int | None) -> int:
 def enumerate_states(g: Graph, k: int, budget: int | None = None) -> list[Counts]:
     """All k-guard configurations whose support covers the graph, canonical order."""
     limit = _state_budget(budget)
-    covers, truncated = enumerate_covers_up_to(g, k)
-    if truncated:
-        raise ResourceLimitError("cover scan exceeded its limit")
     states: list[Counts] = []
-    for cover_mask in covers:
-        support = tuple(bits(cover_mask))
-        if not support:
-            continue
-        extra = k - len(support)
-        if extra < 0:
-            continue
-        for distribution in itertools.combinations_with_replacement(support, extra):
-            counts = [0] * g.n
-            for v in support:
-                counts[v] = 1
-            for v in distribution:
-                counts[v] += 1
-            states.append(tuple(counts))
-            if len(states) > limit:
-                raise ResourceLimitError(
-                    f"state space exceeds the budget of {limit} states"
-                )
+    for counts in cover_configurations(g, k):
+        states.append(counts)
+        if len(states) > limit:
+            raise ResourceLimitError(
+                f"state space exceeds the budget of {limit} states"
+            )
     return sorted(states)
 
 
@@ -110,27 +94,13 @@ def _minus(counts: Counts, v: int) -> Counts:
     return tuple(lst)
 
 
-def solve_guard_game(
-    g: Graph, k: int, *, budget: int | None = None, prune_weakly_bad: bool = False
-) -> GameOutcome:
-    """Solve the k-guard safety game on a connected graph.
-
-    ``prune_weakly_bad`` pre-removes configurations that are provably losing
-    because some removable set of unoccupied vertices pins a component at its
-    cover number; it is a sound optimization, off by default, and verified
-    not to change outcomes on small corpora.
-    """
+def solve_guard_game(g: Graph, k: int, *, budget: int | None = None) -> GameOutcome:
+    """Solve the k-guard safety game on a connected graph."""
     if not is_connected(g):
         raise PreconditionError("the game solver expects a connected graph")
     if k < 1:
         raise PreconditionError("at least one guard is required")
     states = enumerate_states(g, k, budget)
-    if prune_weakly_bad:
-        from .goodness import is_weakly_good
-
-        states = [
-            c for c in states if is_weakly_good(g, GuardConfiguration(c))[0]
-        ]
     index = {c: i for i, c in enumerate(states)}
     n_states = len(states)
     if n_states == 0:
@@ -260,12 +230,12 @@ def transition_moves(
 ) -> tuple[tuple[int, int], ...]:
     """Simultaneous one-step moves realizing c_from -> c_to with a guard
     crossing u -> v; stationary guards are omitted."""
-    ok, ps = compatible_configs(
+    ok, moves = compatible_configs(
         g, GuardConfiguration(_minus(c_from, u)), GuardConfiguration(_minus(c_to, v))
     )
     if not ok:
         raise IntegrityError("transition re-validation failed")
-    return ((u, v),) + ps.moves()
+    return ((u, v),) + moves
 
 
 def replay_moves(g: Graph, counts: Counts, moves) -> Counts:
@@ -300,14 +270,14 @@ def evc(g: Graph, *, budget: int | None = None) -> EvcResult:
     2 * mvc is guaranteed (guarding both endpoints of a maximum matching),
     so failing that bound raises an integrity error.
     """
+    comps = connected_components(g)
+    largest = max((len(c) for c in comps), default=0)
+    subs = [g.induced(comp) for comp in comps]
+    cover_numbers = [mvc_mask(sub, sub.full_mask) for sub in subs]
     total = 0
-    total_mvc = 0
     per_component = []
     outcomes: dict[int, bool] = {}
-    for comp in connected_components(g):
-        sub = g.induced(comp)
-        k0 = mvc_mask(sub, sub.full_mask)
-        total_mvc += k0
+    for i, (comp, sub, k0) in enumerate(zip(comps, subs, cover_numbers)):
         if sub.n == 1 or sub.m == 0:
             per_component.append(
                 {"vertices": list(g.labels_of(comp)), "mvc": 0, "evc": 0}
@@ -319,9 +289,12 @@ def evc(g: Graph, *, budget: int | None = None) -> EvcResult:
             try:
                 outcome = solve_guard_game(sub, k, budget=budget)
             except ResourceLimitError as exc:
+                # solved components are exact, this one lies in [k, 2*k0],
+                # and each unsolved one in [mvc, 2*mvc]
+                rest = sum(cover_numbers[i + 1 :])
                 raise ResourceLimitError(
                     f"state budget exhausted while solving k={k}",
-                    bracket=(k, 2 * k0),
+                    bracket=(total + k + rest, total + 2 * (k0 + rest)),
                 ) from exc
             tried[k] = outcome.defender_wins
             if outcome.defender_wins:
@@ -335,10 +308,13 @@ def evc(g: Graph, *, budget: int | None = None) -> EvcResult:
         per_component.append(
             {"vertices": list(g.labels_of(comp)), "mvc": k0, "evc": value}
         )
-        if sub.n == max(len(c) for c in connected_components(g)):
+        if sub.n == largest:
             outcomes = tried
     return EvcResult(
-        value=total, mvc=total_mvc, per_component=per_component, outcomes=outcomes
+        value=total,
+        mvc=sum(cover_numbers),
+        per_component=per_component,
+        outcomes=outcomes,
     )
 
 

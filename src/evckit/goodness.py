@@ -16,7 +16,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .covers import enumerate_covers_up_to, enumerate_min_vcs, min_vc_containing, mvc_mask
+from .covers import (
+    cover_configurations,
+    enumerate_covers_up_to,
+    enumerate_min_vcs,
+    min_vc_containing,
+    mvc_mask,
+)
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Graph, bits, mask_components, mask_of, neighbors_of_set
 from .matching import HallWitness, hall_check
@@ -102,25 +108,12 @@ def _replacement_reachable(
     every target guard sits inside it."""
     comp_vertices = tuple(bits(comp_mask))
     sub = g.induced(comp_vertices)
-    back = {i: v for i, v in enumerate(comp_vertices)}
-    covers, _ = enumerate_covers_up_to(sub, guards_left)
-    for cover_mask in covers:
-        support = [back[i] for i in bits(cover_mask)]
-        if not support:
-            if guards_left == 0:
-                return True
-            continue
-        extra = guards_left - len(support)
-        if extra < 0:
-            continue
-        for distribution in itertools.combinations_with_replacement(support, extra):
-            target = [0] * g.n
-            for v in support:
-                target[v] = 1
-            for v in distribution:
-                target[v] += 1
-            if move_feasible_counts(g, residual, tuple(target)):
-                return True
+    for sub_counts in cover_configurations(sub, guards_left):
+        target = [0] * g.n
+        for v, c in zip(comp_vertices, sub_counts):
+            target[v] = c
+        if move_feasible_counts(g, residual, tuple(target)):
+            return True
     return False
 
 
@@ -223,32 +216,12 @@ def count_configurations(g: Graph, k: int) -> int:
     """Number of k-guard configurations whose support is a vertex cover."""
     import math
 
-    covers, _ = enumerate_covers_up_to(g, k)
     total = 0
-    for cover_mask in covers:
+    for cover_mask in enumerate_covers_up_to(g, k):
         s = cover_mask.bit_count()
         if 0 < s <= k:
             total += math.comb(k - 1, s - 1)
     return total
-
-
-def _enumerate_configurations(g: Graph, k: int):
-    """All k-guard configurations whose support is a vertex cover."""
-    covers, _ = enumerate_covers_up_to(g, k)
-    for cover_mask in covers:
-        support = tuple(bits(cover_mask))
-        if not support:
-            continue
-        extra = k - len(support)
-        if extra < 0:
-            continue
-        for distribution in itertools.combinations_with_replacement(support, extra):
-            counts = [0] * g.n
-            for v in support:
-                counts[v] = 1
-            for v in distribution:
-                counts[v] += 1
-            yield GuardConfiguration(tuple(counts))
 
 
 def necessary_conditions_report(
@@ -404,7 +377,8 @@ def necessary_conditions_report(
                 partial = True
             else:
                 covered = set()
-                for cfg in _enumerate_configurations(g, k):
+                for counts in cover_configurations(g, k):
+                    cfg = GuardConfiguration(counts)
                     ok, _ = checker(g, cfg)
                     if ok:
                         covered.update(cfg.support)

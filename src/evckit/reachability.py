@@ -1,16 +1,9 @@
-"""Guard configurations, vertex-disjoint path systems, and one-step reachability.
+"""Guard configurations, path systems, and one-step reachability.
 
-Two vertex sets (or guard multisets) are *compatible* when the guards can
-reconfigure from one to the other with every guard moving at most one step.
-The witness form is a system of vertex-disjoint paths from the vertices being
-vacated to the vertices being newly occupied, with interior vertices drawn
-from the shared part; movement never touches the dead zone.
-
-Note on counting: the number of required disjoint paths equals |S1 \\ S2|
-(one per relocated guard).  Some texts state the count as |S1 n S2|; that
-reading is inconsistent with guard conservation, so this module uses the
-per-relocated-guard count and records the choice here.  Path endpoints are
-not interior vertices and therefore do not consume interior capacity.
+Configuration c1 can become c2 in one step when every guard of c1 stays or
+moves to a neighbour and the guards land exactly on c2.  That is a transport
+question on closed neighbourhoods, answered by one guard-to-slot matching
+(:func:`_route`); the matching doubles as the move list.
 """
 
 from __future__ import annotations
@@ -44,24 +37,6 @@ class GuardConfiguration:
     def support_mask(self) -> int:
         return mask_of(self.support)
 
-    def is_zero_one(self) -> bool:
-        return all(c <= 1 for c in self.counts)
-
-    def count(self, v: int) -> int:
-        return self.counts[v]
-
-    def remove(self, v: int) -> "GuardConfiguration":
-        if self.counts[v] < 1:
-            raise PreconditionError("cannot remove a guard from an empty vertex")
-        c = list(self.counts)
-        c[v] -= 1
-        return GuardConfiguration(tuple(c))
-
-    def add(self, v: int) -> "GuardConfiguration":
-        c = list(self.counts)
-        c[v] += 1
-        return GuardConfiguration(tuple(c))
-
     @staticmethod
     def from_vertices(g: Graph, vertices: Iterable[int]) -> "GuardConfiguration":
         counts = [0] * g.n
@@ -76,22 +51,13 @@ class GuardConfiguration:
             counts[g.index(lab)] += c
         return GuardConfiguration(tuple(counts))
 
-    def label_multiset(self, g: Graph) -> tuple[str, ...]:
-        out = []
-        for v, c in enumerate(self.counts):
-            out.extend([g.labels[v]] * c)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class PathSystem:
-    """Vertex-disjoint guard-movement paths.
+    """Vertex-disjoint guard-movement paths (the defense scan's witness).
 
     Each path starts on a vacated vertex, ends on a newly occupied one, and
-    its interior stays inside the allowed shared region.  In configuration
-    mode the endpoints carry multiplicities (one path per surplus guard) and
-    a vertex may appear as interior at most as often as its multiplicity in
-    the shared part.
+    its interior stays inside the allowed shared region.
     """
 
     paths: tuple[tuple[int, ...], ...]
@@ -107,298 +73,98 @@ class PathSystem:
         return tuple(out)
 
 
-def validate_path_system(
-    g: Graph,
-    ps: PathSystem,
-    source_caps: Mapping[int, int],
-    sink_caps: Mapping[int, int],
-    interior_caps: Mapping[int, int],
-) -> list[str]:
-    """Return a list of invariant violations (empty list = valid)."""
-    problems = []
-    src_used: dict[int, int] = {}
-    snk_used: dict[int, int] = {}
-    int_used: dict[int, int] = {}
-    for p in ps.paths:
-        if len(p) < 2:
-            problems.append(f"path too short: {p}")
-            continue
-        src_used[p[0]] = src_used.get(p[0], 0) + 1
-        snk_used[p[-1]] = snk_used.get(p[-1], 0) + 1
-        for a, b in zip(p, p[1:]):
-            if not g.has_edge(a, b):
-                problems.append(f"non-edge step {g.labels[a]}-{g.labels[b]}")
-        for x in p[1:-1]:
-            int_used[x] = int_used.get(x, 0) + 1
-    for v, used in src_used.items():
-        if used > source_caps.get(v, 0):
-            problems.append(f"source {g.labels[v]} used {used} > cap")
-    for v, used in snk_used.items():
-        if used > sink_caps.get(v, 0):
-            problems.append(f"sink {g.labels[v]} used {used} > cap")
-    for v, used in int_used.items():
-        if used > interior_caps.get(v, 0):
-            problems.append(f"interior {g.labels[v]} used {used} > cap")
-    return problems
+def _closed_neighbourhoods(g: Graph) -> tuple[tuple[int, ...], ...]:
+    got = g._memo.get("closed_neighbourhoods")
+    if got is None:
+        got = tuple(
+            tuple(sorted((v,) + g.adjacency[v])) for v in range(g.n)
+        )
+        g._memo["closed_neighbourhoods"] = got
+    return got
 
 
-# -- tiny deterministic max-flow (node-split) -------------------------------
+def _route(
+    g: Graph, c1: tuple[int, ...], c2: tuple[int, ...]
+) -> dict[tuple[int, int], int] | None:
+    """Send every guard of ``c1`` to a slot of ``c2`` inside its closed
+    neighbourhood; return ``{(x, w): guards moving x -> w}`` for x != w, or
+    None when no such routing exists.
 
-
-class _Flow:
-    """Dinic on a small graph; arc insertion order fixes all tie-breaks."""
-
-    def __init__(self, nodes: int):
-        self.nodes = nodes
-        self.head: list[list[int]] = [[] for _ in range(nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def arc(self, a: int, b: int, cap: int) -> int:
-        i = len(self.to)
-        self.head[a].append(i)
-        self.to.append(b)
-        self.cap.append(cap)
-        self.head[b].append(i + 1)
-        self.to.append(a)
-        self.cap.append(0)
-        return i
-
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
-        while True:
-            level = [-1] * self.nodes
-            level[s] = 0
-            q = [s]
-            qi = 0
-            while qi < len(q):
-                v = q[qi]
-                qi += 1
-                for i in self.head[v]:
-                    if self.cap[i] > 0 and level[self.to[i]] < 0:
-                        level[self.to[i]] = level[v] + 1
-                        q.append(self.to[i])
-            if level[t] < 0:
-                return total
-            it = [0] * self.nodes
-
-            def dfs(v: int, pushed: int) -> int:
-                if v == t:
-                    return pushed
-                while it[v] < len(self.head[v]):
-                    i = self.head[v][it[v]]
-                    w = self.to[i]
-                    if self.cap[i] > 0 and level[w] == level[v] + 1:
-                        got = dfs(w, min(pushed, self.cap[i]))
-                        if got:
-                            self.cap[i] -= got
-                            self.cap[i ^ 1] += got
-                            return got
-                    it[v] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
-                total += pushed
-
-    def flow_on(self, arc_index: int) -> int:
-        return self.cap[arc_index ^ 1]
-
-
-def _solve_paths(
-    g: Graph,
-    src_caps: dict[int, int],
-    snk_caps: dict[int, int],
-    int_caps: dict[int, int],
-) -> tuple[int, list[tuple[int, ...]]]:
-    """Max number of capacity-respecting disjoint paths plus a decomposition.
-
-    A vertex may hold several roles at once (a surplus guard can depart while
-    the shared multiplicity still admits transits), so each role gets its own
-    arc: departures leave from v_out, arrivals terminate at v_in, and
-    interior transits pass through the v_in -> v_out split.
+    Guards on a vertex both configurations occupy start in place.  Each
+    surplus guard then takes a BFS-shortest augmenting path (neighbours in
+    ascending order) that may push already-placed guards to other slots.  A
+    guard that finds no path proves that no complete routing exists, so the
+    answer is exact: it agrees with Hall's condition on the transport graph.
     """
+    if sum(c1) != sum(c2):
+        return None
+    closed = _closed_neighbourhoods(g)
     n = g.n
-    S, T = 2 * n, 2 * n + 1
-    fl = _Flow(2 * n + 2)
-    vin = lambda v: 2 * v
-    vout = lambda v: 2 * v + 1
-    src_arcs: dict[int, int] = {}
-    term_arcs: dict[int, int] = {}
-    transit_arcs: dict[int, int] = {}
-    allowed = set(src_caps) | set(snk_caps) | set(int_caps)
-    for v in sorted(allowed):
-        if src_caps.get(v):
-            src_arcs[v] = fl.arc(S, vout(v), src_caps[v])
-        if snk_caps.get(v):
-            term_arcs[v] = fl.arc(vin(v), T, snk_caps[v])
-        if int_caps.get(v):
-            transit_arcs[v] = fl.arc(vin(v), vout(v), int_caps[v])
-    for u, w in g.edges:
-        if u in allowed and w in allowed:
-            fl.arc(vout(u), vin(w), 1 << 30)
-            fl.arc(vout(w), vin(u), 1 << 30)
-    value = fl.max_flow(S, T)
-
-    edge_pool: dict[int, list[list[int]]] = {v: [] for v in allowed}
-    for v in sorted(allowed):
-        for i in fl.head[vout(v)]:
-            if i % 2 == 0 and fl.to[i] != S and fl.flow_on(i) > 0:
-                edge_pool[v].append([fl.to[i] // 2, fl.flow_on(i)])
-        edge_pool[v].sort()
-    term_pool = {v: fl.flow_on(i) for v, i in term_arcs.items()}
-    transit_pool = {v: fl.flow_on(i) for v, i in transit_arcs.items()}
-
-    paths: list[tuple[int, ...]] = []
-    for v in sorted(src_caps):
-        units = fl.flow_on(src_arcs[v]) if v in src_arcs else 0
-        for _ in range(units):
-            path = [v]
-            cur = v
-            while True:
-                nxts = edge_pool[cur]
-                assert nxts, "flow decomposition ran out of arcs"
-                w = nxts[0][0]
-                nxts[0][1] -= 1
-                if nxts[0][1] == 0:
-                    nxts.pop(0)
-                path.append(w)
-                cur = w
-                if term_pool.get(cur, 0) > 0:
-                    term_pool[cur] -= 1
+    # flow[(x, w)]: guards from x assigned to slot w (stationary ones too)
+    flow: dict[tuple[int, int], int] = {}
+    free = [0] * n
+    surplus = []
+    for v in range(n):
+        a, b = c1[v], c2[v]
+        if a and b:
+            flow[(v, v)] = min(a, b)
+        if b > a:
+            free[v] = b - a
+        elif a > b:
+            surplus.extend([v] * (a - b))
+    for x in surplus:
+        # left side: guard origins; right side: slots
+        reached_via = {x: -1}  # origin -> slot it can give up
+        slot_parent: dict[int, int] = {}  # slot -> origin that can take it
+        queue = [x]
+        end = -1
+        for y in queue:
+            for w in closed[y]:
+                if w in slot_parent:
+                    continue
+                slot_parent[w] = y
+                if free[w]:
+                    end = w
                     break
-                assert transit_pool.get(cur, 0) > 0, "decomposition conservation"
-                transit_pool[cur] -= 1
-            paths.append(tuple(path))
-    return value, paths
-
-
-def disjoint_paths(
-    g: Graph, sources, sinks, allowed_interior, count: int
-) -> PathSystem | None:
-    """``count`` vertex-disjoint source->sink paths with interiors inside
-    ``allowed_interior``, or None.  Node-split maximum flow underneath."""
-    sources = tuple(sorted(sources))
-    sinks = tuple(sorted(sinks))
-    allowed_interior = tuple(sorted(allowed_interior))
-    sm, tm, im = mask_of(sources), mask_of(sinks), mask_of(allowed_interior)
-    if sm & tm or sm & im or tm & im:
-        raise PreconditionError("sources, sinks, interior must be pairwise disjoint")
-    if count == 0:
-        return PathSystem((), sources, sinks, allowed_interior)
-    if count > len(sources) or count > len(sinks):
-        return None
-    value, paths = _solve_paths(
-        g,
-        {v: 1 for v in sources},
-        {v: 1 for v in sinks},
-        {v: 1 for v in allowed_interior},
-    )
-    if value < count:
-        return None
-    return PathSystem(tuple(paths[:count]), sources, sinks, allowed_interior)
-
-
-def compatible(g: Graph, s1, s2) -> tuple[bool, PathSystem | None]:
-    """One-step guard reachability between two equal-size vertex sets."""
-    s1 = tuple(sorted(s1))
-    s2 = tuple(sorted(s2))
-    if len(s1) != len(s2):
-        raise PreconditionError("compatible() needs sets of equal size")
-    m1, m2 = mask_of(s1), mask_of(s2)
-    sources = tuple(bits(m1 & ~m2))
-    sinks = tuple(bits(m2 & ~m1))
-    interior = tuple(bits(m1 & m2))
-    ps = disjoint_paths(g, sources, sinks, interior, len(sources))
-    return (ps is not None), ps
+                for z in closed[w]:
+                    if z not in reached_via and flow.get((z, w)):
+                        reached_via[z] = w
+                        queue.append(z)
+            if end >= 0:
+                break
+        if end < 0:
+            return None
+        free[end] -= 1
+        w = end
+        while w >= 0:
+            y = slot_parent[w]
+            flow[(y, w)] = flow.get((y, w), 0) + 1
+            w = reached_via[y]
+            if w >= 0:
+                flow[(y, w)] -= 1
+    return {(x, w): c for (x, w), c in flow.items() if x != w and c}
 
 
 def compatible_configs(
     g: Graph, c1: GuardConfiguration, c2: GuardConfiguration
-) -> tuple[bool, PathSystem | None]:
-    """Multiset variant: one path per surplus guard, interior use bounded by
-    the shared multiplicity of each vertex."""
+) -> tuple[bool, tuple[tuple[int, int], ...] | None]:
+    """One-step reachability with its witness: ``(ok, moves)`` where
+    ``moves`` is the sorted tuple of guard moves ``(x, w)`` with x != w
+    (stationary guards are omitted), or None when c2 is out of reach."""
     if c1.total != c2.total:
         raise PreconditionError("configurations must have equal guard totals")
-    src = {v: c1.counts[v] - c2.counts[v] for v in range(g.n) if c1.counts[v] > c2.counts[v]}
-    snk = {v: c2.counts[v] - c1.counts[v] for v in range(g.n) if c2.counts[v] > c1.counts[v]}
-    inter = {
-        v: min(c1.counts[v], c2.counts[v])
-        for v in range(g.n)
-        if min(c1.counts[v], c2.counts[v]) > 0
-    }
-    need = sum(src.values())
-    if need == 0:
-        return True, PathSystem((), (), (), tuple(sorted(inter)))
-    value, paths = _solve_paths(g, src, snk, inter)
-    if value < need:
+    routed = _route(g, c1.counts, c2.counts)
+    if routed is None:
         return False, None
-    sources = tuple(sorted(x for v, c in src.items() for x in [v] * c))
-    sinks = tuple(sorted(x for v, c in snk.items() for x in [v] * c))
-    return True, PathSystem(tuple(paths), sources, sinks, tuple(sorted(inter)))
-
-
-# -- fast feasibility (no witness) ------------------------------------------
+    return True, tuple(
+        sorted(move for move, c in routed.items() for _ in range(c))
+    )
 
 
 def move_feasible_counts(g: Graph, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
-    """One-step movement feasibility between raw count vectors.
-
-    Supply-demand (Gale) condition over the closed-neighborhood transport
-    graph: for every subset A of occupied vertices, the guards on A must fit
-    into the closed neighborhood N[A] under the target counts.  Equivalent to
-    the flow formulation; used as its fast cross-checked twin on hot paths.
-    """
-    adj = g.adj_mask
-    sup = [v for v in range(g.n) if c1[v]]
-    s = len(sup)
-    if s == 0:
-        return all(c == 0 for c in c2)
-    closed = [adj[v] | (1 << v) for v in sup]
-    supply = [c1[v] for v in sup]
-    nb = [0] * (1 << s)
-    tot = [0] * (1 << s)
-    for m in range(1, 1 << s):
-        low = m & -m
-        i = low.bit_length() - 1
-        prev = m ^ low
-        nb[m] = nb[prev] | closed[i]
-        tot[m] = tot[prev] + supply[i]
-        demand = 0
-        for w in bits(nb[m]):
-            demand += c2[w]
-        if tot[m] > demand:
-            return False
-    return True
-
-
-def config_move_feasible(
-    g: Graph, c1: GuardConfiguration, c2: GuardConfiguration
-) -> bool:
-    if c1.total != c2.total:
-        raise PreconditionError("configurations must have equal guard totals")
-    return move_feasible_counts(g, c1.counts, c2.counts)
-
-
-def compatible_configs_crossing(
-    g: Graph,
-    c1: GuardConfiguration,
-    c2: GuardConfiguration,
-    u: int,
-    v: int,
-) -> tuple[bool, PathSystem | None]:
-    """Reachability where one guard must traverse the edge u->v.
-
-    Reserving the crossing guard reduces the test to compatibility of the
-    configurations with that guard removed from each side.
-    """
-    if not g.has_edge(u, v):
-        raise PreconditionError("crossing constraint must name an edge")
-    if c1.counts[u] < 1 or c2.counts[v] < 1:
-        return False, None
-    return compatible_configs(g, c1.remove(u), c2.remove(v))
+    """Can the guards at count vector ``c1`` reach ``c2`` in one
+    simultaneous step (each guard staying or moving to a neighbour)?"""
+    return _route(g, c1, c2) is not None
 
 
 def min_covers_compatible_check(g: Graph, cover_cap: int = 10_000) -> dict:

@@ -12,7 +12,7 @@ import json
 from typing import Any
 
 from .errors import ValidationError
-from .graph import Graph, graph_json_obj, mask_of, neighbors_of_set
+from .graph import Graph, bits, graph_json_obj, mask_of, neighbors_of_set
 
 SCHEMA_VERSION = "1.0"
 
@@ -140,8 +140,8 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
     """Re-check a (label-space) certificate against the graph from scratch."""
     from .covers import enumerate_min_vcs, min_vc_containing, mvc_mask
     from .goodness import BadSetCertificate, revalidate_bad_set
-    from .matching import perfect_matching_through_edge
-    from .graph import OddCycle, bipartition
+    from .graph import OddCycle, bipartition, connected_components
+    from .matching import is_essentially_elementary, max_matching_size
 
     kind = cert.get("kind")
     data = delabelize(g, cert)
@@ -157,7 +157,7 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
     if kind == "hall_violator":
         x = set(data["violator"])
         nb = neighbors_of_set(g, mask_of(x))
-        return set(_bits_list(nb)) == set(data["neighborhood"]) and len(
+        return set(bits(nb)) == set(data["neighborhood"]) and len(
             data["neighborhood"]
         ) < len(x)
     if kind == "tight_independent_set":
@@ -186,17 +186,22 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
         )
         return revalidate_bad_set(g, bc)
     if kind == "non_elementary":
+        if any(
+            isinstance(bipartition(g.induced(c)), OddCycle)
+            for c in connected_components(g)
+        ):
+            return False
         edge = data.get("edge_in_no_perfect_matching")
         if edge is None:
-            return True  # structural variants carry their own fields
-        res = bipartition(g)
-        if isinstance(res, OddCycle):
+            return not is_essentially_elementary(g)[0]
+        if not g.has_edge(*edge):
             return False
-        a, b = res
-        return perfect_matching_through_edge(g, a, b, tuple(edge)) is None
+        # e lies in a perfect matching iff G minus its endpoints has one
+        rest = g.induced(v for v in range(g.n) if v not in edge)
+        return 2 * max_matching_size(rest) < rest.n
     if kind in ("no_weakly_good_coverage", "no_strongly_good_coverage"):
-        from .covers import enumerate_min_vcs
-        from .goodness import _enumerate_configurations, is_strongly_good, is_weakly_good
+        from .covers import cover_configurations
+        from .goodness import is_strongly_good, is_weakly_good
         from .reachability import GuardConfiguration
 
         checker = is_weakly_good if "weakly" in kind else is_strongly_good
@@ -210,25 +215,20 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
                 for c in cs.covers
             )
         return not any(
-            cfg.counts[v] > 0 and checker(g, cfg)[0]
-            for cfg in _enumerate_configurations(g, k)
+            counts[v] > 0 and checker(g, GuardConfiguration(counts))[0]
+            for counts in cover_configurations(g, k)
         )
     if kind == "empty_fixpoint":
         from .decider import FixpointTrace, spartan_fixpoint
 
         return isinstance(spartan_fixpoint(g), FixpointTrace)
-    if kind in ("game_attacker_win", "cover_enumeration_truncated"):
-        return True  # re-established only by re-running the solver
+    if kind == "game_attacker_win":
+        from .game import evc
+
+        return evc(g).value > data["k"]
+    # "cover_enumeration_truncated" only notes where a positive answer came
+    # from; it proves nothing, so it never revalidates
     return False
-
-
-def _bits_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def bad_set_certificate_payload(g: Graph, cert) -> dict:

@@ -122,6 +122,18 @@ def test_budget_refusal_exit_code(graph_file, capsys, monkeypatch):
     assert "refused" in err
 
 
+def test_budget_refusal_bounds_hold_across_components(graph_file, capsys):
+    # the star needs 2 guards and the edge 1; the refusal on the star must
+    # still bracket the whole graph: star in [1, 2] plus edge in [1, 2]
+    f = graph_file("star_edge.edges", "c x\nc y\nc z\np q\n")
+    code, _, err = run_cli(capsys, ["evc", f, "--budget", "0"])
+    assert code == 1
+    assert "(known bounds: 2..4)" in err
+    code, out, _ = run_cli(capsys, ["evc", f, "--json"])
+    assert code == 0
+    assert 2 <= json.loads(out)["result"]["evc"] <= 4
+
+
 def test_state_budget_env_override(graph_file, capsys, monkeypatch):
     monkeypatch.setenv("EVCKIT_STATE_BUDGET", "2")
     f = graph_file("c5.edges", "1 2\n2 3\n3 4\n4 5\n5 1\n")
@@ -160,16 +172,63 @@ def test_certificates_revalidate_after_roundtrip(graph_file, capsys):
         payload = json.loads(out)
         g = parse_edge_list(text)
         cert = payload["result"].get("certificate")
-        if cert is not None and cert["kind"] not in (
-            "non_elementary",
-            "empty_fixpoint",
-        ):
+        if cert is not None and cert["kind"] != "empty_fixpoint":
             assert revalidate_certificate(g, cert), cert
         code, out, _ = run_cli(capsys, ["certify", f, "--json"])
         payload = json.loads(out)
         for cond in payload["result"]["conditions"]:
             if cond["certificate"] is not None:
                 assert revalidate_certificate(g, cond["certificate"]), cond
+
+
+# C4 is Spartan (evc = mvc = 2), bipartite and elementary, so no certificate
+# of any kind can hold on it
+FORGED_ON_C4 = [
+    {"kind": "odd_cycle", "cycle": ["a", "b", "c"]},
+    {"kind": "vertex_in_no_min_cover", "vertex": "a"},
+    {"kind": "hall_violator", "violator": ["a", "c"], "neighborhood": ["b", "d"]},
+    {"kind": "tight_independent_set", "independent_set": ["a"]},
+    {"kind": "mvc_below_half", "mvc": 1, "n": 4},
+    {
+        "kind": "weakly_bad",
+        "support": ["a", "c"],
+        "counts_on_support": [1, 1],
+        "bad_set": ["b"],
+        "component": ["a", "c", "d"],
+    },
+    {
+        "kind": "strongly_bad",
+        "support": ["a", "c"],
+        "counts_on_support": [1, 1],
+        "bad_set": ["b"],
+        "component": ["a", "c", "d"],
+        "exit_vertex": "a",
+    },
+    {"kind": "no_weakly_good_coverage", "k": 2, "vertex": "a"},
+    {"kind": "no_strongly_good_coverage", "k": 3, "vertex": "a"},
+    {"kind": "empty_fixpoint", "deletions": []},
+    {"kind": "game_attacker_win", "k": 2},
+    {"kind": "non_elementary"},
+    {"kind": "non_elementary", "edge_in_no_perfect_matching": ["a", "b"]},
+    {"kind": "cover_enumeration_truncated", "cap": 1},
+]
+
+
+@pytest.mark.parametrize(
+    "cert", FORGED_ON_C4, ids=[f"{c['kind']}-{len(c)}" for c in FORGED_ON_C4]
+)
+def test_forged_certificate_rejected(cert):
+    assert not revalidate_certificate(parse_edge_list("a b\nb c\nc d\nd a\n"), cert)
+
+
+def test_genuine_game_and_non_elementary_certificates_hold():
+    c4 = parse_edge_list("a b\nb c\nc d\nd a\n")
+    assert revalidate_certificate(c4, {"kind": "game_attacker_win", "k": 1})
+    k13 = parse_edge_list("c x\nc y\nc z\n")  # bipartite, not elementary
+    assert revalidate_certificate(k13, {"kind": "non_elementary"})
+    assert revalidate_certificate(
+        k13, {"kind": "non_elementary", "edge_in_no_perfect_matching": ["c", "x"]}
+    )
 
 
 def test_generate_corpus_counts():

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from evckit.covers import (
     brute_force_min_covers,
+    cover_configurations,
     enumerate_covers_up_to,
     enumerate_min_vcs,
     min_vc_containing,
@@ -101,9 +104,30 @@ def test_edgeless_graph():
 
 def test_enumerate_covers_up_to():
     g = Graph(("a", "b", "c"), ((0, 1), (1, 2)))
-    covers, truncated = enumerate_covers_up_to(g, 2)
-    assert not truncated
+    covers = enumerate_covers_up_to(g, 2)
+    assert covers == sorted(covers)
     named_covers = sorted(
         tuple(g.labels[i] for i in range(3) if m >> i & 1) for m in covers
     )
     assert named_covers == [("a", "b"), ("a", "c"), ("b",), ("b", "c")]
+
+
+def test_cover_configurations_match_brute_force():
+    for g in random_graph_corpus(40, 2, 7, seed=29):
+        for k in range(1, 5):
+            expected = []
+            for guards in itertools.combinations_with_replacement(range(g.n), k):
+                counts = [0] * g.n
+                for v in guards:
+                    counts[v] += 1
+                if all(counts[u] or counts[w] for u, w in g.edges):
+                    expected.append(tuple(counts))
+            got = list(cover_configurations(g, k))
+            assert len(got) == len(set(got))
+            assert sorted(got) == sorted(expected), (g.edges, k)
+
+
+def test_cover_configurations_edgeless():
+    g = Graph(("a", "b"), ())
+    assert list(cover_configurations(g, 0)) == [(0, 0)]
+    assert sorted(cover_configurations(g, 1)) == [(0, 1), (1, 0)]

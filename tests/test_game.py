@@ -92,15 +92,6 @@ def test_budget_bracket(named):
     assert exc.value.bracket is not None
 
 
-def test_prune_weakly_bad_preserves_outcomes():
-    for g in random_graph_corpus(30, 2, 6, seed=151):
-        k = mvc_mask(g, g.full_mask)
-        for kk in (k, k + 1):
-            a = solve_guard_game(g, kk)
-            b = solve_guard_game(g, kk, prune_weakly_bad=True)
-            assert a.defender_wins == b.defender_wins, (g.edges, kk)
-
-
 def test_strategy_responses_stay_in_survivors():
     for g in random_graph_corpus(25, 2, 6, seed=157):
         k = mvc_mask(g, g.full_mask)

@@ -1,19 +1,17 @@
 import itertools
+import random
 
 import pytest
 
 from evckit.covers import enumerate_min_vcs
 from evckit.errors import PreconditionError
+from evckit.game import replay_moves, transition_moves
+from evckit.graph import bits
 from evckit.reachability import (
     GuardConfiguration,
-    compatible,
     compatible_configs,
-    compatible_configs_crossing,
-    config_move_feasible,
-    disjoint_paths,
     min_covers_compatible_check,
     move_feasible_counts,
-    validate_path_system,
 )
 
 from conftest import random_graph_corpus
@@ -34,75 +32,79 @@ def brute_one_step_moves(g, counts):
     return results
 
 
-def test_disjoint_paths_c5(named):
-    c5 = named["C5"]
-    ps = disjoint_paths(c5, (2, 4), (1, 3), (0,), 2)
-    assert ps.paths == ((2, 1), (4, 3))
+def gale_feasible(g, c1, c2):
+    """Gale's supply-demand condition on the closed-neighbourhood transport
+    graph: for every set A of occupied vertices, the guards on A fit into
+    N[A] under the target counts.  Visits 2^|support| subsets; oracle only."""
+    if sum(c1) != sum(c2):
+        return False
+    sup = [v for v in range(g.n) if c1[v]]
+    closed = [g.adj_mask[v] | (1 << v) for v in sup]
+    nb = [0] * (1 << len(sup))
+    tot = [0] * (1 << len(sup))
+    for m in range(1, 1 << len(sup)):
+        low = m & -m
+        i = low.bit_length() - 1
+        nb[m] = nb[m ^ low] | closed[i]
+        tot[m] = tot[m ^ low] + c1[sup[i]]
+        if tot[m] > sum(c2[w] for w in bits(nb[m])):
+            return False
+    return True
 
 
-def test_disjoint_paths_p4_none(named):
-    p4 = named["P4"]
-    assert disjoint_paths(p4, (0, 1), (2, 3), (), 2) is None
-
-
-def test_disjoint_paths_count_zero(named):
-    ps = disjoint_paths(named["C4"], (0,), (1,), (), 0)
-    assert ps.paths == ()
-
-
-def test_disjoint_paths_count_exceeds_sides(named):
-    assert disjoint_paths(named["C4"], (0,), (1,), (), 2) is None
-
-
-def test_disjoint_paths_requires_disjoint_roles(named):
-    with pytest.raises(PreconditionError):
-        disjoint_paths(named["C4"], (0,), (0,), (), 1)
+def _configs(g, *label_counts):
+    return [GuardConfiguration.from_label_counts(g, lc) for lc in label_counts]
 
 
 def test_compatible_c5(named):
     c5 = named["C5"]
-    ok, ps = compatible(c5, c5.index_set("135"), c5.index_set("124"))
-    assert ok and ps.paths == ((2, 1), (4, 3))
+    c1, c2 = (
+        GuardConfiguration.from_vertices(c5, c5.index_set(s)) for s in ("135", "124")
+    )
+    assert compatible_configs(c5, c1, c2) == (True, ((2, 1), (4, 3)))
 
 
 def test_compatible_p4_false(named):
-    ok, ps = compatible(named["P4"], (0, 1), (2, 3))
-    assert not ok and ps is None
+    p4 = named["P4"]
+    c1, c2 = _configs(p4, {"a": 1, "b": 1}, {"c": 1, "d": 1})
+    assert compatible_configs(p4, c1, c2) == (False, None)
 
 
 def test_compatible_identical_sets(named):
-    ok, ps = compatible(named["C4"], (0, 2), (0, 2))
-    assert ok and ps.paths == ()
+    c4 = named["C4"]
+    c = GuardConfiguration.from_vertices(c4, (0, 2))
+    assert compatible_configs(c4, c, c) == (True, ())
 
 
 def test_compatible_size_mismatch(named):
+    c4 = named["C4"]
+    c1 = GuardConfiguration.from_vertices(c4, (0,))
+    c2 = GuardConfiguration.from_vertices(c4, (1, 3))
     with pytest.raises(PreconditionError):
-        compatible(named["C4"], (0,), (1, 3))
+        compatible_configs(c4, c1, c2)
+    assert not move_feasible_counts(c4, c1.counts, c2.counts)
 
 
 def test_compatible_configs_p3_chain(named):
     p3 = named["P3"]
-    c1 = GuardConfiguration.from_label_counts(p3, {"a": 1, "b": 1})
-    c2 = GuardConfiguration.from_label_counts(p3, {"b": 1, "c": 1})
-    ok, ps = compatible_configs(p3, c1, c2)
-    assert ok and ps.paths == ((0, 1, 2),)
+    c1, c2 = _configs(p3, {"a": 1, "b": 1}, {"b": 1, "c": 1})
+    # b may only be vacated toward c once a's guard takes its place
+    assert compatible_configs(p3, c1, c2) == (True, ((0, 1), (1, 2)))
 
 
 def test_compatible_configs_equal(named):
     k2 = named["K2"]
-    c = GuardConfiguration.from_label_counts(k2, {"a": 1, "b": 1})
-    ok, ps = compatible_configs(k2, c, c)
-    assert ok and ps.paths == ()
+    (c,) = _configs(k2, {"a": 1, "b": 1})
+    assert compatible_configs(k2, c, c) == (True, ())
 
 
 def test_compatible_configs_star(named):
     k13 = named["K1,3"]
-    c1 = GuardConfiguration.from_label_counts(k13, {"c": 1, "x": 1})
-    c2 = GuardConfiguration.from_label_counts(k13, {"c": 1, "y": 1})
-    ok, ps = compatible_configs(k13, c1, c2)
-    assert ok
-    # interior c is shared with multiplicity one, so the chain runs x-c-y
-    assert ps.paths == ((k13.index("x"), k13.index("c"), k13.index("y")),)
+    c1, c2 = _configs(k13, {"c": 1, "x": 1}, {"c": 1, "y": 1})
+    ok, moves = compatible_configs(k13, c1, c2)
+    c, x, y = (k13.index(lab) for lab in "cxy")
+    # the centre's guard steps to y while x's guard takes the centre
+    assert ok and moves == tuple(sorted(((x, c), (c, y))))
 
 
 def test_config_feasibility_matches_brute_force():
@@ -131,50 +133,52 @@ def test_config_feasibility_matches_brute_force():
                 break  # one multiset per total keeps the oracle cheap
 
 
-def test_flow_witness_agrees_with_fast_feasibility():
-    for g in random_graph_corpus(50, 2, 7, seed=73):
-        cs = enumerate_min_vcs(g)
-        for a, b in itertools.islice(
-            itertools.combinations(range(len(cs.covers)), 2), 20
-        ):
-            c1 = GuardConfiguration.from_vertices(g, cs.covers[a])
-            c2 = GuardConfiguration.from_vertices(g, cs.covers[b])
-            ok, ps = compatible_configs(g, c1, c2)
-            assert ok == config_move_feasible(g, c1, c2)
-            if ok:
-                problems = validate_path_system(
-                    g,
-                    ps,
-                    {v: 1 for v in set(cs.covers[a]) - set(cs.covers[b])},
-                    {v: 1 for v in set(cs.covers[b]) - set(cs.covers[a])},
-                    {v: 1 for v in set(cs.covers[a]) & set(cs.covers[b])},
-                )
-                assert problems == [], problems
+def _random_counts(rng, n, total):
+    counts = [0] * n
+    for _ in range(total):
+        counts[rng.randrange(n)] += 1
+    return tuple(counts)
 
 
-def test_configs_reduce_to_sets():
-    for g in random_graph_corpus(40, 2, 7, seed=79):
-        cs = enumerate_min_vcs(g)
-        for s1, s2 in itertools.islice(
-            itertools.combinations(cs.covers, 2), 15
-        ):
-            ok_sets, _ = compatible(g, s1, s2)
-            ok_cfg, _ = compatible_configs(
-                g,
-                GuardConfiguration.from_vertices(g, s1),
-                GuardConfiguration.from_vertices(g, s2),
+def _random_step(rng, g, counts):
+    out = [0] * g.n
+    for v, c in enumerate(counts):
+        for _ in range(c):
+            out[rng.choice((v,) + g.adjacency[v])] += 1
+    return tuple(out)
+
+
+def test_route_matches_gale_and_moves_replay():
+    rng = random.Random(83)
+    feasible = 0
+    for g in random_graph_corpus(60, 2, 8, seed=89):
+        for trial in range(40):
+            c1 = _random_counts(rng, g.n, rng.randint(1, g.n + 2))
+            if trial % 2:
+                c2 = _random_step(rng, g, c1)
+            else:
+                c2 = _random_counts(rng, g.n, sum(c1))
+            ok = move_feasible_counts(g, c1, c2)
+            assert ok == gale_feasible(g, c1, c2), (g.edges, c1, c2)
+            got, moves = compatible_configs(
+                g, GuardConfiguration(c1), GuardConfiguration(c2)
             )
-            assert ok_sets == ok_cfg
+            assert got == ok
+            if ok:
+                feasible += 1
+                assert moves == tuple(sorted(moves))
+                assert all(x != w for x, w in moves)
+                assert replay_moves(g, c1, moves) == c2
+    assert feasible > 1200  # every one-step image plus some random draws
 
 
 def test_crossing_constraint(named):
     p3 = named["P3"]
-    c1 = GuardConfiguration.from_label_counts(p3, {"b": 1})
-    c2 = GuardConfiguration.from_label_counts(p3, {"a": 1})
-    ok, _ = compatible_configs_crossing(p3, c1, c2, p3.index("b"), p3.index("a"))
-    assert ok
-    ok, _ = compatible_configs_crossing(p3, c1, c2, p3.index("a"), p3.index("b"))
-    assert not ok  # no guard stands on a to make that crossing
+    a, b = p3.index("a"), p3.index("b")
+    # the lone guard on b answers an attack on a-b by crossing to a
+    assert transition_moves(p3, (0, 1, 0), (1, 0, 0), b, a) == ((b, a),)
+    with pytest.raises(PreconditionError):
+        transition_moves(p3, (0, 1, 0), (1, 0, 0), a, b)  # no guard on a
 
 
 def test_min_covers_compatible_check(named):
@@ -186,10 +190,16 @@ def test_min_covers_compatible_check(named):
     assert rep["all_compatible"] and rep["pairs_checked"] == 0
 
 
-def test_path_system_validator_flags_bad_paths(named):
-    c4 = named["C4"]
-    from evckit.reachability import PathSystem
-
-    bad = PathSystem(paths=((0, 2),), sources=(0,), sinks=(2,), allowed_interior=())
-    problems = validate_path_system(c4, bad, {0: 1}, {2: 1}, {})
-    assert any("non-edge" in p for p in problems)
+def test_min_cover_pairs_route_both_ways():
+    for g in random_graph_corpus(50, 2, 7, seed=73):
+        cs = enumerate_min_vcs(g)
+        for a, b in itertools.islice(
+            itertools.combinations(range(len(cs.covers)), 2), 20
+        ):
+            c1 = GuardConfiguration.from_vertices(g, cs.covers[a])
+            c2 = GuardConfiguration.from_vertices(g, cs.covers[b])
+            for src, dst in ((c1, c2), (c2, c1)):
+                ok, moves = compatible_configs(g, src, dst)
+                assert ok == gale_feasible(g, src.counts, dst.counts)
+                if ok:
+                    assert replay_moves(g, src.counts, moves) == dst.counts
