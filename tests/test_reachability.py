@@ -4,7 +4,7 @@ import random
 import pytest
 
 from evckit.covers import enumerate_min_vcs
-from evckit.errors import PreconditionError
+from evckit.errors import IntegrityError, PreconditionError
 from evckit.game import replay_moves, transition_moves
 from evckit.graph import bits
 from evckit.reachability import (
@@ -54,6 +54,49 @@ def gale_feasible(g, c1, c2):
 
 def _configs(g, *label_counts):
     return [GuardConfiguration.from_label_counts(g, lc) for lc in label_counts]
+
+
+def test_disjoint_paths_c5(named):
+    # sources 2, 4 reach sinks 1, 3 by vertex-disjoint one-step paths while
+    # the guard on the interior vertex 0 stays put
+    c5 = named["C5"]
+    c1 = GuardConfiguration.from_vertices(c5, (0, 2, 4))
+    c2 = GuardConfiguration.from_vertices(c5, (0, 1, 3))
+    ok, moves = compatible_configs(c5, c1, c2)
+    assert ok and moves == ((2, 1), (4, 3))
+    touched = [w for move in moves for w in move]
+    assert len(touched) == len(set(touched)) and 0 not in touched
+    assert replay_moves(c5, c1.counts, moves) == c2.counts
+    assert move_feasible_counts(c5, c1.counts, c2.counts)
+
+
+def test_disjoint_paths_p4_none(named):
+    # no two disjoint one-step paths join {a, b} and {c, d} on P4, either way
+    p4 = named["P4"]
+    c1, c2 = _configs(p4, {"a": 1, "b": 1}, {"c": 1, "d": 1})
+    for x, y in ((c1, c2), (c2, c1)):
+        assert compatible_configs(p4, x, y) == (False, None)
+        assert not move_feasible_counts(p4, x.counts, y.counts)
+
+
+def test_disjoint_paths_count_zero(named):
+    # a guard that need not move gets no path; one that must, gets one edge
+    c4 = named["C4"]
+    at0, at1 = (GuardConfiguration.from_vertices(c4, (v,)) for v in (0, 1))
+    assert compatible_configs(c4, at0, at0) == (True, ())
+    assert compatible_configs(c4, at1, at1) == (True, ())
+    assert compatible_configs(c4, at0, at1) == (True, ((0, 1),))
+
+
+def test_disjoint_paths_count_exceeds_sides(named):
+    # more paths than guards on the source side cannot be routed
+    c4 = named["C4"]
+    with pytest.raises(IntegrityError):
+        replay_moves(c4, (1, 0, 0, 0), ((0, 1), (0, 3)))
+    assert not move_feasible_counts(c4, (1, 0, 0, 0), (0, 2, 0, 0))
+    # two guards on 0 split to its two neighbours, but cannot both reach 2
+    assert move_feasible_counts(c4, (2, 0, 0, 0), (0, 1, 0, 1))
+    assert not move_feasible_counts(c4, (2, 0, 0, 0), (0, 0, 2, 0))
 
 
 def test_compatible_c5(named):
