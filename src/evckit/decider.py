@@ -1,29 +1,32 @@
 """Top-level Spartan decision: component dispatch, Koenig fast path, fixpoint.
 
-The defense family is computed as the greatest fixpoint over the complete set
-of minimum covers: a cover survives while every attack on it is defended by
-some surviving cover.  A non-empty fixpoint *is* a defender strategy; an
-empty one yields a deletion trace naming each cover's indefensible edge.
+The defense family is the greatest fixpoint (the shared ``fixpoint`` engine)
+over the complete set of minimum covers: a cover survives while every attack
+on it is defended by some surviving cover.  A non-empty fixpoint *is* a
+defender strategy; an empty one yields a deletion trace naming each cover's
+indefensible edge.  Component verdicts speak the whole graph's vertices.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 
 from .covers import DEFAULT_COVER_CAP, enumerate_min_vcs, mvc_mask
 from .defense import Defense, DefenseContext, DefenseStats, check_defense
 from .errors import IntegrityError, PreconditionError
+from .fixpoint import greatest_fixpoint, oriented_attacks
 from .graph import (
     Graph,
     OddCycle,
     bipartition,
     connected_components,
+    mask_of,
     require_analysis_ready,
 )
 from .matching import is_elementary, max_matching_size
 from .reachability import PathSystem
+from .report import delabelize, labelize
 
 
 @dataclass
@@ -53,28 +56,18 @@ class SpartanVerdict:
     max_matching: int | None = None
 
 
-def _attack_edges(g: Graph, cover: tuple[int, ...]):
-    cset = set(cover)
-    for a, b in g.edges:
-        ina, inb = a in cset, b in cset
-        if ina != inb:
-            yield (a, b) if ina else (b, a)
-
-
 def spartan_fixpoint(
     g: Graph,
     *,
     covers=None,
     cover_cap: int = DEFAULT_COVER_CAP,
-    order_seed: int | None = None,
     stats: DefenseStats | None = None,
 ):
     """Greatest fixpoint of the defended-attack operator over minimum covers.
 
-    Returns a :class:`DefenseFamily` (the graph is Spartan) or a
-    :class:`FixpointTrace` proving emptiness.  ``order_seed`` shuffles the
-    evaluation order per round; the fixpoint is order-independent, which the
-    test suite exercises with randomized schedules.
+    Returns a :class:`DefenseFamily` (the graph is Spartan) whose transitions
+    name each attack's first surviving defender, or a :class:`FixpointTrace`
+    proving emptiness.
     """
     if covers is None:
         cs = enumerate_min_vcs(g, cap=cover_cap)
@@ -84,44 +77,29 @@ def spartan_fixpoint(
             )
         covers = cs.covers
     ctx = DefenseContext(g, stats=stats)
-    alive: list[tuple[int, ...]] = list(covers)
-    trace = []
-    rng = random.Random(order_seed) if order_seed is not None else None
-    round_no = 0
-    while True:
-        order = list(alive)
-        if rng is not None:
-            rng.shuffle(order)
-        killed: dict[tuple[int, ...], tuple[int, int]] = {}
-        for cover in order:
-            for attack in _attack_edges(g, cover):
-                outcome = check_defense(g, cover, attack, alive, ctx)
-                if not isinstance(outcome, Defense):
-                    killed[cover] = attack
-                    break
-        if not killed:
-            break
-        for cover, attack in killed.items():
-            trace.append((cover, attack, round_no))
-        alive = [c for c in alive if c not in killed]
-        round_no += 1
-        if not alive:
-            break
+    holders = [[j for j, c in enumerate(covers) if v in c] for v in range(g.n)]
+
+    def answer(i: int, attack: tuple[int, int], j: int) -> Defense | None:
+        outcome = check_defense(g, covers[i], attack, (covers[j],), ctx)
+        return outcome if isinstance(outcome, Defense) else None
+
+    alive, removals, answers = greatest_fixpoint(
+        [oriented_attacks(g, mask_of(c)) for c in covers],
+        lambda attack: holders[attack[1]],
+        answer,
+    )
     if not alive:
-        return FixpointTrace(deletions=tuple(trace))
-    # final pass pins the transition table against the settled family
-    transitions: dict[tuple[int, tuple[int, int]], tuple[int, PathSystem]] = {}
-    index = {c: i for i, c in enumerate(alive)}
-    for cover in alive:
-        for attack in _attack_edges(g, cover):
-            outcome = check_defense(g, cover, attack, alive, ctx)
-            if not isinstance(outcome, Defense):
-                raise IntegrityError("settled family lost a defense on re-check")
-            transitions[(index[cover], attack)] = (
-                index[outcome.target],
-                outcome.paths,
-            )
-    return DefenseFamily(covers=tuple(alive), transitions=transitions)
+        return FixpointTrace(
+            deletions=tuple((covers[i], attack, r) for i, attack, r in removals)
+        )
+    index = {i: pos for pos, i in enumerate(alive)}
+    return DefenseFamily(
+        covers=tuple(covers[i] for i in alive),
+        transitions={
+            (index[i], attack): (index[j], defense.paths)
+            for (i, attack), (j, defense) in answers.items()
+        },
+    )
 
 
 def _decide_component(
@@ -133,32 +111,22 @@ def _decide_component(
 ) -> SpartanVerdict:
     k = mvc_mask(g, g.full_mask)
     mm = max_matching_size(g)
-    if method == "game":
+    cs = None if method == "game" else enumerate_min_vcs(g, cap=cover_cap)
+    if cs is None or cs.truncated:
+        # the game method asks the oracle, and so does a truncated enumeration:
+        # an incomplete family universe can only produce false negatives
         from .game import solve_guard_game
 
-        outcome = solve_guard_game(g, k)
+        wins = solve_guard_game(g, k).defender_wins
+        certificate = None
+        if not wins:
+            certificate = {"kind": "game_attacker_win", "k": k}
+        elif cs is not None:
+            certificate = {"kind": "cover_enumeration_truncated", "cap": cs.cap}
         return SpartanVerdict(
-            spartan=outcome.defender_wins,
+            spartan=wins,
             method="gameOracle",
-            certificate=None
-            if outcome.defender_wins
-            else {"kind": "game_attacker_win", "k": k},
-            mvc=k,
-            max_matching=mm,
-        )
-    cs = enumerate_min_vcs(g, cap=cover_cap)
-    if cs.truncated:
-        # an incomplete family universe can only produce false negatives, so
-        # the decision falls back to the game oracle
-        from .game import solve_guard_game
-
-        outcome = solve_guard_game(g, k)
-        return SpartanVerdict(
-            spartan=outcome.defender_wins,
-            method="gameOracle",
-            certificate={"kind": "cover_enumeration_truncated", "cap": cs.cap}
-            if outcome.defender_wins
-            else {"kind": "game_attacker_win", "k": k},
+            certificate=certificate,
             mvc=k,
             max_matching=mm,
         )
@@ -222,6 +190,38 @@ def _decide_konig(
     )
 
 
+def _decide_lifted(g: Graph, comp: tuple[int, ...], **kwargs) -> SpartanVerdict:
+    """Decide the component ``comp`` of ``g``, speaking ``g``'s vertices."""
+    sub = g.induced(comp)
+    verdict = _decide_component(sub, **kwargs)
+
+    def tr(vertices):
+        return tuple(comp[v] for v in vertices)
+
+    family = verdict.family
+    if family is not None:
+        verdict.family = DefenseFamily(
+            covers=tuple(tr(c) for c in family.covers),
+            transitions={
+                (ci, tr(attack)): (
+                    ti,
+                    PathSystem(
+                        paths=tuple(tr(p) for p in ps.paths),
+                        sources=tr(ps.sources),
+                        sinks=tr(ps.sinks),
+                        allowed_interior=tr(ps.allowed_interior),
+                    ),
+                )
+                for (ci, attack), (ti, ps) in family.transitions.items()
+            },
+        )
+    if verdict.certificate is not None:
+        # an induced subgraph keeps its labels, so label space carries the
+        # certificate's vertex fields over
+        verdict.certificate = delabelize(g, labelize(sub, verdict.certificate))
+    return verdict
+
+
 def is_spartan(
     g: Graph,
     *,
@@ -247,9 +247,7 @@ def is_spartan(
         )
     else:
         subs = [
-            _decide_component(
-                g.induced(comp), method=method, cover_cap=cover_cap, stats=stats
-            )
+            _decide_lifted(g, comp, method=method, cover_cap=cover_cap, stats=stats)
             for comp in comps
         ]
         spartan = all(v.spartan for v in subs)
@@ -322,11 +320,8 @@ def validate_defense_family(g: Graph, family: DefenseFamily) -> list[str]:
     cover_set = set(family.covers)
     for ci, cover in enumerate(family.covers):
         cset = set(cover)
-        for a, b in g.edges:
-            ina, inb = a in cset, b in cset
-            if ina == inb:
-                continue  # internal attacks swap; unguarded edges cannot exist
-            attack = (a, b) if ina else (b, a)
+        # internal attacks swap; unguarded edges cannot exist
+        for attack in oriented_attacks(g, mask_of(cover)):
             key = (ci, attack)
             if key not in family.transitions:
                 problems.append(f"missing transition for cover {cover} edge {attack}")

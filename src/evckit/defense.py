@@ -538,13 +538,12 @@ class DefenseStats:
 
 
 class DefenseContext:
-    """Caches auxiliary graphs and scan outcomes across fixpoint rounds."""
+    """Caches auxiliary graphs across the scans of one graph."""
 
     def __init__(self, g: Graph, stats: DefenseStats | None = None):
         self.g = g
         self.stats = stats
         self._aux: dict[tuple[tuple[int, ...], tuple[int, ...]], AuxiliaryGraph] = {}
-        self._outcome: dict = {}
 
     def aux_for(self, s, t) -> AuxiliaryGraph:
         key = (s, t)
@@ -585,13 +584,7 @@ def check_defense(
         if v not in t:
             reasons.append((t, "attacked endpoint not in candidate"))
             continue
-        key = (s, t, u, v)
-        cached = ctx._outcome.get(key)
-        if cached is not None:
-            outcome = cached
-        else:
-            outcome = _try_candidate(g, s, t, u, v, ctx)
-            ctx._outcome[key] = outcome
+        outcome = _try_candidate(g, s, t, u, v, ctx)
         if isinstance(outcome, str):
             reasons.append((t, outcome))
             continue

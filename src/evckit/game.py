@@ -5,12 +5,13 @@ vertex cover.  The attacker picks any edge; edges with both endpoints guarded
 are answered by swapping the two guards (the position is unchanged), so the
 solve iterates only over attacks with exactly one guarded endpoint.  A
 defender response is any state reachable by a simultaneous one-step movement
-in which some guard crosses the attacked edge; states that lose every
-response are removed in synchronous rounds until the set stabilizes.
+in which some guard crosses the attacked edge; the shared greatest-fixpoint
+engine (``fixpoint``) removes states that lose some attack in synchronous
+rounds until the set stabilizes.
 
 This solver is the package's independent ground truth: it shares the
-one-step-movement primitive with the reachability module but none of the
-matching-based decision machinery.
+one-step-movement primitive and the fixpoint engine with the decider but
+none of the matching-based decision machinery.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field
 
 from .covers import cover_configurations, mvc_mask
 from .errors import IntegrityError, PreconditionError, ResourceLimitError
-from .graph import Graph, connected_components, is_connected
+from .fixpoint import greatest_fixpoint, oriented_attacks
+from .graph import Graph, connected_components, is_connected, mask_of
 from .reachability import (
     GuardConfiguration,
     compatible_configs,
@@ -70,24 +72,6 @@ class GameOutcome:
         )
 
 
-def _oriented_threats(g: Graph, counts: Counts):
-    for a, b in g.edges:
-        ga, gb = counts[a] > 0, counts[b] > 0
-        if ga and not gb:
-            yield a, b
-        elif gb and not ga:
-            yield b, a
-
-
-def _feasible(g, memo, c_from: Counts, c_to: Counts) -> bool:
-    key = (c_from, c_to)
-    got = memo.get(key)
-    if got is None:
-        got = move_feasible_counts(g, c_from, c_to)
-        memo[key] = got
-    return got
-
-
 def _minus(counts: Counts, v: int) -> Counts:
     lst = list(counts)
     lst[v] -= 1
@@ -101,80 +85,26 @@ def solve_guard_game(g: Graph, k: int, *, budget: int | None = None) -> GameOutc
     if k < 1:
         raise PreconditionError("at least one guard is required")
     states = enumerate_states(g, k, budget)
-    index = {c: i for i, c in enumerate(states)}
-    n_states = len(states)
-    if n_states == 0:
-        return GameOutcome(
-            k=k,
-            defender_wins=False,
-            states=[],
-            survivors=[],
-            ranks={},
-            removal_trace=[],
-            _graph=g,
-        )
-
     # candidate responders per vertex: states with a guard on v
-    with_guard: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for j, c in enumerate(states):
-        for v in range(g.n):
-            if c[v]:
-                with_guard[v].append(j)
+    holders = [[j for j, c in enumerate(states) if c[v]] for v in range(g.n)]
 
-    memo: dict = {}
-    threats: list[list[tuple[int, int]]] = []
-    responders: list[list[list[int]]] = []
-    rev: dict[int, list[tuple[int, int]]] = {j: [] for j in range(n_states)}
-    for i, c in enumerate(states):
-        tlist = list(_oriented_threats(g, c))
-        threats.append(tlist)
-        per_threat = []
-        for t_idx, (u, v) in enumerate(tlist):
-            c_from = _minus(c, u)
-            resp = []
-            for j in with_guard[v]:
-                if _feasible(g, memo, c_from, _minus(states[j], v)):
-                    resp.append(j)
-                    rev[j].append((i, t_idx))
-            per_threat.append(resp)
-        responders.append(per_threat)
+    def answer(i: int, threat: tuple[int, int], j: int) -> bool:
+        u, v = threat
+        return move_feasible_counts(g, _minus(states[i], u), _minus(states[j], v))
 
-    alive = [True] * n_states
-    counts_left = [[len(r) for r in per] for per in responders]
-    ranks: dict[Counts, int] = {}
-    trace: list[tuple[Counts, tuple[int, int]]] = []
-    round_no = 0
-    pending = [
-        i
-        for i in range(n_states)
-        if any(cnt == 0 for cnt in counts_left[i])
-    ]
-    while pending:
-        for i in pending:
-            alive[i] = False
-            ranks[states[i]] = round_no
-            t_idx = next(
-                t for t, cnt in enumerate(counts_left[i]) if cnt == 0
-            )
-            trace.append((states[i], threats[i][t_idx]))
-        for i in pending:
-            for (who, t_idx) in rev[i]:
-                if alive[who]:
-                    counts_left[who][t_idx] -= 1
-        round_no += 1
-        pending = [
-            i
-            for i in range(n_states)
-            if alive[i] and any(cnt == 0 for cnt in counts_left[i])
-        ]
-    survivors = [states[i] for i in range(n_states) if alive[i]]
+    alive, removals, _ = greatest_fixpoint(
+        [oriented_attacks(g, mask_of(v for v in range(g.n) if c[v])) for c in states],
+        lambda threat: holders[threat[1]],
+        answer,
+    )
+    survivors = [states[i] for i in alive]
     return GameOutcome(
         k=k,
         defender_wins=bool(survivors),
         states=states,
         survivors=survivors,
-        ranks=ranks,
-        removal_trace=trace,
+        ranks={states[i]: r for i, _, r in removals},
+        removal_trace=[(states[i], threat) for i, threat, _ in removals],
         _graph=g,
     )
 
@@ -201,7 +131,6 @@ def _best_response(
         u, v = b, a
     else:
         return None
-    memo: dict = {}
     c_from = _minus(counts, u)
     survivors_set = {tuple(s) for s in outcome.survivors}
     best = None
@@ -209,7 +138,7 @@ def _best_response(
     for target in outcome.states:
         if target[v] == 0:
             continue
-        if not _feasible(g, memo, c_from, _minus(target, v)):
+        if not move_feasible_counts(g, c_from, _minus(target, v)):
             continue
         surviving = target in survivors_set
         if surviving_only and not surviving:
@@ -354,18 +283,15 @@ def play_session(g: Graph, k: int, in_stream, out_stream) -> list[dict]:
     if outcome.defender_wins:
         current = outcome.survivors[0]
         say(f"(defender holds with {k} guards)")
-    else:
-        if outcome.states:
-            best_rank = max(outcome.ranks.get(s, -1) for s in outcome.states)
-            current = next(
-                s for s in outcome.states if outcome.ranks.get(s, -1) == best_rank
-            )
-        else:
-            say(f"no cover-supported placement of {k} guards exists; "
-                "the attacker wins immediately")
-            events.append({"event": "immediate_loss", "k": k})
-            return events
+    elif outcome.states:
+        # every state is removed; the first one removed last holds out longest
+        current = max(outcome.states, key=outcome.ranks.__getitem__)
         say(f"warning: the defender cannot hold with {k} guards")
+    else:
+        say(f"no cover-supported placement of {k} guards exists; "
+            "the attacker wins immediately")
+        events.append({"event": "immediate_loss", "k": k})
+        return events
     show_guards(current)
     events.append({"event": "start", "guards": current, "winning": outcome.defender_wins})
 
@@ -387,7 +313,12 @@ def play_session(g: Graph, k: int, in_stream, out_stream) -> list[dict]:
             events.append({"event": "quit"})
             break
         if cmd == "hint":
-            wins = _winning_attacks(g, outcome, current)
+            # unguarded edges and attacks no surviving state answers
+            wins = [
+                e
+                for e in g.edges
+                if _best_response(g, outcome, current, e, surviving_only=True) is None
+            ]
             if wins:
                 say(
                     "winning attacks: "
@@ -464,27 +395,3 @@ def play_session(g: Graph, k: int, in_stream, out_stream) -> list[dict]:
         say(f"cannot parse command: {line.strip()}")
     return events
 
-
-def _winning_attacks(g: Graph, outcome: GameOutcome, counts: Counts):
-    survivors_set = {tuple(s) for s in outcome.survivors}
-    wins = []
-    memo: dict = {}
-    for a, b in g.edges:
-        ga, gb = counts[a] > 0, counts[b] > 0
-        if not ga and not gb:
-            wins.append((a, b))
-            continue
-        if ga and gb:
-            continue
-        u, v = (a, b) if ga else (b, a)
-        c_from = _minus(counts, u)
-        defended = False
-        for target in outcome.survivors:
-            if target[v] == 0:
-                continue
-            if _feasible(g, memo, c_from, _minus(target, v)):
-                defended = True
-                break
-        if not defended:
-            wins.append((a, b))
-    return wins

@@ -219,9 +219,35 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
             for counts in cover_configurations(g, k)
         )
     if kind == "empty_fixpoint":
-        from .decider import FixpointTrace, spartan_fixpoint
+        # the trace must delete every minimum cover of one component exactly
+        # once, each on an oriented attack that no cover deleted in the same
+        # round or later defends; then no non-empty family of minimum covers
+        # defends every attack on its members, as the member deleted first
+        # would have a defender
+        from .defense import Defense, check_defense
+        from .fixpoint import oriented_attacks
 
-        return isinstance(spartan_fixpoint(g), FixpointTrace)
+        try:  # an empty trace fails here too
+            first = g.label_index[cert["deletions"][0]["attack"][0]]
+            comp = next(c for c in connected_components(g) if first in c)
+            h = g.induced(comp)
+            trace = [
+                (tuple(sorted(d["cover"])), tuple(d["attack"]), int(d["round"]))
+                for d in delabelize(h, cert["deletions"])
+            ]
+        except (IndexError, KeyError, TypeError, ValueError, ValidationError):
+            return False
+        cs = enumerate_min_vcs(h)
+        if cs.truncated or sorted(c for c, _, _ in trace) != sorted(cs.covers):
+            return False
+        return all(
+            attack in oriented_attacks(h, mask_of(cover))
+            and not isinstance(
+                check_defense(h, cover, attack, [c for c, _, r in trace if r >= rnd]),
+                Defense,
+            )
+            for cover, attack, rnd in trace
+        )
     if kind == "game_attacker_win":
         from .game import evc
 

@@ -166,19 +166,21 @@ def test_certificates_revalidate_after_roundtrip(graph_file, capsys):
         ("p5.edges", "a b\nb c\nc d\nd e\n"),
         ("k13.edges", "c x\nc y\nc z\n"),
     ]
+    kinds = set()
     for name, text in cases:
         f = graph_file(name, text)
-        code, out, _ = run_cli(capsys, ["spartan", f, "--json"])
-        payload = json.loads(out)
         g = parse_edge_list(text)
-        cert = payload["result"].get("certificate")
-        if cert is not None and cert["kind"] != "empty_fixpoint":
+        for method in ("auto", "fixpoint"):
+            argv = ["spartan", f, "--json", "--method", method]
+            cert = json.loads(run_cli(capsys, argv)[1])["result"]["certificate"]
+            kinds.add(cert["kind"])
             assert revalidate_certificate(g, cert), cert
         code, out, _ = run_cli(capsys, ["certify", f, "--json"])
         payload = json.loads(out)
         for cond in payload["result"]["conditions"]:
             if cond["certificate"] is not None:
                 assert revalidate_certificate(g, cond["certificate"]), cond
+    assert "empty_fixpoint" in kinds
 
 
 # C4 is Spartan (evc = mvc = 2), bipartite and elementary, so no certificate
@@ -219,6 +221,103 @@ FORGED_ON_C4 = [
 )
 def test_forged_certificate_rejected(cert):
     assert not revalidate_certificate(parse_edge_list("a b\nb c\nc d\nd a\n"), cert)
+
+
+P5 = parse_edge_list("a b\nb c\nc d\nd e\n")  # one minimum cover, {b, d}
+# a triangle with a pendant: covers {a, c} and {b, c}, both lost on c -> d
+TAILED = parse_edge_list("a b\nb c\nc a\nc d\n")
+TAILED_TRACE = [
+    {"cover": ["a", "c"], "attack": ["c", "d"], "round": 0},
+    {"cover": ["b", "c"], "attack": ["c", "d"], "round": 0},
+]
+FORGED_TRACES = [
+    (P5, []),
+    (P5, [{"cover": ["a", "c"], "attack": ["a", "b"], "round": 0}]),  # not a cover
+    (P5, [{"cover": ["b", "d"], "attack": ["a", "b"], "round": 0}]),  # b -> a, reversed
+    (TAILED, TAILED_TRACE[:1]),  # {b, c} missing
+    (TAILED, TAILED_TRACE + TAILED_TRACE[:1]),  # {a, c} twice
+    # a -> b on {a, c} is defended by {b, c}, which is deleted no earlier
+    (TAILED, [dict(TAILED_TRACE[0], attack=["a", "b"]), TAILED_TRACE[1]]),
+    (
+        TAILED,
+        [dict(TAILED_TRACE[0], attack=["a", "b"]), dict(TAILED_TRACE[1], round=1)],
+    ),
+]
+
+
+def test_deletion_trace_is_checked():
+    genuine = {"kind": "empty_fixpoint", "deletions": TAILED_TRACE}
+    assert revalidate_certificate(TAILED, genuine)
+    # once {b, c} is gone, nothing answers a -> b on {a, c}
+    later = [dict(TAILED_TRACE[0], attack=["a", "b"], round=1), TAILED_TRACE[1]]
+    assert revalidate_certificate(
+        TAILED, {"kind": "empty_fixpoint", "deletions": later}
+    )
+    p5 = {"cover": ["b", "d"], "attack": ["b", "a"], "round": 0}
+    assert revalidate_certificate(P5, {"kind": "empty_fixpoint", "deletions": [p5]})
+    for g, deletions in FORGED_TRACES:
+        cert = {"kind": "empty_fixpoint", "deletions": deletions}
+        assert not revalidate_certificate(g, cert), deletions
+
+
+# each graph pairs the edge p q (Spartan) with a second component, whose
+# verdict must speak the input's labels
+TRIANGLE_TAIL = "p q\na b\nb c\nc a\nc d\n"
+STAR = "p q\nc x\nc y\nc z\n"
+STAR_TRACE = [{"cover": ["c"], "attack": ["c", "x"], "round": 0}]
+MULTI_COMPONENT = {
+    "triangle_tail-auto": (
+        TRIANGLE_TAIL,
+        "auto",
+        {"kind": "odd_cycle", "cycle": ["b", "a", "c"]},
+        None,
+    ),
+    "triangle_tail-fixpoint": (
+        TRIANGLE_TAIL,
+        "fixpoint",
+        {"kind": "empty_fixpoint", "deletions": TAILED_TRACE},
+        None,
+    ),
+    "star-auto": (
+        STAR,
+        "auto",
+        {"kind": "non_elementary", "edge_in_no_perfect_matching": ["c", "x"]},
+        None,
+    ),
+    "star-fixpoint": (
+        STAR,
+        "fixpoint",
+        {"kind": "empty_fixpoint", "deletions": STAR_TRACE},
+        None,
+    ),
+    "triangle-auto": (
+        "p q\na b\nb c\nc a\n",
+        "auto",
+        None,
+        [["a", "b"], ["a", "c"], ["b", "c"]],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text,method,cert,family",
+    MULTI_COMPONENT.values(),
+    ids=MULTI_COMPONENT.keys(),
+)
+def test_component_verdicts_use_input_labels(
+    graph_file, capsys, text, method, cert, family
+):
+    f = graph_file("multi.edges", text)
+    code, out, _ = run_cli(capsys, ["spartan", f, "--json", "--method", method])
+    result = json.loads(out)["result"]
+    assert code == 0 and result["method"] == "perComponent"
+    edge, other = result["components"]
+    assert edge["family"] == [["p"], ["q"]]
+    assert other["family"] == family
+    assert other["certificate"] == cert
+    assert result.get("certificate") == cert
+    if cert is not None:
+        assert revalidate_certificate(parse_edge_list(text), cert)
 
 
 def test_genuine_game_and_non_elementary_certificates_hold():

@@ -1,0 +1,159 @@
+import evckit.decider
+import evckit.game
+from evckit.covers import enumerate_min_vcs, mvc_mask
+from evckit.decider import DefenseFamily, FixpointTrace, spartan_fixpoint
+from evckit.defense import Defense, check_defense
+from evckit.fixpoint import greatest_fixpoint, oriented_attacks
+from evckit.game import enumerate_states, solve_guard_game
+from evckit.graph import mask_of
+from evckit.reachability import move_feasible_counts
+
+from conftest import random_graph_corpus
+
+# the 25 graphs of the former order-independence test, then larger ones
+CORPUS = random_graph_corpus(25, 3, 6, seed=131) + random_graph_corpus(
+    60, 7, 8, seed=211
+)
+
+
+def naive_rounds(n_states, threats_of, first_responder):
+    """Reference fixpoint: every round recomputes from scratch, and a state
+    leaves with its first threat that no state alive at the round's start
+    answers."""
+    alive = list(range(n_states))
+    removals = []
+    round_no = 0
+    while True:
+        dying = {}
+        for i in alive:
+            for threat in threats_of(i):
+                if first_responder(i, threat, alive) is None:
+                    dying[i] = threat
+                    break
+        if not dying:
+            return alive, removals
+        removals += [(i, threat, round_no) for i, threat in dying.items()]
+        alive = [i for i in alive if i not in dying]
+        round_no += 1
+
+
+def _threats(g, occupied):
+    out = []
+    for a, b in g.edges:
+        if occupied(a) and not occupied(b):
+            out.append((a, b))
+        elif occupied(b) and not occupied(a):
+            out.append((b, a))
+    return out
+
+
+def _minus(counts, v):
+    return tuple(c - (w == v) for w, c in enumerate(counts))
+
+
+def test_game_matches_naive_rounds():
+    for g in CORPUS:
+        k0 = mvc_mask(g, g.full_mask)
+        for k in (k0, k0 + 1):
+            states = enumerate_states(g, k)
+
+            def first_responder(i, threat, alive):
+                u, v = threat
+                c_from = _minus(states[i], u)
+                return next(
+                    (
+                        j
+                        for j in alive
+                        if states[j][v]
+                        and move_feasible_counts(g, c_from, _minus(states[j], v))
+                    ),
+                    None,
+                )
+
+            alive, removals = naive_rounds(
+                len(states),
+                lambda i: _threats(g, lambda v: states[i][v] > 0),
+                first_responder,
+            )
+            out = solve_guard_game(g, k)
+            assert out.survivors == [states[i] for i in alive], (g.edges, k)
+            assert out.ranks == {states[i]: r for i, _, r in removals}
+            assert out.removal_trace == [(states[i], t) for i, t, _ in removals]
+
+
+def test_decider_matches_naive_rounds():
+    for g in CORPUS:
+        covers = enumerate_min_vcs(g).covers
+
+        def first_responder(i, attack, alive):
+            outcome = check_defense(g, covers[i], attack, [covers[j] for j in alive])
+            if isinstance(outcome, Defense):
+                return covers.index(outcome.target)
+            return None
+
+        def threats_of(i):
+            return _threats(g, lambda v: v in covers[i])
+
+        alive, removals = naive_rounds(len(covers), threats_of, first_responder)
+        result = spartan_fixpoint(g)
+        if not alive:
+            assert isinstance(result, FixpointTrace), g.edges
+            assert result.deletions == tuple(
+                (covers[i], attack, r) for i, attack, r in removals
+            )
+            continue
+        assert isinstance(result, DefenseFamily), g.edges
+        assert result.covers == tuple(covers[i] for i in alive)
+        targets = {
+            (alive.index(i), attack): alive.index(first_responder(i, attack, alive))
+            for i in alive
+            for attack in threats_of(i)
+        }
+        assert {key: ti for key, (ti, _) in result.transitions.items()} == targets
+
+
+def test_no_answer_asked_twice(monkeypatch):
+    asked = []
+
+    def recording(threats, candidates, answer):
+        def counted(i, threat, j):
+            asked.append((i, threat, j))
+            return answer(i, threat, j)
+
+        return greatest_fixpoint(threats, candidates, counted)
+
+    monkeypatch.setattr(evckit.game, "greatest_fixpoint", recording)
+    monkeypatch.setattr(evckit.decider, "greatest_fixpoint", recording)
+    total = 0
+    for g in CORPUS:
+        k0 = mvc_mask(g, g.full_mask)
+        for run in (
+            lambda: solve_guard_game(g, k0),
+            lambda: solve_guard_game(g, k0 + 1),
+            lambda: spartan_fixpoint(g),
+        ):
+            asked.clear()
+            run()
+            assert len(set(asked)) == len(asked), g.edges
+            total += len(asked)
+    assert total > 1000
+
+
+def test_engine_answers_name_first_live_responder():
+    # state 0 is answered by 1 or 2; state 1 by nobody; state 2 by 0
+    threats = [["t0"], ["t1"], ["t2"]]
+    cands = {"t0": [1, 2], "t1": [0, 2], "t2": [0]}
+    answers = {(0, 1), (0, 2), (2, 0)}
+    alive, removals, table = greatest_fixpoint(
+        threats, cands.__getitem__, lambda i, t, j: (i, j) in answers
+    )
+    assert alive == [0, 2]
+    assert removals == [(1, "t1", 0)]
+    assert table == {(0, "t0"): (2, True), (2, "t2"): (0, True)}
+
+
+def test_oriented_attacks_orient_boundary_edges(named):
+    p5 = named["P5"]  # a-b-c-d-e
+    cover = p5.index_set(["b", "d"])
+    assert oriented_attacks(p5, mask_of(cover)) == [(1, 0), (1, 2), (3, 2), (3, 4)]
+    assert oriented_attacks(p5, p5.full_mask) == []
