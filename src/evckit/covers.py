@@ -175,23 +175,32 @@ def enumerate_covers_up_to(g: Graph, k: int) -> list[int]:
     masks in ascending order.
 
     Subset scan; intended for small graphs (the game solver's state space).
+    ``g._memo`` keeps the largest size scanned and the covers found, so the
+    game solver's rising k checks each subset once per graph.
     """
     n = g.n
     if n > 20:
         raise PreconditionError("cover scan capped at 20 vertices")
-    covers = []
-    edges = g.edges
-    for mask in range(1 << n):
-        if mask.bit_count() > k:
-            continue
-        ok = True
-        for u, w in edges:
-            if not (mask >> u & 1) and not (mask >> w & 1):
-                ok = False
-                break
-        if ok:
-            covers.append(mask)
-    return covers
+    k = min(k, n)
+    done, covers = g._memo.get("covers_up_to", (-1, []))
+    if done < k:
+        found = []
+        edges = g.edges
+        for mask in range(1 << n):
+            if not done < mask.bit_count() <= k:
+                continue
+            ok = True
+            for u, w in edges:
+                if not (mask >> u & 1) and not (mask >> w & 1):
+                    ok = False
+                    break
+            if ok:
+                found.append(mask)
+        done, covers = k, sorted(covers + found)
+        g._memo["covers_up_to"] = (done, covers)
+    if k == done:
+        return list(covers)
+    return [mask for mask in covers if mask.bit_count() <= k]
 
 
 def cover_configurations(g: Graph, k: int) -> Iterator[tuple[int, ...]]:

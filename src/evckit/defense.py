@@ -16,11 +16,20 @@ The reducer turns an arbitrary mode-satisfying perfect matching into a
 rainbow one by superposing it with an all-real perfect matching and applying
 exchange steps along the unique surviving alternating cycle; every exchange
 strictly grows the overlap with the all-real matching, which bounds the loop.
+
+The decider asks about one cover pair (S, T) many times.  Everything the
+reducer derives from the auxiliary graph alone (the all-real matching and its
+reverse, the pair adjacency, the helper colors per pair, the color masks,
+S n T, and the perfect matching left after removing each skipped pair) is
+cached on the auxiliary graph, and ``DefenseContext`` keeps one auxiliary
+graph per (S, T) and one reducer answer per (S, T, mode).  Each is a pure
+function of its key, so cached and recomputed answers are identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import IntegrityError, PreconditionError
 from .graph import Graph, bits, mask_components, mask_of
@@ -42,16 +51,33 @@ class AuxiliaryGraph:
     helper_pairs: tuple[tuple[int, int, int], ...]  # (u, v, color)
     dead_zone: tuple[int, ...]
 
+    # The views below are pure functions of the fields; the cached ones are
+    # computed on first use (the instance is frozen, like ``Graph``).
+
     @property
     def side_size(self) -> int:
         return len(self.left)
 
+    @cached_property
+    def color_masks(self) -> tuple[int, ...]:
+        return tuple(mask_of(c) for c in self.colors)
+
+    @cached_property
+    def shared(self) -> tuple[int, ...]:
+        """S n T, where guard chains may pass through."""
+        return tuple(bits(mask_of(self.cover_s) & mask_of(self.cover_t)))
+
+    @cached_property
+    def _helper_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        index: dict[tuple[int, int], tuple[int, ...]] = {}
+        for u, v, c in self.helper_pairs:  # sorted, so colors ascend
+            index[(u, v)] = index.get((u, v), ()) + (c,)
+        return index
+
     def helper_colors(self, u: int, v: int) -> tuple[int, ...]:
-        return tuple(c for (a, b, c) in self.helper_pairs if a == u and b == v)
+        return self._helper_index.get((u, v), ())
 
-    def pair_exists(self, u: int, v: int) -> bool:
-        return (u, v) in self.real_pairs or bool(self.helper_colors(u, v))
-
+    @cached_property
     def pair_adjacency(self) -> dict[int, tuple[int, ...]]:
         """Left -> rights connected by at least one (real or helper) edge."""
         nbrs: dict[int, set[int]] = {u: set() for u in self.left}
@@ -60,6 +86,19 @@ class AuxiliaryGraph:
         for u, v, _ in self.helper_pairs:
             nbrs[u].add(v)
         return {u: tuple(sorted(vs)) for u, vs in nbrs.items()}
+
+    @cached_property
+    def real_pm(self) -> dict[int, int]:
+        """``all_real_pm(self)``; an IntegrityError is raised again on each use."""
+        return all_real_pm(self)
+
+    @cached_property
+    def real_pm_reverse(self) -> dict[int, int]:
+        return {v: u for u, v in self.real_pm.items()}
+
+    @cached_property
+    def _rest_pairings(self) -> dict[tuple[int, int], dict[int, int] | None]:
+        return {}
 
 
 @dataclass(frozen=True)
@@ -119,15 +158,21 @@ def build_aux(g: Graph, s, t) -> AuxiliaryGraph:
     )
 
 
-def _perfect_pairing(aux: AuxiliaryGraph, adjacency, skip=()) -> dict[int, int] | None:
-    lefts = [u for u in aux.left if u not in skip]
-    adj = {
-        u: tuple(v for v in adjacency[u] if v not in skip) for u in lefts
-    }
-    pair = hopcroft_karp(lefts, adj)
-    if len(pair) != len(lefts):
-        return None
-    return pair
+def _perfect_pairing(
+    aux: AuxiliaryGraph, skip: tuple[int, int]
+) -> dict[int, int] | None:
+    """Perfect matching of the pair adjacency without the two ``skip``
+    vertices, or None; memoized on ``aux``, so callers must copy it."""
+    memo = aux._rest_pairings
+    if skip not in memo:
+        lefts = [u for u in aux.left if u not in skip]
+        adj = {
+            u: tuple(v for v in aux.pair_adjacency[u] if v not in skip)
+            for u in lefts
+        }
+        pair = hopcroft_karp(lefts, adj)
+        memo[skip] = pair if len(pair) == len(lefts) else None
+    return memo[skip]
 
 
 def all_real_pm(aux: AuxiliaryGraph) -> dict[int, int]:
@@ -168,7 +213,6 @@ def _reduce_to_rainbow(
     aux: AuxiliaryGraph,
     matched: dict[int, tuple[int, int]],
     protected_right: int,
-    mp: dict[int, int],
 ) -> dict[int, tuple[int, int]]:
     """Exchange reduction: protect the edge matched at ``protected_right``
     (its tag survives; its left partner may legally change), end with at most
@@ -176,10 +220,11 @@ def _reduce_to_rainbow(
 
     Invariant between steps: matched stays a perfect matching whose edge at
     the protected right vertex satisfies the caller's mode; every rewiring
-    strictly increases overlap with the all-real matching ``mp``, which
+    strictly increases overlap with the all-real matching, which
     bounds the loop by the side size.
     """
-    mp_rev = {v: u for u, v in mp.items()}
+    mp = aux.real_pm
+    mp_rev = aux.real_pm_reverse
     guard = 2 * aux.side_size + 4
     for _ in range(guard):
         # realign tags: prefer the real tag wherever the pair admits it
@@ -265,7 +310,7 @@ def _exchange_on_cycle(aux, matched, order, positions, color) -> None:
 
 
 def _has_helper(aux: AuxiliaryGraph, u: int, v: int, color: int) -> bool:
-    return (u, v, color) in aux.helper_pairs
+    return color in aux.helper_colors(u, v)
 
 
 def _validate_rainbow(aux: AuxiliaryGraph, rm: RainbowMatching) -> None:
@@ -281,7 +326,7 @@ def _validate_rainbow(aux: AuxiliaryGraph, rm: RainbowMatching) -> None:
             if (u, v) not in aux.real_pairs:
                 raise IntegrityError("real-tagged pair is not a real edge")
         else:
-            if (u, v, tag) not in aux.helper_pairs:
+            if tag not in aux.helper_colors(u, v):
                 raise IntegrityError("helper-tagged pair lacks that color")
             if tag in used_colors:
                 raise IntegrityError("two helper edges share a color")
@@ -311,20 +356,19 @@ def rainbow_pm_with_edge(
         raise PreconditionError("exactly one mode must be given")
     if aux.side_size == 0:
         raise PreconditionError("empty auxiliary graph has no forced matching")
-    mp = all_real_pm(aux)
-    adjacency = aux.pair_adjacency()
+    aux.real_pm  # raises when the covers are not both minimum
 
     if forced_real is not None:
         u, v = forced_real
         if (u, v) not in aux.real_pairs:
             raise PreconditionError("forced edge must be a real auxiliary edge")
-        rest = _perfect_pairing(aux, adjacency, skip=(u, v))
+        rest = _perfect_pairing(aux, (u, v))
         if rest is None:
             return None
         pairing = dict(rest)
         pairing[u] = v
         matched = _assign_tags(aux, pairing, (u, v, REAL))
-        matched = _reduce_to_rainbow(aux, matched, v, mp)
+        matched = _reduce_to_rainbow(aux, matched, v)
         forced_edge = (u, v, REAL)
     else:
         v, color = partner_adjacent
@@ -332,7 +376,7 @@ def rainbow_pm_with_edge(
             raise PreconditionError("partner mode needs a right-side vertex")
         if not 0 <= color < len(aux.colors):
             raise PreconditionError("unknown color component")
-        cmask = mask_of(aux.colors[color])
+        cmask = aux.color_masks[color]
         g = aux.graph
         if not g.adj_mask[v] & cmask:
             raise PreconditionError(
@@ -341,13 +385,13 @@ def rainbow_pm_with_edge(
         candidates = [w for w in aux.left if g.adj_mask[w] & cmask]
         result = None
         for w in candidates:
-            rest = _perfect_pairing(aux, adjacency, skip=(w, v))
+            rest = _perfect_pairing(aux, (w, v))
             if rest is None:
                 continue
             pairing = dict(rest)
             pairing[w] = v
             matched = _assign_tags(aux, pairing, (w, v, color))
-            matched = _reduce_to_rainbow(aux, matched, v, mp)
+            matched = _reduce_to_rainbow(aux, matched, v)
             result = matched
             break
         if result is None:
@@ -404,7 +448,7 @@ def rainbow_pm_bruteforce(
             ok = any(e[0] == u and e[1] == v and e[2] == REAL for e in pm)
         else:
             v, color = partner_adjacent
-            cmask = mask_of(aux.colors[color])
+            cmask = aux.color_masks[color]
             ok = any(e[1] == v and g.adj_mask[e[0]] & cmask for e in pm)
         if not ok:
             continue
@@ -434,7 +478,7 @@ def matching_to_paths(
         if tag == REAL:
             paths.append((u, v))
             continue
-        cmask = mask_of(aux.colors[tag])
+        cmask = aux.color_masks[tag]
         start_opts = g.adj_mask[u] & cmask
         end_opts = g.adj_mask[v] & cmask
         if not start_opts or not end_opts:
@@ -446,7 +490,7 @@ def matching_to_paths(
         paths=tuple(paths),
         sources=aux.left,
         sinks=aux.right,
-        allowed_interior=tuple(bits(mask_of(aux.cover_s) & mask_of(aux.cover_t))),
+        allowed_interior=aux.shared,
     )
     _validate_defense_paths(g, aux, ps)
     return ps
@@ -538,18 +582,38 @@ class DefenseStats:
 
 
 class DefenseContext:
-    """Caches auxiliary graphs across the scans of one graph."""
+    """Caches, for the scans of one graph, each cover pair's auxiliary graph
+    and the reducer's answer per (S, T, mode).
+
+    Both are exact: the auxiliary graph (with the views it caches) is a pure
+    function of (S, T), and ``rainbow_pm_with_edge`` a deterministic pure
+    function of the auxiliary graph and the mode.  The partner mode names
+    (v, color of u's shared component) and not the attacked guard u, so all
+    guards of one shared component share its answer.  Guard chains are still
+    expanded and checked per defense, since they route through u.
+    """
 
     def __init__(self, g: Graph, stats: DefenseStats | None = None):
         self.g = g
         self.stats = stats
         self._aux: dict[tuple[tuple[int, ...], tuple[int, ...]], AuxiliaryGraph] = {}
+        self._rainbow: dict[tuple, RainbowMatching | None] = {}
 
     def aux_for(self, s, t) -> AuxiliaryGraph:
         key = (s, t)
         if key not in self._aux:
             self._aux[key] = build_aux(self.g, s, t)
         return self._aux[key]
+
+    def rainbow_for(self, s, t, mode) -> RainbowMatching | None:
+        """``rainbow_pm_with_edge(aux_for(s, t), **{kind: arg})`` for
+        ``mode = (kind, arg)``, computed once per (s, t, mode)."""
+        key = (s, t, mode)
+        if key not in self._rainbow:
+            kind, arg = mode
+            aux = self.aux_for(s, t)
+            self._rainbow[key] = rainbow_pm_with_edge(aux, **{kind: arg})
+        return self._rainbow[key]
 
 
 def check_defense(
@@ -594,9 +658,10 @@ def check_defense(
 
 def _try_candidate(g, s, t, u, v, ctx: DefenseContext):
     aux = ctx.aux_for(s, t)
-    if u not in set(t):
-        rm = rainbow_pm_with_edge(aux, forced_real=(u, v))
-        _record_stats(ctx, aux, ("real", (u, v)), rm)
+    if u not in t:
+        mode = ("forced_real", (u, v))
+        rm = ctx.rainbow_for(s, t, mode)
+        _record_stats(ctx, aux, mode, rm)
         if rm is None:
             return "no perfect matching through the attacked edge"
         paths = matching_to_paths(g, aux, rm)
@@ -604,8 +669,9 @@ def _try_candidate(g, s, t, u, v, ctx: DefenseContext):
     # the attacked guard keeps its post: thread the chain through u's
     # component of the shared part
     color = next(i for i, comp in enumerate(aux.colors) if u in comp)
-    rm = rainbow_pm_with_edge(aux, partner_adjacent=(v, color))
-    _record_stats(ctx, aux, ("partner", (v, color)), rm)
+    mode = ("partner_adjacent", (v, color))
+    rm = ctx.rainbow_for(s, t, mode)
+    _record_stats(ctx, aux, mode, rm)
     if rm is None:
         return "no matching whose partner reaches the attacked component"
     fu, fv, ftag = rm.forced
@@ -619,10 +685,8 @@ def _record_stats(ctx: DefenseContext, aux, mode, rm) -> None:
     if stats is None or aux.side_size > stats.verify_sides_cap:
         return
     stats.instances += 1
-    if mode[0] == "real":
-        any_mode, _ = rainbow_pm_bruteforce(aux, forced_real=mode[1])
-    else:
-        any_mode, _ = rainbow_pm_bruteforce(aux, partner_adjacent=mode[1])
+    kind, arg = mode
+    any_mode, _ = rainbow_pm_bruteforce(aux, **{kind: arg})
     if any_mode != (rm is not None):
         stats.mismatches += 1
         stats.failures.append((aux.cover_s, aux.cover_t, mode))

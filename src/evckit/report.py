@@ -224,7 +224,7 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
         # round or later defends; then no non-empty family of minimum covers
         # defends every attack on its members, as the member deleted first
         # would have a defender
-        from .defense import Defense, check_defense
+        from .defense import Defense, DefenseContext, check_defense
         from .fixpoint import oriented_attacks
 
         try:  # an empty trace fails here too
@@ -240,10 +240,13 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
         cs = enumerate_min_vcs(h)
         if cs.truncated or sorted(c for c, _, _ in trace) != sorted(cs.covers):
             return False
+        ctx = DefenseContext(h)
         return all(
             attack in oriented_attacks(h, mask_of(cover))
             and not isinstance(
-                check_defense(h, cover, attack, [c for c, _, r in trace if r >= rnd]),
+                check_defense(
+                    h, cover, attack, [c for c, _, r in trace if r >= rnd], ctx
+                ),
                 Defense,
             )
             for cover, attack, rnd in trace

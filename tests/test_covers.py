@@ -131,3 +131,43 @@ def test_cover_configurations_edgeless():
     g = Graph(("a", "b"), ())
     assert list(cover_configurations(g, 0)) == [(0, 0)]
     assert sorted(cover_configurations(g, 1)) == [(0, 1), (1, 0)]
+
+
+def test_cover_scan_memo_matches_brute_force_in_any_order():
+    # the scan is memoized per graph: whatever order the sizes are asked in,
+    # each answer equals an itertools brute force, stays ascending, is a
+    # fresh list, and every subset is edge-checked at most once
+    import random
+
+    checks = 0
+
+    class CountingEdges(tuple):
+        def __iter__(self):  # the scan iterates the edges once per subset
+            nonlocal checks
+            checks += 1
+            return super().__iter__()
+
+    rng = random.Random(337)
+    edgeless = [Graph((), ()), Graph(("a",), ()), Graph(("a", "b"), ())]
+    for g0 in random_graph_corpus(30, 2, 9, seed=331) + edgeless:
+        expected = {
+            k: sorted(
+                sum(1 << v for v in combo)
+                for size in range(min(k, g0.n) + 1)
+                for combo in itertools.combinations(range(g0.n), size)
+                if all(u in combo or w in combo for u, w in g0.edges)
+            )
+            for k in range(g0.n + 2)
+        }
+        orders = [list(range(g0.n + 2)), list(range(g0.n + 1, -1, -1))]
+        orders.append(rng.sample(orders[0], len(orders[0])))
+        for order in orders:
+            g = Graph(g0.labels, g0.edges)
+            object.__setattr__(g, "edges", CountingEdges(g0.edges))
+            checks = 0
+            for k in order + [-1]:
+                got = enumerate_covers_up_to(g, k)
+                assert got == expected.get(k, []), (g0.edges, order, k)
+                got.append(-1)  # callers own their list
+                assert enumerate_covers_up_to(g, k) == expected.get(k, [])
+            assert checks == 2**g0.n, (g0.edges, order)

@@ -296,3 +296,91 @@ def test_exchange_reduction_branches_fire():
     finally:
         defense_mod._exchange_on_cycle = original
     assert fired["generic"] > 0 and fired["protected"] > 0, fired
+
+
+def _min_cover_pairs(count, seed):
+    # every ordered pair of minimum covers of small seeded random graphs
+    for g in random_graph_corpus(count, 4, 9, seed=seed):
+        covers = enumerate_min_vcs(g).covers
+        yield g, covers, [(s, t) for s in covers for t in covers]
+
+
+def test_cached_aux_views_match_their_definitions():
+    from evckit.graph import bits, mask_of
+    from evckit.matching import hopcroft_karp
+
+    pairs = 0
+    for g, _, cover_pairs in _min_cover_pairs(80, 181):
+        for s, t in cover_pairs:
+            aux = build_aux(g, s, t)
+            real_adj = {
+                u: tuple(sorted(v for a, v in aux.real_pairs if a == u))
+                for u in aux.left
+            }
+            real_pm = hopcroft_karp(list(aux.left), real_adj)
+            assert aux.real_pm == real_pm == all_real_pm(aux)
+            assert aux.real_pm_reverse == {v: u for u, v in aux.real_pm.items()}
+            for u in aux.left:
+                assert aux.pair_adjacency[u] == tuple(
+                    v
+                    for v in aux.right
+                    if (u, v) in aux.real_pairs
+                    or any(a == u and b == v for a, b, _ in aux.helper_pairs)
+                )
+                for v in aux.right:
+                    assert aux.helper_colors(u, v) == tuple(
+                        c for a, b, c in aux.helper_pairs if a == u and b == v
+                    )
+            assert aux.color_masks == tuple(mask_of(c) for c in aux.colors)
+            assert aux.shared == tuple(bits(mask_of(s) & mask_of(t)))
+            pairs += 1
+    assert pairs > 1000
+
+
+def _oriented_checks(g, covers):
+    # (s, attack, t): every oriented attack on s posed to every single cover
+    from evckit.fixpoint import oriented_attacks
+    from evckit.graph import mask_of
+
+    for s in covers:
+        for attack in oriented_attacks(g, mask_of(s)):
+            for t in covers:
+                yield s, attack, t
+
+
+def test_shared_context_gives_fresh_context_answers():
+    checks = defenses = 0
+    for g, covers, _ in _min_cover_pairs(80, 191):
+        ctx = DefenseContext(g)
+        for s, attack, t in _oriented_checks(g, covers):
+            shared = check_defense(g, s, attack, (t,), ctx)
+            fresh = check_defense(g, s, attack, (t,), DefenseContext(g))
+            assert shared == fresh, (g.edges, s, attack, t)
+            checks += 1
+            defenses += isinstance(shared, Defense)
+    assert checks > 5000 and 0 < defenses < checks
+
+
+def test_reducer_instance_computed_once_per_context(monkeypatch):
+    import evckit.defense as defense_mod
+
+    calls = []
+    original = defense_mod.rainbow_pm_with_edge
+
+    def recording(aux, **mode):
+        calls.append((aux.cover_s, aux.cover_t, tuple(mode.items())))
+        return original(aux, **mode)
+
+    monkeypatch.setattr(defense_mod, "rainbow_pm_with_edge", recording)
+    asked = computed = 0
+    for g, covers, _ in _min_cover_pairs(80, 193):
+        ctx = DefenseContext(g, stats=DefenseStats())
+        calls.clear()
+        for s, attack, t in _oriented_checks(g, covers):
+            check_defense(g, s, attack, (t,), ctx)
+        assert len(calls) == len(set(calls)), g.edges
+        # every candidate check still reaches the stats, memo hit or not
+        assert ctx.stats.mismatches == 0
+        asked += ctx.stats.instances
+        computed += len(calls)
+    assert asked > computed > 3000
