@@ -9,6 +9,13 @@ in which some guard crosses the attacked edge; the shared greatest-fixpoint
 engine (``fixpoint``) removes states that lose some attack in synchronous
 rounds until the set stabilizes.
 
+``evc`` proves its answer with two games.  The one-per-vertex game keeps
+only the 0/1 states (the vertex covers of size exactly k); its strategies
+are multiset strategies, so its first win k* is an upper bound.  The
+multiset game is monotone in k (an extra guard may stand still), so one
+multiset loss at k* - 1 proves evc = k*.  Should the multiset game win
+there, the multiset loop below k* finds the exact value.
+
 This solver is the package's independent ground truth: it shares the
 one-step-movement primitive and the fixpoint engine with the decider but
 none of the matching-based decision machinery.
@@ -19,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .covers import cover_configurations, mvc_mask
+from .covers import cover_configurations, enumerate_covers_up_to, mvc_mask
 from .errors import IntegrityError, PreconditionError, ResourceLimitError
 from .fixpoint import greatest_fixpoint, oriented_attacks
 from .graph import Graph, connected_components, is_connected, mask_of
@@ -42,11 +49,22 @@ def _state_budget(budget: int | None) -> int:
     return int(env) if env else DEFAULT_STATE_BUDGET
 
 
-def enumerate_states(g: Graph, k: int, budget: int | None = None) -> list[Counts]:
-    """All k-guard configurations whose support covers the graph, canonical order."""
+def enumerate_states(
+    g: Graph, k: int, budget: int | None = None, *, one_per_vertex: bool = False
+) -> list[Counts]:
+    """All k-guard configurations whose support covers the graph, canonical
+    order; with ``one_per_vertex`` only the 0/1 ones (covers of size k)."""
     limit = _state_budget(budget)
+    if one_per_vertex:
+        configs = (
+            tuple(mask >> v & 1 for v in range(g.n))
+            for mask in enumerate_covers_up_to(g, k)
+            if mask.bit_count() == k
+        )
+    else:
+        configs = cover_configurations(g, k)
     states: list[Counts] = []
-    for counts in cover_configurations(g, k):
+    for counts in configs:
         states.append(counts)
         if len(states) > limit:
             raise ResourceLimitError(
@@ -78,13 +96,16 @@ def _minus(counts: Counts, v: int) -> Counts:
     return tuple(lst)
 
 
-def solve_guard_game(g: Graph, k: int, *, budget: int | None = None) -> GameOutcome:
-    """Solve the k-guard safety game on a connected graph."""
+def solve_guard_game(
+    g: Graph, k: int, *, budget: int | None = None, one_per_vertex: bool = False
+) -> GameOutcome:
+    """Solve the k-guard safety game on a connected graph; ``one_per_vertex``
+    restricts every position to at most one guard per vertex."""
     if not is_connected(g):
         raise PreconditionError("the game solver expects a connected graph")
     if k < 1:
         raise PreconditionError("at least one guard is required")
-    states = enumerate_states(g, k, budget)
+    states = enumerate_states(g, k, budget, one_per_vertex=one_per_vertex)
     # candidate responders per vertex: states with a guard on v
     holders = [[j for j, c in enumerate(states) if c[v]] for v in range(g.n)]
 
@@ -192,12 +213,54 @@ class EvcResult:
     outcomes: dict[int, bool]  # k -> defender wins (for the largest component run)
 
 
+def _component_evc(sub: Graph, k0: int, budget: int | None) -> int:
+    """Exact evc of a connected graph whose cover number ``k0`` is at least 1.
+
+    The one-per-vertex game climbs from ``k0`` to its first win k*, an upper
+    bound; one multiset loss at k* - 1 then proves evc = k*, and a multiset
+    win there sends the multiset loop over ``k0``..k* - 1.  A refused solve
+    raises with the bracket [lo, hi] known for this graph at that point.
+    """
+    lo, hi = k0, 2 * k0
+
+    def wins(k: int, one_per_vertex: bool = False) -> bool:
+        try:
+            outcome = solve_guard_game(
+                sub, k, budget=budget, one_per_vertex=one_per_vertex
+            )
+        except ResourceLimitError as exc:
+            game = "one-per-vertex" if one_per_vertex else "multiset"
+            raise ResourceLimitError(
+                f"state budget exhausted while solving the {game} game at k={k}",
+                bracket=(lo, hi),
+            ) from exc
+        return outcome.defender_wins
+
+    top = next((k for k in range(k0, min(hi, sub.n) + 1) if wins(k, True)), None)
+    if top is not None:
+        hi = top
+        if hi == lo or not wins(hi - 1):
+            return hi
+        hi -= 1
+    for k in range(lo, hi):
+        if wins(k):
+            return k
+        lo = k + 1
+    if top is None and not wins(hi):
+        raise IntegrityError("defender must win with twice the cover number of guards")
+    return hi
+
+
 def evc(g: Graph, *, budget: int | None = None) -> EvcResult:
     """Exact eternal vertex cover number, summed over components.
 
-    For each component, k runs upward from the cover number; a win at
-    2 * mvc is guaranteed (guarding both endpoints of a maximum matching),
-    so failing that bound raises an integrity error.
+    Per component, a win of the one-per-vertex game at k* proves evc <= k*,
+    and a loss of the multiset game at k* - 1 proves evc >= k*, since the
+    multiset game is monotone in k.  ``outcomes`` records, for the largest
+    component, that every k from its cover number below evc loses and evc
+    wins.  A win of the multiset game at 2 * mvc is guaranteed (guarding
+    both endpoints of a maximum matching), so failing that bound raises an
+    integrity error.
     """
     comps = connected_components(g)
     largest = max((len(c) for c in comps), default=0)
@@ -212,33 +275,21 @@ def evc(g: Graph, *, budget: int | None = None) -> EvcResult:
                 {"vertices": list(g.labels_of(comp)), "mvc": 0, "evc": 0}
             )
             continue
-        value = None
-        tried = {}
-        for k in range(max(k0, 1), 2 * k0 + 1):
-            try:
-                outcome = solve_guard_game(sub, k, budget=budget)
-            except ResourceLimitError as exc:
-                # solved components are exact, this one lies in [k, 2*k0],
-                # and each unsolved one in [mvc, 2*mvc]
-                rest = sum(cover_numbers[i + 1 :])
-                raise ResourceLimitError(
-                    f"state budget exhausted while solving k={k}",
-                    bracket=(total + k + rest, total + 2 * (k0 + rest)),
-                ) from exc
-            tried[k] = outcome.defender_wins
-            if outcome.defender_wins:
-                value = k
-                break
-        if value is None:
-            raise IntegrityError(
-                "defender must win with twice the cover number of guards"
-            )
+        try:
+            value = _component_evc(sub, k0, budget)
+        except ResourceLimitError as exc:
+            # solved components are exact, this one lies in its own bracket,
+            # and each unsolved one in [mvc, 2*mvc]
+            lo, hi = exc.bracket
+            rest = sum(cover_numbers[i + 1 :])
+            exc.bracket = (total + lo + rest, total + hi + 2 * rest)
+            raise
         total += value
         per_component.append(
             {"vertices": list(g.labels_of(comp)), "mvc": k0, "evc": value}
         )
         if sub.n == largest:
-            outcomes = tried
+            outcomes = {k: k == value for k in range(k0, value + 1)}
     return EvcResult(
         value=total,
         mvc=sum(cover_numbers),

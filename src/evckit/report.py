@@ -259,16 +259,3 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
     # from; it proves nothing, so it never revalidates
     return False
 
-
-def bad_set_certificate_payload(g: Graph, cert) -> dict:
-    """Label-space payload for a weakly/strongly bad set certificate."""
-    payload = {
-        "kind": cert.kind,
-        "support": list(g.labels_of(cert.support)),
-        "counts_on_support": [cert.counts[v] for v in cert.support],
-        "bad_set": list(g.labels_of(cert.bad_set)),
-        "component": list(g.labels_of(cert.component)),
-    }
-    if cert.exit_vertex is not None:
-        payload["exit_vertex"] = g.labels[cert.exit_vertex]
-    return payload

@@ -15,6 +15,9 @@ LABELS = "abcdefghij"
 
 
 def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
+    # one vertex has no edge to draw and LABELS names at most ten
+    if not 2 <= n <= len(LABELS):
+        raise ValueError(f"n must lie in 2..{len(LABELS)}, got {n}")
     while True:
         edges = tuple(
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p

@@ -1,10 +1,15 @@
 import io
+import math
+import random
 
 import pytest
 
+from evckit import game
+from evckit.corpus import exhaustive_connected
 from evckit.covers import mvc_mask
 from evckit.errors import PreconditionError, ResourceLimitError
 from evckit.game import (
+    GameOutcome,
     enumerate_states,
     evc,
     is_spartan_by_game,
@@ -79,6 +84,16 @@ def test_state_enumeration_counts(named):
     states4 = enumerate_states(named["C5"], 4)
     assert all(sum(s) == 4 for s in states4)
     assert len(states4) > 5
+
+
+def test_one_per_vertex_states_are_covers_of_size_k(named):
+    for g in random_graph_corpus(20, 2, 7, seed=163):
+        for k in range(1, g.n + 1):
+            states = enumerate_states(g, k, one_per_vertex=True)
+            expected = sorted(
+                c for c in enumerate_states(g, k) if max(c) == 1
+            )
+            assert states == expected
 
 
 def test_state_budget(named):
@@ -191,3 +206,121 @@ def test_play_session_malformed_command(named):
     out = io.StringIO()
     play_session(named["C4"], 2, io.StringIO("fight me\nquit\n"), out)
     assert "cannot parse command" in out.getvalue()
+
+
+# -- the two-game proof of evc ------------------------------------------------
+
+
+def _multiset_evc(g: Graph) -> tuple[int, dict[int, bool]]:
+    """Reference for a connected graph: the multiset game from mvc upward."""
+    k0 = mvc_mask(g, g.full_mask)
+    outcomes = {}
+    for k in range(k0, 2 * k0 + 1):
+        outcomes[k] = solve_guard_game(g, k).defender_wins
+        if outcomes[k]:
+            return k, outcomes
+    raise AssertionError("the multiset game must win at 2 * mvc")
+
+
+def _agreement_corpus():
+    small = [g for n in range(2, 6) for g in exhaustive_connected(n)]
+    return small + random_graph_corpus(40, 7, 8, seed=167)
+
+
+def test_two_game_evc_matches_multiset_loop():
+    graphs = _agreement_corpus()
+    assert len(graphs) == 1 + 4 + 38 + 728 + 40
+    for g in graphs:
+        result = evc(g)
+        assert (result.value, result.outcomes) == _multiset_evc(g), g.edges
+
+
+@pytest.mark.parametrize("late", [1, None], ids=["wins_above_evc", "never_wins"])
+def test_fallback_multiset_loop_is_exact(monkeypatch, late):
+    """The one-per-vertex game first wins at evc + 1, or never: the multiset
+    game must then decide every k from mvc to evc itself."""
+    graphs = list(exhaustive_connected(4)) + random_graph_corpus(12, 5, 6, seed=173)
+    expected = [_multiset_evc(g) for g in graphs]
+    real = game.solve_guard_game
+    calls = []
+    truth = {}
+
+    def fake(g, k, *, budget=None, one_per_vertex=False):
+        calls.append((k, one_per_vertex))
+        if one_per_vertex:
+            wins = late is not None and k >= truth["evc"] + late
+            return GameOutcome(k, wins, [], [], {}, [])
+        return real(g, k, budget=budget)
+
+    monkeypatch.setattr(game, "solve_guard_game", fake)
+    for g, (value, outcomes) in zip(graphs, expected):
+        truth["evc"] = value
+        calls.clear()
+        result = evc(g)
+        assert (result.value, result.outcomes) == (value, outcomes), g.edges
+        k0 = mvc_mask(g, g.full_mask)
+        assert sorted(k for k, one in calls if not one) == list(range(k0, value + 1))
+
+
+def test_refusal_of_the_multiset_check_brackets_evc():
+    # P6: mvc 3, evc 5; the one-per-vertex game has at most 10 states at
+    # k = 3..5, the multiset game 22 at k = 4
+    p6 = parse_edge_list("a b\nb c\nc d\nd e\ne f")
+    assert max(
+        len(enumerate_states(p6, k, one_per_vertex=True)) for k in (3, 4, 5)
+    ) == 10
+    assert len(enumerate_states(p6, 4)) == 22
+    assert evc(p6).value == 5
+    for text, truth, bracket in [
+        ("a b\nb c\nc d\nd e\ne f", 5, (3, 5)),
+        # a later component x y adds [1, 2]
+        ("a b\nb c\nc d\nd e\ne f\nx y", 6, (4, 7)),
+    ]:
+        with pytest.raises(ResourceLimitError) as exc:
+            evc(parse_edge_list(text), budget=15)
+        assert "multiset game at k=4" in str(exc.value)
+        assert exc.value.bracket == bracket
+        assert bracket[0] <= truth <= bracket[1]
+
+
+# -- closed forms beyond the exhaustive corpus (Klostermeyer-Mynhardt 2009) ---
+
+
+def _seeded_tree(n: int, seed: int) -> Graph:
+    """Vertex i > 0 hangs from ``random.Random(seed).randrange(i)``."""
+    rng = random.Random(seed)
+    edges = sorted((rng.randrange(i), i) for i in range(1, n))
+    return Graph(tuple(f"t{i:02d}" for i in range(n)), tuple(edges))
+
+
+def _cycle(n: int) -> Graph:
+    edges = sorted((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n))
+    return Graph(tuple(f"c{i:02d}" for i in range(n)), tuple(edges))
+
+
+def _clique(n: int) -> Graph:
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    return Graph(tuple(f"k{i}" for i in range(n)), edges)
+
+
+_CLOSED_FORMS = (
+    [
+        pytest.param(_seeded_tree(n, s), "tree", id=f"tree{n}/{s}")
+        for n, s in [(7, 1), (9, 2), (10, 5), (11, 3), (12, 7), (14, 2), (16, 3)]
+    ]
+    + [pytest.param(_cycle(n), "cycle", id=f"C{n}") for n in range(15, 21)]
+    + [pytest.param(_clique(n), "clique", id=f"K{n}") for n in range(3, 9)]
+)
+
+
+@pytest.mark.parametrize("g,family", _CLOSED_FORMS)
+def test_evc_closed_forms(g, family):
+    if family == "tree":
+        expected = 1 + sum(1 for v in range(g.n) if g.degree(v) > 1)
+    elif family == "cycle":
+        expected = math.ceil(g.n / 2)
+    else:
+        expected = g.n - 1
+    result = evc(g)
+    assert result.value == expected
+    assert result.mvc <= result.value <= 2 * result.mvc

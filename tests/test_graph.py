@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from evckit.graph import (
     serialize_edge_list,
 )
 
-from conftest import random_graph_corpus
+from conftest import random_connected_graph, random_graph_corpus
 
 
 def test_parse_simple_path():
@@ -166,3 +167,17 @@ def test_induced_preserves_labels(named):
     sub = bow.induced(bow.index_set(["a", "b", "x"]))
     assert set(sub.labels) == {"a", "b", "x"}
     assert sub.m == 3
+
+
+def test_random_connected_graph_sizes():
+    # one vertex has no edge to draw (the helper used to loop forever) and
+    # the helper's labels run out after ten
+    rng = random.Random(0)
+    for n in (1, 11):
+        with pytest.raises(ValueError):
+            random_connected_graph(n, 0.5, rng)
+    with pytest.raises(ValueError):
+        random_graph_corpus(3, 1, 1, seed=0)
+    for n in (2, 10):
+        g = random_connected_graph(n, 0.5, rng)
+        assert g.n == n and g.m >= 1
