@@ -9,6 +9,7 @@ timing block, which is the only run-dependent field).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -87,6 +88,8 @@ def cmd_mvc(args) -> int:
 
 
 def cmd_evc(args) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise PreconditionError(f"--budget must be at least 0, got {args.budget}")
     g = _load(args.file)
     timer = _Timer()
     with timer.phase("solve"):
@@ -236,6 +239,13 @@ def cmd_play(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
+    for flag, value, least in (
+        ("--max-n", args.max_n, 0),
+        ("--samples", args.samples, 0),
+        ("--jobs", args.jobs, 1),
+    ):
+        if value is not None and value < least:
+            raise PreconditionError(f"{flag} must be at least {least}, got {value}")
     report = run_selftest(
         max_n=args.max_n,
         samples=args.samples,
@@ -254,7 +264,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="byte-stable JSON output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``parse_args`` leaves it as it
+    was, so every call starts from the same defaults."""
     parser = argparse.ArgumentParser(
         prog="evckit",
         description="eternal vertex cover game solver and Spartan-graph decider",

@@ -63,6 +63,10 @@ class AuxiliaryGraph:
         return tuple(mask_of(c) for c in self.colors)
 
     @cached_property
+    def dead_mask(self) -> int:
+        return mask_of(self.dead_zone)
+
+    @cached_property
     def shared(self) -> tuple[int, ...]:
         """S n T, where guard chains may pass through."""
         return tuple(bits(mask_of(self.cover_s) & mask_of(self.cover_t)))
@@ -514,44 +518,56 @@ def _interior_path(
 
 def _bfs_inside(g, cmask: int, sources_mask: int, targets_mask: int):
     """Shortest path inside ``cmask`` from any source to any target, both
-    given as masks of component vertices; lexicographic tie-breaks."""
-    sources = [v for v in bits(sources_mask & cmask)]
+    given as masks of component vertices; lexicographic tie-breaks: the
+    smallest target of the first layer that holds one, each vertex reached
+    from the smallest vertex of the layer before."""
+    frontier = sources_mask & cmask
     targets_mask &= cmask
-    if not sources or not targets_mask:
+    if not frontier or not targets_mask:
         return None
-    prev: dict[int, int | None] = {s: None for s in sources}
-    frontier = sources
+    adj = g.adj_mask
+    prev: dict[int, int] = {}
+    seen = frontier
     while frontier:
-        for v in frontier:
-            if targets_mask >> v & 1:
-                path = []
-                cur: int | None = v
-                while cur is not None:
-                    path.append(cur)
-                    cur = prev[cur]
-                return tuple(reversed(path))
-        nxt = []
-        for v in frontier:
-            for w in bits(g.adj_mask[v] & cmask):
-                if w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-        frontier = sorted(nxt)
+        hit = frontier & targets_mask
+        if hit:
+            cur = (hit & -hit).bit_length() - 1
+            path = [cur]
+            while cur in prev:
+                cur = prev[cur]
+                path.append(cur)
+            return tuple(reversed(path))
+        nxt = 0
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            new = adj[v] & cmask & ~seen
+            seen |= new
+            nxt |= new
+            while new:
+                w = new & -new
+                new ^= w
+                prev[w.bit_length() - 1] = v
+        frontier = nxt
     return None
 
 
 def _validate_defense_paths(g: Graph, aux: AuxiliaryGraph, ps: PathSystem) -> None:
-    used: set[int] = set()
-    dead = set(aux.dead_zone)
+    adj = g.adj_mask
+    dead = aux.dead_mask
+    used = 0
     for p in ps.paths:
         for a, b in zip(p, p[1:]):
-            if not g.has_edge(a, b):
+            if not adj[a] >> b & 1:
                 raise IntegrityError("defense path uses a non-edge")
         for x in p:
-            if x in used:
+            bit = 1 << x
+            if used & bit:
                 raise IntegrityError("defense paths are not vertex-disjoint")
-            used.add(x)
-            if x in dead:
+            used |= bit
+            if dead & bit:
                 raise IntegrityError("defense path enters the dead zone")
 
 

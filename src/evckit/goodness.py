@@ -7,6 +7,15 @@ the component and win).  *Strongly good* additionally demands that after the
 forced exit of any frontier guard, the remaining guards inside the component
 can still reach some cover of the component in a single simultaneous step.
 
+That replacement check answers True at once when the remaining guards
+already cover every edge of the component: they are then one of the
+targets, reached by every guard standing still.  Otherwise it tries the
+component's targets in order.  Each graph builds a component's induced
+subgraph, scans its covers and lists its targets once (``g._memo`` keeps
+them, keyed by the component mask and guard count), however many bad sets,
+covers and exits lead back to it.  The True/False answers are not kept, so
+``revalidate_bad_set`` recomputes every claim.
+
 Searches enumerate candidate subsets of the independent side exhaustively
 (sound but exponential; sizes are capped and refusals are explicit).
 """
@@ -99,6 +108,41 @@ def is_weakly_good(g: Graph, config) -> tuple[bool, BadSetCertificate | None]:
     return True, None
 
 
+def _residual(counts, comp_mask: int, exit_vertex: int) -> tuple[int, ...]:
+    """The guards inside the component once one has left ``exit_vertex``."""
+    residual = [c if comp_mask >> w & 1 else 0 for w, c in enumerate(counts)]
+    residual[exit_vertex] -= 1
+    return tuple(residual)
+
+
+def _component_targets(
+    g: Graph, comp_mask: int, guards_left: int
+) -> tuple[tuple[int, ...], ...]:
+    """Every ``guards_left``-guard configuration whose support covers the
+    component, as count vectors over ``g``, in ``cover_configurations`` order.
+
+    ``g._memo`` keeps the component's induced subgraph, keyed by the
+    component mask (so its cover scan is memoized too), and the targets,
+    keyed by the mask and ``guards_left``.
+    """
+    memo = g._memo.setdefault("component_targets", {})
+    targets = memo.get((comp_mask, guards_left))
+    if targets is None:
+        subs = g._memo.setdefault("component_graphs", {})
+        comp_vertices = tuple(bits(comp_mask))
+        sub = subs.get(comp_mask)
+        if sub is None:
+            sub = subs[comp_mask] = g.induced(comp_vertices)
+        lifted = []
+        for sub_counts in cover_configurations(sub, guards_left):
+            target = [0] * g.n
+            for v, c in zip(comp_vertices, sub_counts):
+                target[v] = c
+            lifted.append(tuple(target))
+        targets = memo[(comp_mask, guards_left)] = tuple(lifted)
+    return targets
+
+
 def _replacement_reachable(
     g: Graph, comp_mask: int, residual: tuple[int, ...], guards_left: int
 ) -> bool:
@@ -106,13 +150,16 @@ def _replacement_reachable(
     some configuration of ``guards_left`` guards whose support covers the
     component?  Movement is confined to the component automatically because
     every target guard sits inside it."""
-    comp_vertices = tuple(bits(comp_mask))
-    sub = g.induced(comp_vertices)
-    for sub_counts in cover_configurations(sub, guards_left):
-        target = [0] * g.n
-        for v, c in zip(comp_vertices, sub_counts):
-            target[v] = c
-        if move_feasible_counts(g, residual, tuple(target)):
+    bare = comp_mask
+    for v in bits(comp_mask):
+        if residual[v]:
+            bare &= ~(1 << v)
+    adj = g.adj_mask
+    if not any(adj[v] & bare for v in bits(bare)):
+        # the residual is itself a target: every guard stands still
+        return True
+    for target in _component_targets(g, comp_mask, guards_left):
+        if move_feasible_counts(g, residual, target):
             return True
     return False
 
@@ -149,12 +196,8 @@ def is_strongly_good(g: Graph, config) -> tuple[bool, BadSetCertificate | None]:
                 )
                 break
             for v in bits(exits):
-                residual = list(cfg.counts)
-                for w in range(g.n):
-                    if not (comp >> w & 1):
-                        residual[w] = 0
-                residual[v] -= 1
-                if not _replacement_reachable(g, comp, tuple(residual), guards - 1):
+                residual = _residual(cfg.counts, comp, v)
+                if not _replacement_reachable(g, comp, residual, guards - 1):
                     certificate = BadSetCertificate(
                         kind="strongly_bad",
                         support=cfg.support,
@@ -197,12 +240,8 @@ def revalidate_bad_set(g: Graph, cert: BadSetCertificate) -> bool:
             return False
         if not (neighbors_of_set(g, t_mask) >> v & 1):
             return False
-        residual = list(cfg.counts)
-        for w in range(g.n):
-            if not (comp_mask >> w & 1):
-                residual[w] = 0
-        residual[v] -= 1
-        return not _replacement_reachable(g, comp_mask, tuple(residual), guards - 1)
+        residual = _residual(cfg.counts, comp_mask, v)
+        return not _replacement_reachable(g, comp_mask, residual, guards - 1)
     return False
 
 

@@ -22,9 +22,9 @@ from .decider import is_spartan, validate_defense_family
 from .defense import DefenseStats
 from .game import evc, is_spartan_by_game, play_session
 from .goodness import is_strongly_good, is_weakly_good, necessary_conditions_report
-from .graph import Graph, OddCycle, bipartition, bits, cut_vertices, mask_of
-from .matching import hopcroft_karp, max_matching_size
-from .reachability import GuardConfiguration
+from .graph import Graph, OddCycle, bipartition, cut_vertices
+from .matching import max_matching_size
+from .reachability import GuardConfiguration, min_covers_compatible_check
 
 DEFAULT_SEED = 20240
 
@@ -85,19 +85,10 @@ def _examine_graph(payload) -> dict:
         if verdict.spartan != _elementary_by_cover_count(g):
             out["konig_mismatches"] = 1
 
-    cs = enumerate_min_vcs(g)
-    covers = cs.covers
-    # pairwise compatibility via a direct perfect matching between differences
-    for i in range(len(covers)):
-        mi = mask_of(covers[i])
-        for j in range(i + 1, len(covers)):
-            mj = mask_of(covers[j])
-            t1 = tuple(bits(mi & ~mj))
-            t2m = mj & ~mi
-            adj = {a: tuple(bits(g.adj_mask[a] & t2m)) for a in t1}
-            out["cover_pairs"] += 1
-            if len(hopcroft_karp(t1, adj)) != len(t1):
-                out["cover_pair_failures"] += 1
+    compat = min_covers_compatible_check(g)
+    out["cover_pairs"] = compat["pairs_checked"]
+    out["cover_pair_failures"] = len(compat["failures"])
+    covers = enumerate_min_vcs(g).covers
 
     if oracle:
         out["oracle_spartan"] = 1

@@ -369,3 +369,39 @@ def test_json_outputs_validate_against_schema(graph_file, capsys):
         code, out, _ = run_cli(capsys, argv)
         assert code == 0, argv
         jsonschema.validate(json.loads(out), REPORT_SCHEMA)
+
+
+def test_back_to_back_calls_start_from_the_defaults(graph_file, capsys):
+    # the parser is built once per process, so no option may carry over
+    c5 = graph_file("c5.edges", "1 2\n2 3\n3 4\n4 5\n5 1\n")
+    code, _, err = run_cli(capsys, ["evc", c5, "--budget", "0"])
+    assert code == 1 and "refused" in err
+    code, out, _ = run_cli(capsys, ["evc", c5, "--json"])
+    assert code == 0 and json.loads(out)["result"]["evc"] == 3
+    # C4 is Koenig, so the default method answers by Koenig's theorem
+    c4 = graph_file("c4.edges", "a b\nb c\nc d\nd a\n")
+    code, out, _ = run_cli(capsys, ["spartan", c4, "--method", "fixpoint", "--json"])
+    assert code == 0 and json.loads(out)["result"]["method"] == "fixpoint"
+    code, out, _ = run_cli(capsys, ["spartan", c4, "--json"])
+    assert code == 0 and json.loads(out)["result"]["method"] == "konig"
+
+
+def test_negative_budget_is_an_input_error(graph_file, capsys):
+    f = graph_file("c5.edges", "1 2\n2 3\n3 4\n4 5\n5 1\n")
+    code, out, err = run_cli(capsys, ["evc", f, "--budget", "-1"])
+    assert code == 2 and not out
+    assert "input error: --budget must be at least 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--max-n", "-3", "--samples", "0", "--jobs", "1"], "--max-n"),
+        (["--max-n", "0", "--samples", "-1", "--jobs", "1"], "--samples"),
+        (["--max-n", "0", "--samples", "0", "--jobs", "0"], "--jobs"),
+    ],
+)
+def test_selftest_out_of_range_options_are_input_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, ["selftest", *argv])
+    assert code == 2 and not out
+    assert f"input error: {flag} must be at least" in err

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,8 @@ from evckit.defense import (
     DefenseContext,
     DefenseFailure,
     DefenseStats,
+    _bfs_inside,
+    _validate_defense_paths,
     all_real_pm,
     build_aux,
     check_defense,
@@ -18,6 +21,8 @@ from evckit.defense import (
     rainbow_pm_with_edge,
 )
 from evckit.errors import IntegrityError, PreconditionError
+from evckit.graph import Graph
+from evckit.reachability import PathSystem
 
 from conftest import random_graph_corpus
 
@@ -384,3 +389,55 @@ def test_reducer_instance_computed_once_per_context(monkeypatch):
         asked += ctx.stats.instances
         computed += len(calls)
     assert asked > computed > 3000
+
+
+def _bfs_by_lists(g, cmask, sources_mask, targets_mask):
+    # reference search on sorted vertex lists: the first target of the first
+    # layer holding one, each vertex reached from its smallest predecessor
+    prev = {s: None for s in range(g.n) if (sources_mask & cmask) >> s & 1}
+    frontier = sorted(prev)
+    targets_mask &= cmask
+    while frontier and targets_mask:
+        for v in frontier:
+            if targets_mask >> v & 1:
+                path = [v]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                return tuple(reversed(path))
+        nxt = []
+        for v in frontier:
+            for w in g.adjacency[v]:
+                if cmask >> w & 1 and w not in prev:
+                    prev[w] = v
+                    nxt.append(w)
+        frontier = sorted(nxt)
+    return None
+
+
+def test_bfs_inside_matches_list_search():
+    rng = random.Random(17)
+    for g in random_graph_corpus(60, 4, 10, seed=223):
+        for _ in range(20):
+            cmask = rng.getrandbits(g.n) | 1
+            a, b = rng.getrandbits(g.n), rng.getrandbits(g.n)
+            assert _bfs_inside(g, cmask, a, b) == _bfs_by_lists(g, cmask, a, b)
+
+
+@pytest.mark.parametrize(
+    "paths, message",
+    [
+        (((0, 2),), "non-edge"),
+        (((0, 1), (1, 2)), "vertex-disjoint"),
+        (((2, 3),), "dead zone"),
+    ],
+)
+def test_defense_path_validation_rejects(paths, message):
+    # path a-b-c-d with covers {a, c} and {b, c}: d is in neither cover
+    g = Graph(tuple("abcd"), ((0, 1), (1, 2), (2, 3)))
+    aux = build_aux(g, (0, 2), (1, 2))
+    assert aux.dead_zone == (3,)
+    ps = PathSystem(
+        paths=paths, sources=aux.left, sinks=aux.right, allowed_interior=aux.shared
+    )
+    with pytest.raises(IntegrityError, match=message):
+        _validate_defense_paths(g, aux, ps)

@@ -1,6 +1,8 @@
 import pytest
 
-from evckit.covers import enumerate_min_vcs
+from evckit import goodness
+from evckit.corpus import exhaustive_connected
+from evckit.covers import cover_configurations, enumerate_min_vcs, mvc_mask
 from evckit.errors import PreconditionError
 from evckit.goodness import (
     BadSetCertificate,
@@ -9,8 +11,8 @@ from evckit.goodness import (
     necessary_conditions_report,
     revalidate_bad_set,
 )
-from evckit.graph import Graph, cut_vertices
-from evckit.reachability import GuardConfiguration
+from evckit.graph import Graph, bits, cut_vertices
+from evckit.reachability import GuardConfiguration, move_feasible_counts
 
 from conftest import random_graph_corpus
 
@@ -90,8 +92,6 @@ def test_weak_not_strong_instance():
 
 def test_no_weak_not_strong_instance_below_six():
     # exhaustive at n <= 4 here; the acceptance sweep covers 5 and 6
-    from evckit.corpus import exhaustive_connected
-
     for n in (2, 3, 4):
         for g in exhaustive_connected(n):
             for cover in enumerate_min_vcs(g).covers:
@@ -185,3 +185,46 @@ def test_bad_certificates_revalidate_on_corpus():
             ok, cert = is_strongly_good(g, cfg)
             if not ok:
                 assert revalidate_bad_set(g, cert), (g.edges, cert)
+
+
+def _plain_replacement_reachable(g, comp_mask, residual, guards_left):
+    # the replacement check without the stay-put shortcut or the per-graph
+    # caches: a fresh induced subgraph and a full configuration scan
+    comp_vertices = tuple(bits(comp_mask))
+    sub = g.induced(comp_vertices)
+    for sub_counts in cover_configurations(sub, guards_left):
+        target = [0] * g.n
+        for v, c in zip(comp_vertices, sub_counts):
+            target[v] = c
+        if move_feasible_counts(g, residual, tuple(target)):
+            return True
+    return False
+
+
+def _shortcut_corpus():
+    graphs = [g for n in range(2, 6) for g in exhaustive_connected(n)]
+    graphs += random_graph_corpus(40, 7, 8, seed=211)
+    graphs.append(Graph(tuple("abcdefg"), WEAK_NOT_STRONG_EDGES))
+    return graphs
+
+
+def test_strongly_good_matches_plain_replacement_check(monkeypatch):
+    checked = bad = 0
+    for g in _shortcut_corpus():
+        configs = [cfg_of(g, c) for c in enumerate_min_vcs(g).covers]
+        configs += [
+            GuardConfiguration(c)
+            for c in cover_configurations(g, mvc_mask(g, g.full_mask) + 1)
+        ]
+        for cfg in configs:
+            got = is_strongly_good(g, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(goodness, "_replacement_reachable", _plain_replacement_reachable)
+                # a fresh copy, so no answer leans on the caches in g._memo
+                want = is_strongly_good(Graph(g.labels, g.edges), cfg)
+            assert got == want, (g.edges, cfg.counts)
+            checked += 1
+            if not got[0]:
+                bad += 1
+                assert revalidate_bad_set(g, got[1]), (g.edges, got[1])
+    assert checked > 1000 and bad > 100
