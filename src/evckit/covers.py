@@ -127,9 +127,17 @@ def _cover_of_size_containing(g: Graph, k: int, forced_mask: int):
 
 
 def enumerate_min_vcs(g: Graph, cap: int = DEFAULT_COVER_CAP) -> CoverSet:
-    """All minimum vertex covers, lexicographic, up to ``cap``."""
+    """All minimum vertex covers, lexicographic, up to ``cap``; memoized in
+    ``g._memo`` per cap (a ``CoverSet`` is immutable)."""
     if cap < 1:
         raise PreconditionError("cap must be at least 1")
+    memo = g._memo.setdefault("min_vcs", {})
+    if cap not in memo:
+        memo[cap] = _enumerate_min_vcs(g, cap)
+    return memo[cap]
+
+
+def _enumerate_min_vcs(g: Graph, cap: int) -> CoverSet:
     k = mvc_mask(g, g.full_mask)
     out: set[int] = set()
     overflow = False

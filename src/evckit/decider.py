@@ -2,9 +2,13 @@
 
 The defense family is the greatest fixpoint (the shared ``fixpoint`` engine)
 over the complete set of minimum covers: a cover survives while every attack
-on it is defended by some surviving cover.  A non-empty fixpoint *is* a
-defender strategy; an empty one yields a deletion trace naming each cover's
-indefensible edge.  Component verdicts speak the whole graph's vertices.
+on it is defended by some surviving cover.  The fixpoint is decided on the
+matchable classes of each cover pair's auxiliary graph
+(``DefenseContext.defends``), a yes/no answer with no witness; afterwards the
+reducer (``check_defense``) witnesses each exported transition once.  A
+non-empty fixpoint *is* a defender strategy; an empty one yields a deletion
+trace naming each cover's indefensible edge.  Component verdicts speak the
+whole graph's vertices.
 """
 
 from __future__ import annotations
@@ -78,28 +82,26 @@ def spartan_fixpoint(
         covers = cs.covers
     ctx = DefenseContext(g, stats=stats)
     holders = [[j for j, c in enumerate(covers) if v in c] for v in range(g.n)]
-
-    def answer(i: int, attack: tuple[int, int], j: int) -> Defense | None:
-        outcome = check_defense(g, covers[i], attack, (covers[j],), ctx)
-        return outcome if isinstance(outcome, Defense) else None
-
     alive, removals, answers = greatest_fixpoint(
         [oriented_attacks(g, mask_of(c)) for c in covers],
         lambda attack: holders[attack[1]],
-        answer,
+        lambda i, attack, j: ctx.defends(covers[i], attack, covers[j]),
     )
     if not alive:
         return FixpointTrace(
             deletions=tuple((covers[i], attack, r) for i, attack, r in removals)
         )
     index = {i: pos for pos, i in enumerate(alive)}
-    return DefenseFamily(
-        covers=tuple(covers[i] for i in alive),
-        transitions={
-            (index[i], attack): (index[j], defense.paths)
-            for (i, attack), (j, defense) in answers.items()
-        },
-    )
+    ctx.stats = None  # every ask is recorded; the witnesses add nothing
+    transitions = {}
+    for (i, attack), (j, _) in answers.items():
+        defense = check_defense(g, covers[i], attack, (covers[j],), ctx)
+        if not isinstance(defense, Defense):
+            raise IntegrityError(
+                "the reducer cannot witness a defense the matchable classes allow"
+            )
+        transitions[(index[i], attack)] = (index[j], defense.paths)
+    return DefenseFamily(covers=tuple(covers[i] for i in alive), transitions=transitions)
 
 
 def _decide_component(

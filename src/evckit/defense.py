@@ -17,13 +17,23 @@ rainbow one by superposing it with an all-real perfect matching and applying
 exchange steps along the unique surviving alternating cycle; every exchange
 strictly grows the overlap with the all-real matching, which bounds the loop.
 
+Whether a mode is satisfiable at all needs no witness: the all-real
+matching is a perfect matching of the pair adjacency, and one
+strong-component pass over it (``matching.matchable_classes``) tells every
+pair that lies in some perfect matching.  ``mode_satisfiable`` answers from
+those classes; the reducer returns a witness exactly when they say yes.  The
+decider decides its fixpoint on that answer and runs ``check_defense`` (the
+reducer) only for the transitions it exports; ``check_defense`` itself, and
+so the certificate check, never consults the classes.
+
 The decider asks about one cover pair (S, T) many times.  Everything the
-reducer derives from the auxiliary graph alone (the all-real matching and its
-reverse, the pair adjacency, the helper colors per pair, the color masks,
-S n T, and the perfect matching left after removing each skipped pair) is
-cached on the auxiliary graph, and ``DefenseContext`` keeps one auxiliary
-graph per (S, T) and one reducer answer per (S, T, mode).  Each is a pure
-function of its key, so cached and recomputed answers are identical.
+reducer and the classes derive from the auxiliary graph alone (the all-real
+matching and its reverse, the pair adjacency, the matchable classes, the
+helper colors per pair, the color masks, S n T, and the perfect matching
+left after removing each skipped pair) is cached on the auxiliary graph, and
+``DefenseContext`` keeps one auxiliary graph per (S, T) and one reducer
+answer per (S, T, mode).  Each is a pure function of its key, so cached and
+recomputed answers are identical.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from functools import cached_property
 
 from .errors import IntegrityError, PreconditionError
 from .graph import Graph, bits, mask_components, mask_of
-from .matching import hopcroft_karp
+from .matching import hopcroft_karp, matchable_classes
 from .reachability import PathSystem
 
 REAL = -1  # tag for real edges; helper tags are color indices >= 0
@@ -99,6 +109,16 @@ class AuxiliaryGraph:
     @cached_property
     def real_pm_reverse(self) -> dict[int, int]:
         return {v: u for u, v in self.real_pm.items()}
+
+    @cached_property
+    def matchable(self) -> dict[int, int]:
+        """``matchable_classes`` of the pair adjacency over ``real_pm``."""
+        return matchable_classes(self.pair_adjacency, self.real_pm)
+
+    def in_some_pm(self, u: int, v: int) -> bool:
+        """Whether the pair (u, v) of the pair adjacency lies in some perfect
+        matching of it."""
+        return self.matchable[u] == self.matchable[self.real_pm_reverse[v]]
 
     @cached_property
     def _rest_pairings(self) -> dict[tuple[int, int], dict[int, int] | None]:
@@ -339,6 +359,61 @@ def _validate_rainbow(aux: AuxiliaryGraph, rm: RainbowMatching) -> None:
         raise IntegrityError("forced edge missing from rainbow matching")
 
 
+def _check_mode(aux: AuxiliaryGraph, forced_real, partner_adjacent) -> None:
+    if (forced_real is None) == (partner_adjacent is None):
+        raise PreconditionError("exactly one mode must be given")
+    if aux.side_size == 0:
+        raise PreconditionError("empty auxiliary graph has no forced matching")
+    aux.real_pm  # raises when the covers are not both minimum
+    if forced_real is not None:
+        if tuple(forced_real) not in aux.real_pairs:
+            raise PreconditionError("forced edge must be a real auxiliary edge")
+        return
+    v, color = partner_adjacent
+    if v not in aux.right:
+        raise PreconditionError("partner mode needs a right-side vertex")
+    if not 0 <= color < len(aux.colors):
+        raise PreconditionError("unknown color component")
+    if not aux.graph.adj_mask[v] & aux.color_masks[color]:
+        raise PreconditionError(
+            "right vertex has no neighbor in the requested component"
+        )
+
+
+def _partner_candidates(aux: AuxiliaryGraph, color: int) -> list[int]:
+    """Left vertices touching the color's component, ascending."""
+    adj, cmask = aux.graph.adj_mask, aux.color_masks[color]
+    return [w for w in aux.left if adj[w] & cmask]
+
+
+def mode_satisfiable(
+    aux: AuxiliaryGraph,
+    *,
+    forced_real: tuple[int, int] | None = None,
+    partner_adjacent: tuple[int, int] | None = None,
+) -> bool:
+    """Whether some perfect matching satisfies the mode, that is, whether
+    ``rainbow_pm_with_edge`` with the same arguments returns a witness.
+
+    Answered from the auxiliary graph's matchable classes: the forced real
+    pair must lie in some perfect matching, or, in partner mode, some left
+    vertex touching the color's component must be matchable to v.
+    """
+    _check_mode(aux, forced_real, partner_adjacent)
+    if forced_real is not None:
+        return _satisfiable(aux, ("forced_real", forced_real))
+    return _satisfiable(aux, ("partner_adjacent", partner_adjacent))
+
+
+def _satisfiable(aux: AuxiliaryGraph, mode) -> bool:
+    """``mode_satisfiable`` for a ``(kind, arg)`` mode known to be valid."""
+    kind, arg = mode
+    if kind == "forced_real":
+        return aux.in_some_pm(*arg)
+    v, color = arg
+    return any(aux.in_some_pm(w, v) for w in _partner_candidates(aux, color))
+
+
 def rainbow_pm_with_edge(
     aux: AuxiliaryGraph,
     *,
@@ -356,16 +431,9 @@ def rainbow_pm_with_edge(
     the mode; when one exists the exchange reduction always lands on a
     rainbow witness.
     """
-    if (forced_real is None) == (partner_adjacent is None):
-        raise PreconditionError("exactly one mode must be given")
-    if aux.side_size == 0:
-        raise PreconditionError("empty auxiliary graph has no forced matching")
-    aux.real_pm  # raises when the covers are not both minimum
-
+    _check_mode(aux, forced_real, partner_adjacent)
     if forced_real is not None:
         u, v = forced_real
-        if (u, v) not in aux.real_pairs:
-            raise PreconditionError("forced edge must be a real auxiliary edge")
         rest = _perfect_pairing(aux, (u, v))
         if rest is None:
             return None
@@ -376,19 +444,8 @@ def rainbow_pm_with_edge(
         forced_edge = (u, v, REAL)
     else:
         v, color = partner_adjacent
-        if v not in aux.right:
-            raise PreconditionError("partner mode needs a right-side vertex")
-        if not 0 <= color < len(aux.colors):
-            raise PreconditionError("unknown color component")
-        cmask = aux.color_masks[color]
-        g = aux.graph
-        if not g.adj_mask[v] & cmask:
-            raise PreconditionError(
-                "right vertex has no neighbor in the requested component"
-            )
-        candidates = [w for w in aux.left if g.adj_mask[w] & cmask]
         result = None
-        for w in candidates:
+        for w in _partner_candidates(aux, color):
             rest = _perfect_pairing(aux, (w, v))
             if rest is None:
                 continue
@@ -589,7 +646,8 @@ class DefenseFailure:
 
 @dataclass
 class DefenseStats:
-    """Optional instrumentation: reducer calls cross-checked by brute force."""
+    """Optional instrumentation: the matchable classes and the reducer
+    cross-checked by brute force."""
 
     verify_sides_cap: int = 10
     instances: int = 0
@@ -607,6 +665,9 @@ class DefenseContext:
     (v, color of u's shared component) and not the attacked guard u, so all
     guards of one shared component share its answer.  Guard chains are still
     expanded and checked per defense, since they route through u.
+
+    With ``stats``, each ask, by ``defends`` or by a ``check_defense``
+    candidate, compares the matchable classes, the reducer and brute force.
     """
 
     def __init__(self, g: Graph, stats: DefenseStats | None = None):
@@ -631,6 +692,44 @@ class DefenseContext:
             self._rainbow[key] = rainbow_pm_with_edge(aux, **{kind: arg})
         return self._rainbow[key]
 
+    def defends(self, s, attack: tuple[int, int], t) -> bool:
+        """Whether cover ``t`` answers the attack ``(u, v)`` on cover ``s``
+        (u in s, v not), decided by ``mode_satisfiable`` without a witness:
+        ``check_defense(g, s, attack, (t,), self)`` returns a Defense exactly
+        when this is True."""
+        u, v = attack
+        if v not in t:
+            return False
+        aux = self.aux_for(s, t)
+        mode = _mode(aux, u, v)
+        answer = _satisfiable(aux, mode)
+        if self.stats is not None:
+            self._record_stats(s, t, mode, answer)
+        return answer
+
+    def _record_stats(self, s, t, mode, oracle: bool) -> None:
+        stats = self.stats
+        aux = self.aux_for(s, t)
+        if aux.side_size > stats.verify_sides_cap:
+            return
+        stats.instances += 1
+        reducer = self.rainbow_for(s, t, mode) is not None
+        kind, arg = mode
+        any_mode, _ = rainbow_pm_bruteforce(aux, **{kind: arg})
+        if not oracle == reducer == any_mode:
+            stats.mismatches += 1
+            stats.failures.append((aux.cover_s, aux.cover_t, mode))
+
+
+def _mode(aux: AuxiliaryGraph, u: int, v: int) -> tuple[str, tuple[int, int]]:
+    """The matching question for the attack (u, v) on S answered by T."""
+    if u in aux.left:
+        return ("forced_real", (u, v))
+    # the attacked guard keeps its post: thread the chain through u's
+    # component of the shared part
+    color = next(i for i, cmask in enumerate(aux.color_masks) if cmask >> u & 1)
+    return ("partner_adjacent", (v, color))
+
 
 def check_defense(
     g: Graph,
@@ -643,7 +742,8 @@ def check_defense(
 
     The attack names an edge with exactly one endpoint in ``s``; attacks
     inside the cover are answered upstream by swapping the two guards.
-    Candidates are scanned in their given (canonical) order.
+    Candidates are scanned in their given (canonical) order, each decided by
+    the reducer, so a defense always comes with its witness.
     """
     if ctx is None:
         ctx = DefenseContext(g)
@@ -674,35 +774,18 @@ def check_defense(
 
 def _try_candidate(g, s, t, u, v, ctx: DefenseContext):
     aux = ctx.aux_for(s, t)
-    if u not in t:
-        mode = ("forced_real", (u, v))
-        rm = ctx.rainbow_for(s, t, mode)
-        _record_stats(ctx, aux, mode, rm)
+    mode = _mode(aux, u, v)
+    rm = ctx.rainbow_for(s, t, mode)
+    if ctx.stats is not None:
+        ctx._record_stats(s, t, mode, _satisfiable(aux, mode))
+    if mode[0] == "forced_real":
         if rm is None:
             return "no perfect matching through the attacked edge"
         paths = matching_to_paths(g, aux, rm)
         return Defense(target=t, paths=paths, condition=1, matching=rm)
-    # the attacked guard keeps its post: thread the chain through u's
-    # component of the shared part
-    color = next(i for i, comp in enumerate(aux.colors) if u in comp)
-    mode = ("partner_adjacent", (v, color))
-    rm = ctx.rainbow_for(s, t, mode)
-    _record_stats(ctx, aux, mode, rm)
     if rm is None:
         return "no matching whose partner reaches the attacked component"
     fu, fv, ftag = rm.forced
     paths = matching_to_paths(g, aux, rm, via={(fu, fv): u})
     # the forced chain ends ...-> u -> v by construction of the via route
     return Defense(target=t, paths=paths, condition=2, matching=rm)
-
-
-def _record_stats(ctx: DefenseContext, aux, mode, rm) -> None:
-    stats = ctx.stats
-    if stats is None or aux.side_size > stats.verify_sides_cap:
-        return
-    stats.instances += 1
-    kind, arg = mode
-    any_mode, _ = rainbow_pm_bruteforce(aux, **{kind: arg})
-    if any_mode != (rm is not None):
-        stats.mismatches += 1
-        stats.failures.append((aux.cover_s, aux.cover_t, mode))

@@ -96,6 +96,20 @@ def _minus(counts: Counts, v: int) -> Counts:
     return tuple(lst)
 
 
+def _support_masks(g: Graph, counts: Counts) -> tuple[int, int]:
+    """The support of ``counts`` and its closed neighbourhood, as masks.
+
+    c1 can reach c2 in one step only if each support lies in the other's
+    closed neighbourhood: every guard stays or moves to a neighbour, and
+    every guard of c2 comes from one of c1."""
+    support = near = 0
+    for v, c in enumerate(counts):
+        if c:
+            support |= 1 << v
+            near |= (1 << v) | g.adj_mask[v]
+    return support, near
+
+
 def solve_guard_game(
     g: Graph, k: int, *, budget: int | None = None, one_per_vertex: bool = False
 ) -> GameOutcome:
@@ -108,10 +122,22 @@ def solve_guard_game(
     states = enumerate_states(g, k, budget, one_per_vertex=one_per_vertex)
     # candidate responders per vertex: states with a guard on v
     holders = [[j for j, c in enumerate(states) if c[v]] for v in range(g.n)]
+    # (state, vertex) -> (state minus a guard on vertex, its _support_masks)
+    residuals: dict[tuple[int, int], tuple[Counts, int, int]] = {}
+
+    def residual(i: int, v: int) -> tuple[Counts, int, int]:
+        got = residuals.get((i, v))
+        if got is None:
+            counts = _minus(states[i], v)
+            got = residuals[(i, v)] = (counts, *_support_masks(g, counts))
+        return got
 
     def answer(i: int, threat: tuple[int, int], j: int) -> bool:
-        u, v = threat
-        return move_feasible_counts(g, _minus(states[i], u), _minus(states[j], v))
+        c1, support1, near1 = residual(i, threat[0])
+        c2, support2, near2 = residual(j, threat[1])
+        if support2 & ~near1 or support1 & ~near2:
+            return False
+        return move_feasible_counts(g, c1, c2)
 
     alive, removals, _ = greatest_fixpoint(
         [oriented_attacks(g, mask_of(v for v in range(g.n) if c[v])) for c in states],

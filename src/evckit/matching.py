@@ -1,7 +1,10 @@
 """Maximum matchings, forced-edge perfect matchings, and Hall-condition machinery.
 
 General graphs go through augmenting-path search with blossom contraction;
-bipartite graphs use layered (Hopcroft-Karp) augmentation.  A subset-DP
+bipartite graphs use layered (Hopcroft-Karp) augmentation.  Given one
+perfect matching, ``matchable_classes`` tells every pair that lies in some
+perfect matching with one strong-component pass; the elementary test and the
+defense scan's yes/no answers use it.  A subset-DP
 oracle (`exhaustive_max_matching_size`) is kept for small graphs so the fast
 algorithms can be cross-checked against an independent route.
 """
@@ -181,6 +184,58 @@ def hopcroft_karp(lefts, adjacency: dict[int, tuple[int, ...]]) -> dict[int, int
             if u not in pair_l:
                 dfs(u)
     return pair_l
+
+
+def matchable_classes(
+    adjacency: dict[int, tuple[int, ...]], pm: dict[int, int]
+) -> dict[int, int]:
+    """Strong component of each left vertex in the digraph u -> pm^-1(v) over
+    the pairs (u, v) of ``adjacency`` with v != pm[u].
+
+    ``pm`` must be a perfect matching of ``adjacency`` (left -> right).  A
+    pair (u, v) lies in some perfect matching iff it is in ``pm`` or u and
+    pm^-1(v) share a component, since then and only then the arc closes an
+    alternating cycle (the Dulmage-Mendelsohn decomposition; Tassa, "Finding
+    all maximally-matchable edges in a bipartite graph", TCS 2012).
+    Components are numbered by the Tarjan index of their root.
+    """
+    if pm.keys() != adjacency.keys():
+        raise PreconditionError("pm must match every left vertex")
+    back = {v: u for u, v in pm.items()}
+    succ = {u: [back[v] for v in vs if v != pm[u]] for u, vs in adjacency.items()}
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    comp: dict[int, int] = {}
+    stack: list[int] = []
+    for root in sorted(succ):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, 0)]
+        while work:
+            u, i = work[-1]
+            if i < len(succ[u]):
+                work[-1] = (u, i + 1)
+                w = succ[u][i]
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, 0))
+                elif w not in comp:  # still on the stack
+                    low[u] = min(low[u], index[w])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[u])
+            if low[u] == index[u]:
+                while True:
+                    w = stack.pop()
+                    comp[w] = index[u]
+                    if w == u:
+                        break
+    return comp
 
 
 def _crossing_adjacency(g: Graph, side_a, side_b) -> dict[int, tuple[int, ...]]:
@@ -453,8 +508,13 @@ def is_elementary(g: Graph) -> tuple[bool, ElementaryWitness | None]:
     saturating = hall_check(g, side_a, side_b)
     if isinstance(saturating, HallWitness):
         return False, ElementaryWitness(edge=g.edges[0], deficiency=saturating)
+    in_a = set(side_a)
+    pm = dict((x, y) if x in in_a else (y, x) for x, y in saturating)
+    back = {y: x for x, y in pm.items()}
+    classes = matchable_classes(_crossing_adjacency(g, side_a, side_b), pm)
     for e in g.edges:
-        if perfect_matching_through_edge(g, side_a, side_b, e) is None:
+        x, y = e if e[0] in in_a else e[::-1]
+        if classes[x] != classes[back[y]]:
             tight = proper_tight_set(g, side_a, side_b)
             return False, ElementaryWitness(edge=e, tight_set=tight)
     return True, None

@@ -70,6 +70,16 @@ def test_enumerate_cap_truncation(named):
     assert cs.covers == tuple(sorted(cs.covers))
 
 
+def test_enumerate_is_memoized_per_cap(named):
+    c5 = named["C5"]
+    g = Graph(c5.labels, c5.edges)  # a fresh memo
+    full = enumerate_min_vcs(g)
+    capped = enumerate_min_vcs(g, cap=2)
+    assert not full.truncated and len(full.covers) == 5
+    assert capped.truncated and capped.covers == full.covers[:2]
+    assert enumerate_min_vcs(g) is full and enumerate_min_vcs(g, cap=2) is capped
+
+
 def test_enumerate_cap_validation(named):
     with pytest.raises(PreconditionError):
         enumerate_min_vcs(named["C5"], cap=0)

@@ -162,3 +162,52 @@ def test_fixpoint_lane_agrees_on_konig_graphs():
         structural = bip and is_essentially_elementary(g)[0]
         assert is_spartan(g, method="fixpoint").spartan == structural, g.edges
     assert seen > 20
+
+
+def test_check_defense_runs_once_per_exported_transition(monkeypatch):
+    import evckit.decider as decider_mod
+
+    calls = []
+    original = decider_mod.check_defense
+
+    def counting(g, s, attack, candidates, ctx=None):
+        calls.append((s, attack, tuple(candidates)))
+        return original(g, s, attack, candidates, ctx)
+
+    monkeypatch.setattr(decider_mod, "check_defense", counting)
+    families = traces = 0
+    for g in random_graph_corpus(80, 3, 9, seed=233):
+        calls.clear()
+        result = spartan_fixpoint(g)
+        if isinstance(result, FixpointTrace):
+            assert calls == [], g.edges
+            traces += 1
+            continue
+        assert len(calls) == len(set(calls)) == len(result.transitions), g.edges
+        assert all(len(candidates) == 1 for _, _, candidates in calls)
+        families += 1
+    assert families > 10 and traces > 10
+
+
+def test_stats_record_each_fixpoint_ask_once(monkeypatch):
+    from evckit.defense import DefenseContext, DefenseStats
+
+    asks = []
+    original = DefenseContext.defends
+
+    def recording(self, s, attack, t):
+        asks.append((s, attack, t))
+        return original(self, s, attack, t)
+
+    monkeypatch.setattr(DefenseContext, "defends", recording)
+    total = 0
+    for g in random_graph_corpus(150, 4, 9, seed=239):
+        asks.clear()
+        stats = DefenseStats()
+        spartan_fixpoint(g, stats=stats)
+        # every side fits the brute-force cap, so each ask is one instance
+        # and the witness phase adds none
+        assert stats.instances == len(asks) == len(set(asks)), g.edges
+        assert stats.mismatches == 0
+        total += stats.instances
+    assert total > 1000

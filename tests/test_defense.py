@@ -17,6 +17,7 @@ from evckit.defense import (
     check_defense,
     enumerate_tagged_pms,
     matching_to_paths,
+    mode_satisfiable,
     rainbow_pm_bruteforce,
     rainbow_pm_with_edge,
 )
@@ -303,9 +304,9 @@ def test_exchange_reduction_branches_fire():
     assert fired["generic"] > 0 and fired["protected"] > 0, fired
 
 
-def _min_cover_pairs(count, seed):
+def _min_cover_pairs(count, seed, n_lo=4, n_hi=9):
     # every ordered pair of minimum covers of small seeded random graphs
-    for g in random_graph_corpus(count, 4, 9, seed=seed):
+    for g in random_graph_corpus(count, n_lo, n_hi, seed=seed):
         covers = enumerate_min_vcs(g).covers
         yield g, covers, [(s, t) for s in covers for t in covers]
 
@@ -441,3 +442,58 @@ def test_defense_path_validation_rejects(paths, message):
     )
     with pytest.raises(IntegrityError, match=message):
         _validate_defense_paths(g, aux, ps)
+
+
+def _all_modes(aux):
+    # every question a defense scan can put to this auxiliary graph
+    from evckit.graph import mask_of
+
+    for pair in sorted(aux.real_pairs):
+        yield {"forced_real": pair}
+    for color, comp in enumerate(aux.colors):
+        for v in aux.right:
+            if aux.graph.adj_mask[v] & mask_of(comp):
+                yield {"partner_adjacent": (v, color)}
+
+
+def test_mode_satisfiable_matches_reducer_and_brute_force():
+    asked = satisfiable = partner = 0
+    for n in range(4, 10):
+        for g, _, cover_pairs in _min_cover_pairs(30, 300 + n, n, n):
+            for s, t in cover_pairs:
+                aux = build_aux(g, s, t)
+                if aux.side_size == 0:
+                    continue
+                for mode in _all_modes(aux):
+                    got = mode_satisfiable(aux, **mode)
+                    where = (g.edges, s, t, mode)
+                    assert got == rainbow_pm_bruteforce(aux, **mode)[0], where
+                    assert got == (rainbow_pm_with_edge(aux, **mode) is not None), where
+                    asked += 1
+                    satisfiable += got
+                    partner += "partner_adjacent" in mode
+    assert 0 < satisfiable < asked and asked > 5000 and partner > 1000
+
+
+def test_mode_satisfiable_checks_the_mode(named):
+    c4 = named["C4"]
+    aux = build_aux(c4, (0, 2), (1, 3))
+    with pytest.raises(PreconditionError):
+        mode_satisfiable(aux)
+    with pytest.raises(PreconditionError):
+        mode_satisfiable(aux, forced_real=(0, 2))
+
+
+def test_stats_flag_a_wrong_matching_answer(monkeypatch):
+    import evckit.defense as defense_mod
+
+    original = defense_mod._satisfiable
+    monkeypatch.setattr(
+        defense_mod, "_satisfiable", lambda aux, mode: not original(aux, mode)
+    )
+    stats = DefenseStats()
+    for g, covers, _ in _min_cover_pairs(20, 199):
+        ctx = DefenseContext(g, stats=stats)
+        for s, attack, t in _oriented_checks(g, covers):
+            ctx.defends(s, attack, t)
+    assert stats.mismatches == stats.instances > 100

@@ -1,3 +1,4 @@
+import itertools
 import io
 import math
 import random
@@ -324,3 +325,33 @@ def test_evc_closed_forms(g, family):
     result = evc(g)
     assert result.value == expected
     assert result.mvc <= result.value <= 2 * result.mvc
+
+
+def test_support_filter_rejects_only_unroutable_pairs():
+    # the move check's prefilter: a pair it rejects never routes, and the
+    # masks are the residual's support and that support's closed neighbourhood
+    from evckit.game import _minus, _support_masks
+    from evckit.reachability import move_feasible_counts
+
+    rng = random.Random(241)
+    rejected = kept = 0
+    for g in random_graph_corpus(60, 4, 7, seed=251):
+        k = mvc_mask(g, g.full_mask) + rng.randint(0, 1)
+        residuals = sorted(
+            {_minus(c, v) for c in enumerate_states(g, k) for v in range(g.n) if c[v]}
+        )
+        masks = {c: _support_masks(g, c) for c in residuals}
+        for c in residuals:
+            support = sum(1 << v for v in range(g.n) if c[v])
+            near = sum(1 << w for w in range(g.n) if any(
+                c[v] and (v == w or g.has_edge(v, w)) for v in range(g.n)
+            ))
+            assert masks[c] == (support, near)
+        for c1, c2 in itertools.islice(itertools.product(residuals, repeat=2), 3000):
+            (s1, n1), (s2, n2) = masks[c1], masks[c2]
+            if s2 & ~n1 or s1 & ~n2:
+                assert not move_feasible_counts(g, c1, c2), (g.edges, c1, c2)
+                rejected += 1
+            else:
+                kept += 1
+    assert rejected > 2000 and kept > 10000

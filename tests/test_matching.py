@@ -1,18 +1,22 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evckit.errors import PreconditionError
-from evckit.graph import Graph, connected_components
+from evckit.graph import Graph, bipartition, connected_components
 from evckit.matching import (
+    ElementaryWitness,
     HallWitness,
     exhaustive_max_matching_size,
     hall_check,
+    hopcroft_karp,
     is_elementary,
     is_essentially_elementary,
     max_matching,
+    matchable_classes,
     max_matching_size,
     perfect_matching_through_edge,
     proper_tight_set,
@@ -221,3 +225,73 @@ def test_essentially_elementary_disconnected():
     g2 = Graph(("a", "b", "c", "d", "e"), ((0, 1), (2, 3), (3, 4)))
     ok, witness = is_essentially_elementary(g2)
     assert ok is False and witness.edge is not None
+
+
+def _random_balanced_bipartite(rng, h):
+    # sides of h vertices each under a random labelling, usually with a
+    # planted perfect matching, plus random crossing pairs
+    perm = list(range(2 * h))
+    rng.shuffle(perm)
+    left, right = perm[:h], perm[h:]
+    pairs = set()
+    if rng.random() < 0.9:
+        pairs.update(zip(left, right))
+    p = rng.uniform(0.05, 0.6)
+    pairs.update((a, b) for a in left for b in right if rng.random() < p)
+    edges = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
+    return Graph(tuple(f"v{i}" for i in range(2 * h)), edges)
+
+
+def test_matchable_classes_tell_pairs_in_some_perfect_matching():
+    rng = random.Random(61)
+    pairs = in_pm = 0
+    for _ in range(400):
+        h = rng.randint(1, 6)
+        adj = {u: tuple(v for v in range(h) if rng.random() < 0.4) for u in range(h)}
+        pm = hopcroft_karp(range(h), adj)
+        if len(pm) < h:
+            continue
+        classes = matchable_classes(adj, pm)
+        back = {v: u for u, v in pm.items()}
+        for u, vs in adj.items():
+            for v in vs:
+                rest = {x: tuple(y for y in adj[x] if y != v) for x in adj if x != u}
+                want = len(hopcroft_karp(rest, rest)) == h - 1
+                assert (classes[u] == classes[back[v]]) == want, (adj, u, v)
+                pairs += 1
+                in_pm += want
+    assert 0 < in_pm < pairs and pairs > 1000
+    with pytest.raises(PreconditionError):
+        matchable_classes({0: (0,), 1: (0,)}, {0: 0})
+
+
+def _elementary_by_edge(g):
+    # the per-edge route: one perfect_matching_through_edge per edge, on the
+    # graphs where is_elementary reaches its edge loop (balanced sides and a
+    # perfect matching); None elsewhere
+    side_a, side_b = bipartition(g)
+    if len(side_a) != len(side_b) or isinstance(
+        hall_check(g, side_a, side_b), HallWitness
+    ):
+        return None
+    for e in g.edges:
+        if perfect_matching_through_edge(g, side_a, side_b, e) is None:
+            tight = proper_tight_set(g, side_a, side_b)
+            return False, ElementaryWitness(edge=e, tight_set=tight)
+    return True, None
+
+
+def test_is_elementary_matches_per_edge_route():
+    rng = random.Random(67)
+    compared = non_elementary = 0
+    for _ in range(1500):
+        g = _random_balanced_bipartite(rng, rng.randint(1, 5))
+        if len(connected_components(g)) != 1:
+            continue
+        want = _elementary_by_edge(g)
+        if want is None:
+            continue
+        assert is_elementary(g) == want, g.edges
+        compared += 1
+        non_elementary += not want[0]
+    assert compared > 500 and non_elementary > 100
