@@ -72,24 +72,3 @@ def random_connected(n: int, p: float, count: int, seed: int) -> list[Graph]:
             out.append(g)
     return out
 
-
-def generate_corpus(spec: dict) -> list[Graph]:
-    """Corpus driver.
-
-    ``{"kind": "fixtures"}``,
-    ``{"kind": "exhaustive", "n": N}`` (refused beyond the vertex limit), or
-    ``{"kind": "random", "n": N, "p": P, "count": C, "seed": S}``.
-    """
-    kind = spec.get("kind")
-    if kind == "fixtures":
-        return list(fixtures().values())
-    if kind == "exhaustive":
-        return list(exhaustive_connected(int(spec["n"])))
-    if kind == "random":
-        return random_connected(
-            int(spec["n"]),
-            float(spec.get("p", 0.4)),
-            int(spec.get("count", 100)),
-            int(spec.get("seed", 0)),
-        )
-    raise PreconditionError(f"unknown corpus kind {kind!r}")

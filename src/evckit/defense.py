@@ -140,13 +140,17 @@ def build_aux(g: Graph, s, t) -> AuxiliaryGraph:
     t = tuple(sorted(t))
     if len(s) != len(t):
         raise PreconditionError("covers must have equal size")
-    for name, cover in (("s", s), ("t", t)):
-        cm = mask_of(cover)
+    sm, tm = mask_of(s), mask_of(t)
+    # g._memo keeps the masks already checked, so each cover is checked once
+    checked = g._memo.setdefault("aux_covers", set())
+    for name, cm in (("s", sm), ("t", tm)):
+        if cm in checked:
+            continue
         for u, v in g.edges:
             if not (cm >> u & 1) and not (cm >> v & 1):
                 raise PreconditionError(f"cover {name} misses edge "
                                         f"{g.labels[u]} {g.labels[v]}")
-    sm, tm = mask_of(s), mask_of(t)
+        checked.add(cm)
     left = tuple(bits(sm & ~tm))
     right = tuple(bits(tm & ~sm))
     shared = sm & tm

@@ -24,7 +24,7 @@ none of the matching-based decision machinery.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .covers import cover_configurations, enumerate_covers_up_to, mvc_mask
 from .errors import IntegrityError, PreconditionError, ResourceLimitError
@@ -81,13 +81,6 @@ class GameOutcome:
     survivors: list[Counts]
     ranks: dict[Counts, int]  # removal round; survivors are absent
     removal_trace: list[tuple[Counts, tuple[int, int]]]
-    _graph: Graph = field(repr=False, default=None)
-
-    def strategy_response(self, counts: Counts, attack: tuple[int, int]):
-        """Deterministic surviving response (target, moves) or None."""
-        return _best_response(
-            self._graph, self, counts, attack, surviving_only=True
-        )
 
 
 def _minus(counts: Counts, v: int) -> Counts:
@@ -152,7 +145,6 @@ def solve_guard_game(
         survivors=survivors,
         ranks={states[i]: r for i, _, r in removals},
         removal_trace=[(states[i], threat) for i, threat, _ in removals],
-        _graph=g,
     )
 
 

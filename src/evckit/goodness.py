@@ -13,8 +13,11 @@ targets, reached by every guard standing still.  Otherwise it tries the
 component's targets in order.  Each graph builds a component's induced
 subgraph, scans its covers and lists its targets once (``g._memo`` keeps
 them, keyed by the component mask and guard count), however many bad sets,
-covers and exits lead back to it.  The True/False answers are not kept, so
-``revalidate_bad_set`` recomputes every claim.
+covers and exits lead back to it.  ``g._memo`` also keeps each weak and
+strong verdict with its certificate, keyed by the configuration's guard
+count vector (multiset configurations share supports), so the battery and
+the acceptance sweep ask each question once per graph.
+``revalidate_bad_set`` keeps nothing and recomputes every claim.
 
 Searches enumerate candidate subsets of the independent side exhaustively
 (sound but exponential; sizes are capped and refusals are explicit).
@@ -90,6 +93,16 @@ def is_weakly_good(g: Graph, config) -> tuple[bool, BadSetCertificate | None]:
     """No removable subset of unoccupied vertices pins a component at exactly
     its cover number of guards."""
     cfg = _as_config(g, config)
+    memo = g._memo.setdefault("weakly_good", {})
+    got = memo.get(cfg.counts)
+    if got is None:
+        got = memo[cfg.counts] = _weakly_good(g, cfg)
+    return got
+
+
+def _weakly_good(
+    g: Graph, cfg: GuardConfiguration
+) -> tuple[bool, BadSetCertificate | None]:
     sup = _require_cover_support(g, cfg)
     for t_mask in _unoccupied_subsets(g, sup):
         rem = g.full_mask & ~t_mask
@@ -173,6 +186,16 @@ def is_strongly_good(g: Graph, config) -> tuple[bool, BadSetCertificate | None]:
     internal cross-check.
     """
     cfg = _as_config(g, config)
+    memo = g._memo.setdefault("strongly_good", {})
+    got = memo.get(cfg.counts)
+    if got is None:
+        got = memo[cfg.counts] = _strongly_good(g, cfg)
+    return got
+
+
+def _strongly_good(
+    g: Graph, cfg: GuardConfiguration
+) -> tuple[bool, BadSetCertificate | None]:
     sup = _require_cover_support(g, cfg)
     certificate = None
     for t_mask in _unoccupied_subsets(g, sup):
@@ -387,19 +410,9 @@ def necessary_conditions_report(
         cert = None
         partial = False
         if spartan_mode:
-            good_cache: dict[tuple[int, ...], bool] = {}
             for v in range(g.n):
                 holding = [c for c in cs.covers if v in c]
-                found = False
-                for cover in holding:
-                    if cover not in good_cache:
-                        good_cache[cover], _ = checker(
-                            g, GuardConfiguration.from_vertices(g, cover)
-                        )
-                    if good_cache[cover]:
-                        found = True
-                        break
-                if not found:
+                if not any(checker(g, cover)[0] for cover in holding):
                     cert = {
                         "kind": f"no_{cid.replace('-', '_')}",
                         "k": k,

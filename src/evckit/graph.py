@@ -123,8 +123,15 @@ class Graph:
         return tuple(v for v in range(self.n) if not self.adjacency[v])
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
-        """Subgraph induced by ``vertices``; labels are preserved."""
+        """Subgraph induced by ``vertices``; labels are preserved.
+
+        Given every vertex, this returns the graph itself (the same labels
+        and edges), so callers share its ``_memo``; any other set yields a
+        new graph with an empty memo.
+        """
         keep = sorted(set(vertices))
+        if keep == list(range(self.n)):
+            return self
         remap = {old: new for new, old in enumerate(keep)}
         keep_set = set(keep)
         edges = tuple(
@@ -259,11 +266,16 @@ def graph_json_obj(g: Graph) -> dict:
 # -- structural queries ---------------------------------------------------
 
 
-def mask_components(g: Graph, mask: int) -> list[int]:
+def mask_components(g: Graph, mask: int) -> tuple[int, ...]:
     """Connected components of the subgraph induced by ``mask``, as masks.
 
-    Ordered by smallest member index.
+    Ordered by smallest member index.  ``g._memo`` keeps the answer per mask;
+    it is a tuple, so no caller can change the kept value.
     """
+    memo = g._memo.setdefault("mask_components", {})
+    got = memo.get(mask)
+    if got is not None:
+        return got
     comps = []
     rest = mask
     adj = g.adj_mask
@@ -279,7 +291,8 @@ def mask_components(g: Graph, mask: int) -> list[int]:
             comp |= frontier
         comps.append(comp)
         rest &= ~comp
-    return comps
+    got = memo[mask] = tuple(comps)
+    return got
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:

@@ -247,13 +247,20 @@ def _crossing_adjacency(g: Graph, side_a, side_b) -> dict[int, tuple[int, ...]]:
 
 
 def max_matching_size(g: Graph) -> int:
+    """Maximum matching size of ``g``, kept in ``g._memo`` once computed."""
+    got = g._memo.get("max_matching_size")
+    if got is not None:
+        return got
     if g.m == 0:
-        return 0
-    if _is_bipartite(g):
+        got = 0
+    elif _is_bipartite(g):
         side0 = _bipartite_side0(g)
         pair = hopcroft_karp(side0, _crossing_adjacency(g, side0, _others(g, side0)))
-        return len(pair)
-    return _mm_size_mask(g, g.full_mask)
+        got = len(pair)
+    else:
+        got = _mm_size_mask(g, g.full_mask)
+    g._memo["max_matching_size"] = got
+    return got
 
 
 def _is_bipartite(g: Graph) -> bool:

@@ -9,7 +9,7 @@ question on closed neighbourhoods, answered by one guard-to-slot matching
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import PreconditionError
 from .graph import Graph, bits, mask_of
@@ -42,13 +42,6 @@ class GuardConfiguration:
         counts = [0] * g.n
         for v in vertices:
             counts[v] += 1
-        return GuardConfiguration(tuple(counts))
-
-    @staticmethod
-    def from_label_counts(g: Graph, mapping: Mapping[str, int]) -> "GuardConfiguration":
-        counts = [0] * g.n
-        for lab, c in mapping.items():
-            counts[g.index(lab)] += c
         return GuardConfiguration(tuple(counts))
 
 

@@ -55,10 +55,10 @@ def _elementary_by_cover_count(g: Graph) -> bool:
 
     for comp in connected_components(g):
         sub = g.induced(comp)
-        if isinstance(bipartition(sub), OddCycle):
+        sides = bipartition(sub)
+        if isinstance(sides, OddCycle):
             return False
         cs = enumerate_min_vcs(sub, cap=8)
-        sides = bipartition(sub)
         expected = {tuple(sides[0]), tuple(sides[1])}
         if set(cs.covers) != expected:
             return False

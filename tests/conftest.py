@@ -4,6 +4,7 @@ import pytest
 
 from evckit.corpus import fixtures
 from evckit.graph import Graph, is_connected
+from evckit.reachability import GuardConfiguration
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +34,11 @@ def random_graph_corpus(count: int, n_lo: int, n_hi: int, seed: int):
         random_connected_graph(rng.randint(n_lo, n_hi), rng.uniform(0.25, 0.9), rng)
         for _ in range(count)
     ]
+
+
+def config_of_labels(g: Graph, mapping) -> GuardConfiguration:
+    """``mapping[label]`` guards on each named vertex, none elsewhere."""
+    counts = [0] * g.n
+    for lab, c in mapping.items():
+        counts[g.index(lab)] += c
+    return GuardConfiguration(tuple(counts))

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from evckit.cli import main
-from evckit.corpus import exhaustive_connected, fixtures, generate_corpus
+from evckit.corpus import exhaustive_connected, fixtures, random_connected
 from evckit.errors import PreconditionError
 from evckit.graph import parse_edge_list
 from evckit.report import revalidate_certificate
@@ -331,12 +331,11 @@ def test_genuine_game_and_non_elementary_certificates_hold():
 
 
 def test_generate_corpus_counts():
-    assert len(generate_corpus({"kind": "exhaustive", "n": 4})) == 38
-    fx = generate_corpus({"kind": "fixtures"})
-    assert len(fx) == 10
-    rnd = generate_corpus({"kind": "random", "n": 8, "p": 0.4, "count": 12, "seed": 7})
+    assert len(list(exhaustive_connected(4))) == 38
+    assert len(fixtures()) == 10
+    rnd = random_connected(8, 0.4, 12, 7)
     assert len(rnd) == 12
-    rnd2 = generate_corpus({"kind": "random", "n": 8, "p": 0.4, "count": 12, "seed": 7})
+    rnd2 = random_connected(8, 0.4, 12, 7)
     assert [g.edges for g in rnd] == [g.edges for g in rnd2]  # seeded determinism
 
 

@@ -66,8 +66,13 @@ def test_build_aux_validates(named):
     c4 = named["C4"]
     with pytest.raises(PreconditionError):
         build_aux(c4, (0, 2), (1, 2, 3))  # unequal sizes
-    with pytest.raises(PreconditionError):
-        build_aux(c4, (0, 1), (1, 3))  # {a,b} misses edge cd
+    # each call names the first failing cover, s before t; a cover that
+    # fails is not kept among the checked ones, so it fails again
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="cover s misses edge c d"):
+            build_aux(c4, (0, 1), (1, 3))  # {a,b} misses edge cd
+        with pytest.raises(PreconditionError, match="cover t misses edge c d"):
+            build_aux(c4, (1, 3), (0, 1))
 
 
 def test_all_real_pm_examples(named):

@@ -119,7 +119,7 @@ def test_strategy_responses_stay_in_survivors():
             for a, b in g.edges:
                 if (state[a] > 0) == (state[b] > 0):
                     continue
-                resp = out.strategy_response(state, (a, b))
+                resp = game._best_response(g, out, state, (a, b), surviving_only=True)
                 assert resp is not None, (g.edges, state, (a, b))
                 target, moves = resp
                 assert target in survivors

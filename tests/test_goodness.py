@@ -11,10 +11,10 @@ from evckit.goodness import (
     necessary_conditions_report,
     revalidate_bad_set,
 )
-from evckit.graph import Graph, bits, cut_vertices
+from evckit.graph import Graph, bits, cut_vertices, mask_components, neighbors_of_set
 from evckit.reachability import GuardConfiguration, move_feasible_counts
 
-from conftest import random_graph_corpus
+from conftest import config_of_labels, random_graph_corpus
 
 # frozen n=7 instance: a minimum cover that is weakly good but not strongly
 # good (none exists on six or fewer vertices; verified exhaustively)
@@ -128,7 +128,7 @@ def test_multi_guard_configuration_weakly_good(named):
     # two guards on the star center plus one on a leaf: removing any leaf
     # subset still leaves a guard surplus everywhere
     k13 = named["K1,3"]
-    cfg = GuardConfiguration.from_label_counts(k13, {"c": 2, "x": 1})
+    cfg = config_of_labels(k13, {"c": 2, "x": 1})
     ok, _ = is_weakly_good(k13, cfg)
     assert ok
     ok, _ = is_strongly_good(k13, cfg)
@@ -228,3 +228,62 @@ def test_strongly_good_matches_plain_replacement_check(monkeypatch):
                 bad += 1
                 assert revalidate_bad_set(g, got[1]), (g.edges, got[1])
     assert checked > 1000 and bad > 100
+
+
+def test_kept_verdicts_match_a_fresh_graph():
+    # verdicts are kept per guard count vector; the (mvc+1)-guard
+    # configurations put several count vectors on one support
+    checked = shared = 0
+    for g in _shortcut_corpus():
+        configs = [cfg_of(g, c) for c in enumerate_min_vcs(g).covers]
+        configs += [
+            GuardConfiguration(c)
+            for c in cover_configurations(g, mvc_mask(g, g.full_mask) + 1)
+        ]
+        supports = set()
+        for cfg in configs:
+            weak = is_weakly_good(g, cfg)
+            strong = is_strongly_good(g, cfg)
+            assert is_weakly_good(g, cfg) is weak
+            assert is_strongly_good(g, cfg) is strong
+            fresh = Graph(g.labels, g.edges)
+            assert weak == is_weakly_good(fresh, cfg), (g.edges, cfg.counts)
+            assert strong == is_strongly_good(fresh, cfg), (g.edges, cfg.counts)
+            checked += 1
+            shared += cfg.support in supports
+            supports.add(cfg.support)
+    assert checked > 1000 and shared > 500
+
+
+def test_revalidation_ignores_kept_verdicts():
+    # a strongly bad cover with its verdict kept: a certificate naming an
+    # exit whose guards can in fact regroup is still rejected
+    g = Graph(tuple("abcdefg"), WEAK_NOT_STRONG_EDGES)
+    cfg = cfg_of(g, WEAK_NOT_STRONG_COVER)
+    strong, cert = is_strongly_good(g, cfg)
+    assert not strong and revalidate_bad_set(g, cert)
+    sup = cfg.support_mask
+    forged = 0
+    for t_mask in range(1, 1 << g.n):
+        if t_mask & sup:
+            continue
+        near = neighbors_of_set(g, t_mask)
+        for comp in mask_components(g, g.full_mask & ~t_mask):
+            guards = sum(cfg.counts[v] for v in bits(comp))
+            if guards == mvc_mask(g, comp):
+                continue
+            for v in bits(near & comp & sup):
+                residual = goodness._residual(cfg.counts, comp, v)
+                if not _plain_replacement_reachable(g, comp, residual, guards - 1):
+                    continue
+                claim = BadSetCertificate(
+                    kind="strongly_bad",
+                    support=cfg.support,
+                    counts=cfg.counts,
+                    bad_set=tuple(bits(t_mask)),
+                    component=tuple(bits(comp)),
+                    exit_vertex=v,
+                )
+                assert not revalidate_bad_set(g, claim), claim
+                forged += 1
+    assert forged > 0

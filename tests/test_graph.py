@@ -12,6 +12,7 @@ from evckit.graph import (
     cut_vertices,
     graph_json_obj,
     load_graph_text,
+    mask_components,
     parse_edge_list,
     parse_json_graph,
     serialize_edge_list,
@@ -181,3 +182,24 @@ def test_random_connected_graph_sizes():
     for n in (2, 10):
         g = random_connected_graph(n, 0.5, rng)
         assert g.n == n and g.m >= 1
+
+
+def test_mask_components_kept_per_mask():
+    rng = random.Random(29)
+    for g in random_graph_corpus(30, 2, 9, seed=313):
+        masks = [rng.randrange(1 << g.n) for _ in range(40)]
+        for mask in masks + masks:
+            got = mask_components(g, mask)
+            assert isinstance(got, tuple)
+            assert got == mask_components(Graph(g.labels, g.edges), mask), (g.edges, mask)
+
+
+def test_induced_whole_graph_is_the_graph(named):
+    for g in named.values():
+        assert g.induced(range(g.n)) is g
+        assert g.induced(reversed(range(g.n))) is g
+    bow = named["bowtie"]
+    connected_components(bow)  # fills the memo
+    assert bow._memo
+    sub = bow.induced(range(bow.n - 1))
+    assert sub is not bow and sub._memo == {}

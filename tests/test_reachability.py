@@ -14,7 +14,7 @@ from evckit.reachability import (
     move_feasible_counts,
 )
 
-from conftest import random_graph_corpus
+from conftest import config_of_labels, random_graph_corpus
 
 
 def brute_one_step_moves(g, counts):
@@ -53,7 +53,7 @@ def gale_feasible(g, c1, c2):
 
 
 def _configs(g, *label_counts):
-    return [GuardConfiguration.from_label_counts(g, lc) for lc in label_counts]
+    return [config_of_labels(g, lc) for lc in label_counts]
 
 
 def test_disjoint_paths_c5(named):
