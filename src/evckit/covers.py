@@ -4,7 +4,10 @@ plus the guard configurations that vertex covers support.
 Branch-and-bound on the maximum-degree vertex with a matching-based lower
 bound.  Enumeration collects *all* optimal covers (the fixpoint decider needs
 the full candidate universe), deduplicated and returned in lexicographic
-order; a cap guards against exponential cover counts.
+order; a cap guards against exponential cover counts.  The covers of every
+size up to k, which the game solver's states and the strongly-good targets
+stand on, are listed as complements of independent sets by branching, so
+their cost follows their number.
 """
 
 from __future__ import annotations
@@ -178,46 +181,77 @@ def min_vc_containing(g: Graph, v: int):
     return _cover_of_size_containing(g, k, 1 << v)
 
 
-def enumerate_covers_up_to(g: Graph, k: int) -> list[int]:
-    """All vertex covers (not only minimal ones) of size at most ``k``, as
-    masks in ascending order.
+def enumerate_covers_up_to(g: Graph, k: int, within: int | None = None) -> list[int]:
+    """All vertex covers (not only minimal ones) of size at most ``k`` of the
+    subgraph induced by the vertex mask ``within`` (default: every vertex),
+    as masks of ``g`` in ascending order.
 
-    Subset scan; intended for small graphs (the game solver's state space).
-    ``g._memo`` keeps the largest size scanned and the covers found, so the
-    game solver's rising k checks each subset once per graph.
+    Each cover is the complement in ``within`` of an independent set, so
+    ``_covers_between`` branches on independent sets and its work follows
+    the number of covers, not the 2^n subsets.  Refused above 20 vertices,
+    which caps the game solver's state spaces.  ``g._memo`` keeps, per
+    ``within``, the largest size enumerated and the covers found, so a
+    rising k enumerates only the new sizes.
     """
-    n = g.n
-    if n > 20:
+    if within is None:
+        within = g.full_mask
+    width = within.bit_count()
+    if width > 20:
         raise PreconditionError("cover scan capped at 20 vertices")
-    k = min(k, n)
-    done, covers = g._memo.get("covers_up_to", (-1, []))
+    k = min(k, width)
+    memo = g._memo.setdefault("covers_up_to", {})
+    done, covers = memo.get(within, (-1, []))
     if done < k:
-        found = []
-        edges = g.edges
-        for mask in range(1 << n):
-            if not done < mask.bit_count() <= k:
-                continue
-            ok = True
-            for u, w in edges:
-                if not (mask >> u & 1) and not (mask >> w & 1):
-                    ok = False
-                    break
-            if ok:
-                found.append(mask)
-        done, covers = k, sorted(covers + found)
-        g._memo["covers_up_to"] = (done, covers)
+        # both runs are ascending, so the sort is a linear merge
+        done, covers = k, sorted(covers + _covers_between(g, within, done + 1, k))
+        memo[within] = (done, covers)
     if k == done:
         return list(covers)
     return [mask for mask in covers if mask.bit_count() <= k]
 
 
-def cover_configurations(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
-    """Every k-guard count vector whose support is a vertex cover.
+def _covers_between(g: Graph, within: int, lo: int, hi: int) -> list[int]:
+    """The covers C of the subgraph induced by ``within`` with
+    lo <= |C| <= hi, ascending, as complements of its independent sets.
+
+    Depth first on the highest candidate vertex, taking it (and dropping its
+    neighbours) before skipping it, lists the independent sets in descending
+    mask order, hence their complements in ascending order.  A branch ends
+    when it cannot reach ``width - hi`` vertices, and takes no vertex once
+    it holds ``width - lo`` (a larger set gives a smaller cover).
+    """
+    adj = g.adj_mask
+    width = within.bit_count()
+    need = width - hi
+    room = width - lo
+    found: list[int] = []
+    stack = [(0, within, 0)]  # (independent set, candidates, its size)
+    while stack:
+        ind, cand, size = stack.pop()
+        if not cand or size == room:
+            found.append(within ^ ind)
+            continue
+        v = cand.bit_length() - 1
+        rest = cand ^ (1 << v)
+        if size + rest.bit_count() >= need:
+            stack.append((ind, rest, size))
+        take = rest & ~adj[v]
+        if size + 1 + take.bit_count() >= need:
+            stack.append((ind | 1 << v, take, size + 1))
+    return found
+
+
+def cover_configurations(
+    g: Graph, k: int, within: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Every k-guard count vector whose support is a vertex cover of the
+    subgraph induced by ``within`` (default: every vertex), over all of
+    ``g``'s vertices.
 
     Covers come in mask order; each takes one guard per support vertex and
     spreads the remaining guards over its support in every possible way.
     """
-    for cover_mask in enumerate_covers_up_to(g, k):
+    for cover_mask in enumerate_covers_up_to(g, k, within):
         support = tuple(bits(cover_mask))
         base = [0] * g.n
         for v in support:

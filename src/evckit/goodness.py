@@ -10,13 +10,15 @@ can still reach some cover of the component in a single simultaneous step.
 That replacement check answers True at once when the remaining guards
 already cover every edge of the component: they are then one of the
 targets, reached by every guard standing still.  Otherwise it tries the
-component's targets in order.  Each graph builds a component's induced
-subgraph, scans its covers and lists its targets once (``g._memo`` keeps
-them, keyed by the component mask and guard count), however many bad sets,
-covers and exits lead back to it.  ``g._memo`` also keeps each weak and
-strong verdict with its certificate, keyed by the configuration's guard
-count vector (multiset configurations share supports), so the battery and
-the acceptance sweep ask each question once per graph.
+component's targets in order: configurations on the graph's own vertices,
+drawn from the cover enumerator restricted to the component mask, and only
+as far as the first reachable one.  ``g._memo`` keeps the targets drawn,
+keyed by the component mask and guard count, so each is drawn once per
+graph however many bad sets, covers and exits lead back to it.  It also
+keeps each weak and strong verdict with its certificate, keyed by the
+configuration's guard count vector (multiset configurations share
+supports), so the battery and the acceptance sweep ask each question once
+per graph.
 ``revalidate_bad_set`` keeps nothing and recomputes every claim.
 
 Searches enumerate candidate subsets of the independent side exhaustively
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .covers import (
     cover_configurations,
@@ -130,30 +133,37 @@ def _residual(counts, comp_mask: int, exit_vertex: int) -> tuple[int, ...]:
 
 def _component_targets(
     g: Graph, comp_mask: int, guards_left: int
-) -> tuple[tuple[int, ...], ...]:
+) -> Iterator[tuple[int, ...]]:
     """Every ``guards_left``-guard configuration whose support covers the
-    component, as count vectors over ``g``, in ``cover_configurations`` order.
+    component, as count vectors over ``g``, in ``cover_configurations``
+    order, drawn only as far as the caller reads.
 
-    ``g._memo`` keeps the component's induced subgraph, keyed by the
-    component mask (so its cover scan is memoized too), and the targets,
-    keyed by the mask and ``guards_left``.
+    ``g._memo`` keeps, per component mask and ``guards_left``, the targets
+    drawn so far and the generator that draws the rest.  Each reader walks
+    the drawn list by index, so readers of one key that interleave each see
+    every target in order.
     """
     memo = g._memo.setdefault("component_targets", {})
-    targets = memo.get((comp_mask, guards_left))
-    if targets is None:
-        subs = g._memo.setdefault("component_graphs", {})
-        comp_vertices = tuple(bits(comp_mask))
-        sub = subs.get(comp_mask)
-        if sub is None:
-            sub = subs[comp_mask] = g.induced(comp_vertices)
-        lifted = []
-        for sub_counts in cover_configurations(sub, guards_left):
-            target = [0] * g.n
-            for v, c in zip(comp_vertices, sub_counts):
-                target[v] = c
-            lifted.append(tuple(target))
-        targets = memo[(comp_mask, guards_left)] = tuple(lifted)
-    return targets
+    key = (comp_mask, guards_left)
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = ([], cover_configurations(g, guards_left, comp_mask))
+    drawn, pending = entry
+    i = 0
+    while True:
+        if i == len(drawn):
+            try:
+                target = next(pending, None)
+            except BaseException:
+                # a generator that raised is finished: forget it, so that a
+                # later reader draws afresh instead of seeing a short list
+                del memo[key]
+                raise
+            if target is None:
+                return
+            drawn.append(target)
+        yield drawn[i]
+        i += 1
 
 
 def _replacement_reachable(

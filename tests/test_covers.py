@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from evckit import covers
 from evckit.covers import (
     brute_force_min_covers,
     cover_configurations,
@@ -143,20 +144,23 @@ def test_cover_configurations_edgeless():
     assert sorted(cover_configurations(g, 1)) == [(0, 1), (1, 0)]
 
 
-def test_cover_scan_memo_matches_brute_force_in_any_order():
-    # the scan is memoized per graph: whatever order the sizes are asked in,
-    # each answer equals an itertools brute force, stays ascending, is a
-    # fresh list, and every subset is edge-checked at most once
+def test_cover_scan_memo_matches_brute_force_in_any_order(monkeypatch):
+    # the enumeration is memoized per graph: whatever order the sizes are
+    # asked in, each answer equals an itertools brute force, stays ascending
+    # and is a fresh list; an ask at or below the largest size done
+    # enumerates nothing, a rising ask enumerates only the new sizes, and so
+    # every cover is enumerated exactly once
     import random
 
-    checks = 0
+    listed = []
+    enumerate_between = covers._covers_between
 
-    class CountingEdges(tuple):
-        def __iter__(self):  # the scan iterates the edges once per subset
-            nonlocal checks
-            checks += 1
-            return super().__iter__()
+    def counting(g, within, lo, hi):
+        found = enumerate_between(g, within, lo, hi)
+        listed.append((lo, hi, found))
+        return found
 
+    monkeypatch.setattr(covers, "_covers_between", counting)
     rng = random.Random(337)
     edgeless = [Graph((), ()), Graph(("a",), ()), Graph(("a", "b"), ())]
     for g0 in random_graph_corpus(30, 2, 9, seed=331) + edgeless:
@@ -173,11 +177,96 @@ def test_cover_scan_memo_matches_brute_force_in_any_order():
         orders.append(rng.sample(orders[0], len(orders[0])))
         for order in orders:
             g = Graph(g0.labels, g0.edges)
-            object.__setattr__(g, "edges", CountingEdges(g0.edges))
-            checks = 0
+            listed.clear()
+            done = -1
             for k in order + [-1]:
+                before = len(listed)
                 got = enumerate_covers_up_to(g, k)
                 assert got == expected.get(k, []), (g0.edges, order, k)
                 got.append(-1)  # callers own their list
                 assert enumerate_covers_up_to(g, k) == expected.get(k, [])
-            assert checks == 2**g0.n, (g0.edges, order)
+                new = listed[before:]
+                top = min(k, g0.n)
+                if top <= done:
+                    assert new == [], (g0.edges, order, k)
+                    continue
+                assert [(lo, hi) for lo, hi, _ in new] == [(done + 1, top)]
+                assert new[0][2] == [
+                    c for c in expected[top] if c.bit_count() > done
+                ], (g0.edges, order, k)
+                done = top
+            once = sorted(c for _, _, found in listed for c in found)
+            assert once == expected[g0.n], (g0.edges, order)
+
+
+def _path_or_cycle(n, closed):
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if closed:
+        edges.insert(1, (0, n - 1))
+    return Graph(tuple(f"v{i}" for i in range(n)), tuple(edges))
+
+
+def test_cover_counts_of_paths_and_cycles_match_closed_forms():
+    # a cover of size <= k is the complement of an independent set of at
+    # least n - k vertices; P_n has comb(n - j + 1, j) independent sets of
+    # size j and C_n has n / (n - j) * comb(n - j, j) (j < n), at sizes far
+    # beyond the brute force's reach
+    from math import comb
+
+    for closed, ns in ((False, range(2, 21)), (True, range(3, 21))):
+        for n in ns:
+            if closed:
+                sets = [1] + [n * comb(n - j, j) // (n - j) for j in range(1, n)] + [0]
+            else:
+                sets = [comb(n - j + 1, j) for j in range(n + 1)]
+            g = _path_or_cycle(n, closed)
+            full = enumerate_covers_up_to(g, n)
+            assert len(full) == sum(sets)
+            assert all(a < b for a, b in zip(full, full[1:]))
+            assert all(c >> u & 1 or c >> w & 1 for c in full for u, w in g.edges)
+            rising = _path_or_cycle(n, closed)
+            for k in range(n + 1):
+                want = [c for c in full if c.bit_count() <= k]
+                assert len(want) == sum(sets[n - k:]), (n, closed, k)
+                fresh = enumerate_covers_up_to(_path_or_cycle(n, closed), k)
+                assert fresh == want, (n, closed, k)
+                assert enumerate_covers_up_to(rising, k) == want, (n, closed, k)
+
+
+def test_covers_within_a_mask_match_brute_force():
+    # the covers of the subgraph induced by a vertex mask, as masks of the
+    # whole graph: every size, asked fresh and rising on one graph
+    import random
+
+    rng = random.Random(353)
+    for g0 in random_graph_corpus(40, 2, 10, seed=347):
+        for _ in range(4):
+            within = rng.getrandbits(g0.n)
+            inside = [v for v in range(g0.n) if within >> v & 1]
+            edges = [(u, w) for u, w in g0.edges if within >> u & 1 and within >> w & 1]
+            g = Graph(g0.labels, g0.edges)
+            for k in range(-1, len(inside) + 2):
+                want = sorted(
+                    sum(1 << v for v in combo)
+                    for size in range(min(k, len(inside)) + 1)
+                    for combo in itertools.combinations(inside, size)
+                    if all(u in combo or w in combo for u, w in edges)
+                )
+                fresh = Graph(g0.labels, g0.edges)
+                case = (g0.edges, within, k)
+                assert enumerate_covers_up_to(fresh, k, within) == want, case
+                assert enumerate_covers_up_to(g, k, within) == want, case
+            # the whole graph's memo is kept apart from the mask's
+            assert enumerate_covers_up_to(g, g0.n) == enumerate_covers_up_to(
+                Graph(g0.labels, g0.edges), g0.n
+            )
+
+
+def test_cover_enumeration_refused_above_twenty_vertices():
+    c21 = _path_or_cycle(21, True)
+    with pytest.raises(PreconditionError, match="cover scan capped at 20 vertices"):
+        enumerate_covers_up_to(c21, 11)
+    # a 20-vertex part of the same graph, the path P20, is answered: its
+    # 10-vertex covers are the complements of its comb(11, 10) largest
+    # independent sets
+    assert len(enumerate_covers_up_to(c21, 10, c21.full_mask >> 1)) == 11

@@ -1,8 +1,15 @@
+import itertools
+
 import pytest
 
 from evckit import goodness
-from evckit.corpus import exhaustive_connected
-from evckit.covers import cover_configurations, enumerate_min_vcs, mvc_mask
+from evckit.corpus import exhaustive_connected, random_connected
+from evckit.covers import (
+    cover_configurations,
+    enumerate_covers_up_to,
+    enumerate_min_vcs,
+    mvc_mask,
+)
 from evckit.errors import PreconditionError
 from evckit.goodness import (
     BadSetCertificate,
@@ -187,18 +194,24 @@ def test_bad_certificates_revalidate_on_corpus():
                 assert revalidate_bad_set(g, cert), (g.edges, cert)
 
 
-def _plain_replacement_reachable(g, comp_mask, residual, guards_left):
-    # the replacement check without the stay-put shortcut or the per-graph
-    # caches: a fresh induced subgraph and a full configuration scan
+def _lifted_targets(g, comp_mask, guards_left):
+    # the targets from a fresh induced subgraph, lifted to g's vertices
     comp_vertices = tuple(bits(comp_mask))
     sub = g.induced(comp_vertices)
     for sub_counts in cover_configurations(sub, guards_left):
         target = [0] * g.n
         for v, c in zip(comp_vertices, sub_counts):
             target[v] = c
-        if move_feasible_counts(g, residual, tuple(target)):
-            return True
-    return False
+        yield tuple(target)
+
+
+def _plain_replacement_reachable(g, comp_mask, residual, guards_left):
+    # the replacement check without the stay-put shortcut or the per-graph
+    # caches: a fresh induced subgraph and a full configuration scan
+    return any(
+        move_feasible_counts(g, residual, target)
+        for target in _lifted_targets(g, comp_mask, guards_left)
+    )
 
 
 def _shortcut_corpus():
@@ -287,3 +300,102 @@ def test_revalidation_ignores_kept_verdicts():
                 assert not revalidate_bad_set(g, claim), claim
                 forged += 1
     assert forged > 0
+
+
+def test_lazy_targets_follow_the_eager_order():
+    # targets drawn on g's own masks equal a fresh induced subgraph's
+    # configurations lifted to g, in the same order, read whole or in part
+    import random
+
+    rng = random.Random(419)
+    checked = 0
+    for g in random_graph_corpus(40, 2, 9, seed=421):
+        for _ in range(4):
+            comp = rng.randrange(1, 1 << g.n)
+            for guards_left in range(comp.bit_count() + 2):
+                want = list(_lifted_targets(g, comp, guards_left))
+                reader = goodness._component_targets(g, comp, guards_left)
+                head = list(itertools.islice(reader, 2))
+                assert head == want[:2], (g.edges, comp, guards_left)
+                got = list(goodness._component_targets(g, comp, guards_left))
+                assert got == want, (g.edges, comp, guards_left)
+                checked += len(got)
+    assert checked > 5000
+
+
+def _counting_draws(monkeypatch):
+    drawn = []
+    configurations = goodness.cover_configurations
+
+    def counting(*args):
+        for target in configurations(*args):
+            drawn.append(target)
+            yield target
+
+    monkeypatch.setattr(goodness, "cover_configurations", counting)
+    return drawn
+
+
+def test_replacement_check_draws_only_what_it_reads(monkeypatch):
+    c6 = Graph(tuple("abcdef"), ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)))
+    residual = (1, 0, 0, 1, 0, 0)  # leaves edges uncovered: no stay-put answer
+    drawn = _counting_draws(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(goodness, "move_feasible_counts", lambda g, c1, c2: True)
+        assert goodness._replacement_reachable(c6, c6.full_mask, residual, 3)
+        assert len(drawn) == 1
+        assert goodness._replacement_reachable(c6, c6.full_mask, residual, 3)
+        assert len(drawn) == 1  # read again from the drawn list
+    with monkeypatch.context() as m:
+        m.setattr(goodness, "move_feasible_counts", lambda g, c1, c2: False)
+        assert not goodness._replacement_reachable(c6, c6.full_mask, residual, 3)
+    assert drawn == list(_lifted_targets(c6, c6.full_mask, 3))
+
+
+def test_interleaved_readers_of_one_key_see_every_target():
+    g = Graph(tuple("abcdefg"), WEAK_NOT_STRONG_EDGES)
+    want = list(_lifted_targets(g, g.full_mask, 5))
+    assert len(want) > 20
+    readers = [goodness._component_targets(g, g.full_mask, 5) for _ in range(2)]
+    got = [[], []]
+    # the lead changes hands turn by turn, so each reader reads targets the
+    # other drew and then draws new ones
+    for steps in itertools.cycle([(2, 4), (5, 1), (1, 6), (6, 1)]):
+        more = [list(itertools.islice(r, step)) for r, step in zip(readers, steps)]
+        if not any(more):
+            break
+        for seen, items in zip(got, more):
+            seen += items
+    assert got == [want, want]
+    assert list(goodness._component_targets(g, g.full_mask, 5)) == want
+
+
+def test_a_failed_draw_is_not_kept():
+    # a 21-vertex component is refused; asking again must refuse again, not
+    # read the finished generator as a component without targets
+    c22 = Graph(
+        tuple(f"v{i}" for i in range(22)),
+        tuple(sorted([(i, i + 1) for i in range(21)] + [(0, 21)])),
+    )
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="capped at 20 vertices"):
+            next(goodness._component_targets(c22, c22.full_mask >> 1, 11))
+
+
+def test_battery_on_twenty_vertices_draws_few_targets(monkeypatch):
+    # a guard by work, not by wall time: on a seeded 20-vertex sparse graph
+    # the battery draws a few thousand targets, where listing every target
+    # of each component it meets would build millions
+    from math import comb
+
+    g = random_connected(20, 0.2, 1, 7)[0]
+    drawn = _counting_draws(monkeypatch)
+    report = necessary_conditions_report(g, mvc_mask(g, g.full_mask))
+    assert report["verdict"] == "necessary_conditions_hold"
+    keys = g._memo["component_targets"]
+    every = sum(
+        comb(k - 1, c.bit_count() - 1) if c else k == 0
+        for mask, k in keys
+        for c in enumerate_covers_up_to(g, k, mask)
+    )
+    assert (len(keys), len(drawn), every) == (1112, 3184, 4725547)
