@@ -9,13 +9,14 @@ timing block, which is the only run-dependent field).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 import time
 from pathlib import Path
 
 from . import report as rpt
-from .covers import enumerate_min_vcs
+from .covers import enumerate_min_vcs, mvc_mask
 from .decider import is_spartan, strategy_export
 from .defense import build_aux
 from .errors import (
@@ -30,7 +31,6 @@ from .game import evc, play_session
 from .goodness import necessary_conditions_report
 from .graph import Graph, OddCycle, bipartition, load_graph_text
 from .matching import is_essentially_elementary, max_matching_size
-from .covers import mvc_mask
 
 
 def _load(path: str) -> Graph:
@@ -39,31 +39,20 @@ def _load(path: str) -> Graph:
     return load_graph_text(Path(path).read_text())
 
 
-class _Timer:
-    def __init__(self):
-        self.phases: dict[str, float] = {}
-
-    def phase(self, name: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()
-
-            def __exit__(self_inner, *exc):
-                timer.phases[name] = round(
-                    (time.perf_counter() - self_inner.t0) * 1000.0, 3
-                )
-
-        return _Ctx()
+@contextlib.contextmanager
+def _phase(timings_ms: dict[str, float], name: str):
+    """Record the block's wall time in ``timings_ms[name]``, in milliseconds."""
+    t0 = time.perf_counter()
+    yield
+    timings_ms[name] = round((time.perf_counter() - t0) * 1000.0, 3)
 
 
-def _emit(report_obj: dict, timer: _Timer, json_mode: bool) -> None:
+def _emit(report_obj: dict, timings_ms: dict, json_mode: bool) -> None:
     if json_mode:
         print(rpt.canonical_json(report_obj))
     else:
         report_obj = dict(report_obj)
-        report_obj["timings_ms"] = timer.phases
+        report_obj["timings_ms"] = timings_ms
         print(rpt.pretty_json(report_obj))
 
 
@@ -73,8 +62,8 @@ def _cover_labels(g: Graph, covers) -> list[list[str]]:
 
 def cmd_mvc(args) -> int:
     g = _load(args.file)
-    timer = _Timer()
-    with timer.phase("enumerate"):
+    timings_ms: dict[str, float] = {}
+    with _phase(timings_ms, "enumerate"):
         cs = enumerate_min_vcs(g, cap=args.cap)
     out = rpt.base_report(g, "mvc")
     out["result"] = {
@@ -83,7 +72,7 @@ def cmd_mvc(args) -> int:
         "truncated": cs.truncated,
         "cap": cs.cap,
     }
-    _emit(out, timer, args.json)
+    _emit(out, timings_ms, args.json)
     return 0
 
 
@@ -91,8 +80,8 @@ def cmd_evc(args) -> int:
     if args.budget is not None and args.budget < 0:
         raise PreconditionError(f"--budget must be at least 0, got {args.budget}")
     g = _load(args.file)
-    timer = _Timer()
-    with timer.phase("solve"):
+    timings_ms: dict[str, float] = {}
+    with _phase(timings_ms, "solve"):
         result = evc(g, budget=args.budget)
     out = rpt.base_report(g, "evc")
     out["result"] = {
@@ -101,14 +90,14 @@ def cmd_evc(args) -> int:
         "components": result.per_component,
         "outcomes_by_guard_count": {str(k): w for k, w in result.outcomes.items()},
     }
-    _emit(out, timer, args.json)
+    _emit(out, timings_ms, args.json)
     return 0
 
 
 def cmd_spartan(args) -> int:
     g = _load(args.file)
-    timer = _Timer()
-    with timer.phase("decide"):
+    timings_ms: dict[str, float] = {}
+    with _phase(timings_ms, "decide"):
         verdict = is_spartan(
             g, method=args.method, cross_check=args.cross_check, cover_cap=args.cap
         )
@@ -145,14 +134,14 @@ def cmd_spartan(args) -> int:
             cc = {k: v for k, v in cc.items() if not k.endswith("_ms")}
         payload["cross_check"] = cc
     out["result"] = payload
-    _emit(out, timer, args.json)
+    _emit(out, timings_ms, args.json)
     return 0
 
 
 def cmd_konig(args) -> int:
     g = _load(args.file)
-    timer = _Timer()
-    with timer.phase("analyze"):
+    timings_ms: dict[str, float] = {}
+    with _phase(timings_ms, "analyze"):
         mm = max_matching_size(g)
         k = mvc_mask(g, g.full_mask)
         konig = mm == k
@@ -177,15 +166,15 @@ def cmd_konig(args) -> int:
         "spartan_if_konig": (bip_ok and elem) if konig else None,
         "odd_cycle": odd,
     }
-    _emit(out, timer, args.json)
+    _emit(out, timings_ms, args.json)
     return 0
 
 
 def cmd_certify(args) -> int:
     g = _load(args.file)
-    timer = _Timer()
+    timings_ms: dict[str, float] = {}
     k = args.k if args.k is not None else mvc_mask(g, g.full_mask)
-    with timer.phase("battery"):
+    with _phase(timings_ms, "battery"):
         battery = necessary_conditions_report(g, k)
     out = rpt.base_report(g, "certify")
     conditions = []
@@ -201,16 +190,16 @@ def cmd_certify(args) -> int:
         "verdict": battery["verdict"],
         "conditions": conditions,
     }
-    _emit(out, timer, args.json)
+    _emit(out, timings_ms, args.json)
     return 0
 
 
 def cmd_aux(args) -> int:
     g = _load(args.file)
-    timer = _Timer()
+    timings_ms: dict[str, float] = {}
     s = g.index_set(args.cover_s.split(","))
     t = g.index_set(args.cover_t.split(","))
-    with timer.phase("build"):
+    with _phase(timings_ms, "build"):
         aux = build_aux(g, s, t)
     out = rpt.base_report(g, "aux")
     out["result"] = {
@@ -226,7 +215,7 @@ def cmd_aux(args) -> int:
             for u, v, c in aux.helper_pairs
         ],
     }
-    _emit(out, timer, args.json)
+    _emit(out, timings_ms, args.json)
     return 0
 
 

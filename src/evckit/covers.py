@@ -1,13 +1,16 @@
-"""Exact minimum vertex covers: optimum, complete enumeration, per-vertex search,
-plus the guard configurations that vertex covers support.
+"""Exact minimum vertex covers and the guard configurations that vertex
+covers support.
 
-Branch-and-bound on the maximum-degree vertex with a matching-based lower
-bound.  Enumeration collects *all* optimal covers (the fixpoint decider needs
-the full candidate universe), deduplicated and returned in lexicographic
-order; a cap guards against exponential cover counts.  The covers of every
-size up to k, which the game solver's states and the strongly-good targets
-stand on, are listed as complements of independent sets by branching, so
-their cost follows their number.
+``mvc_mask`` finds the cover number by branch-and-bound on the
+maximum-degree vertex with a matching-based lower bound.  Every list of
+covers comes from one enumerator, ``_covers_between``, which branches on
+independent sets and returns their complements in ascending mask order, so
+its cost follows the number of covers: all minimum covers (the fixpoint
+decider needs the full candidate universe), the first minimum cover that
+contains a given vertex, and the covers of every size up to k that the game
+solver's states and the strongly-good targets stand on.  A cap guards
+against exponential minimum-cover counts; a truncated list keeps the covers
+with the smallest masks.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import PreconditionError
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits
 
 DEFAULT_COVER_CAP = 10_000
 
@@ -31,21 +34,19 @@ class CoverSet:
 
 
 def _greedy_matching_lb(g: Graph, mask: int) -> int:
-    # any matching size lower-bounds the cover number of the induced graph
+    """Size of a greedy matching of the subgraph induced by ``mask``, a lower
+    bound on its cover number.  Each vertex, from the highest down, takes
+    its highest free neighbour: on a tree whose vertices hang from lower
+    ones that is the leaf-up greedy, which finds a maximum matching."""
     adj = g.adj_mask
     avail = mask
     size = 0
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        if not avail & low:
-            continue
-        v = low.bit_length() - 1
-        nb = adj[v] & avail & ~low
+    while avail:
+        v = avail.bit_length() - 1
+        avail ^= 1 << v
+        nb = adj[v] & avail
         if nb:
-            w = nb & -nb
-            avail &= ~(low | w)
+            avail ^= 1 << (nb.bit_length() - 1)
             size += 1
     return size
 
@@ -90,95 +91,45 @@ def mvc_mask(g: Graph, mask: int) -> int:
 
 
 def mvc(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum vertex cover size plus one optimal cover as witness."""
-    k = mvc_mask(g, g.full_mask)
-    witness = _cover_of_size_containing(g, k, 0)
+    """Exact minimum vertex cover size plus, as witness, the optimal cover
+    with the smallest vertex mask."""
+    witness = _min_cover_containing(g, 0)
     assert witness is not None
-    return k, witness
+    return len(witness), witness
 
 
-def _cover_of_size_containing(g: Graph, k: int, forced_mask: int):
-    """First (in deterministic branch order) cover of size exactly k that
-    contains ``forced_mask``, or None."""
-    if forced_mask.bit_count() > k:
-        return None
-    found: list[tuple[int, ...]] = []
-
-    def branch(m: int, chosen: int) -> bool:
-        size = chosen.bit_count()
-        v = _max_degree_vertex(g, m)
-        if v < 0:
-            # chosen is now a cover containing the forced set, so size >= mvc
-            if size == k:
-                found.append(tuple(bits(chosen)))
-                return True
-            return False
-        if size + _greedy_matching_lb(g, m) > k:
-            return False
-        if branch(m ^ (1 << v), chosen | (1 << v)):
-            return True
-        nb = g.adj_mask[v] & m
-        return branch(m & ~((1 << v) | nb), chosen | nb)
-
-    # restrict branching to endpoints of edges the forced set leaves uncovered
-    live = 0
-    for u, w in g.edges:
-        if not (forced_mask >> u & 1) and not (forced_mask >> w & 1):
-            live |= (1 << u) | (1 << w)
-    branch(live, forced_mask)
-    return found[0] if found else None
+def _min_cover_containing(g: Graph, forced: int):
+    """The minimum cover with the smallest mask among those containing the
+    vertex mask ``forced``, or None: ``forced`` plus a cover of G - forced
+    of size mvc(G) - |forced|."""
+    size = mvc_mask(g, g.full_mask) - forced.bit_count()
+    found = _covers_between(g, g.full_mask & ~forced, size, size, limit=1)
+    return tuple(bits(found[0] | forced)) if found else None
 
 
 def enumerate_min_vcs(g: Graph, cap: int = DEFAULT_COVER_CAP) -> CoverSet:
     """All minimum vertex covers, lexicographic, up to ``cap``; memoized in
-    ``g._memo`` per cap (a ``CoverSet`` is immutable)."""
+    ``g._memo`` per cap (a ``CoverSet`` is immutable).  A truncated list
+    keeps the ``cap`` covers with the smallest vertex masks."""
     if cap < 1:
         raise PreconditionError("cap must be at least 1")
     memo = g._memo.setdefault("min_vcs", {})
     if cap not in memo:
-        memo[cap] = _enumerate_min_vcs(g, cap)
+        k = mvc_mask(g, g.full_mask)
+        found = _covers_between(g, g.full_mask, k, k, limit=cap + 1)
+        covers = tuple(sorted(tuple(bits(c)) for c in found[:cap]))
+        truncated = len(found) > cap
+        memo[cap] = CoverSet(size=k, covers=covers, truncated=truncated, cap=cap)
     return memo[cap]
 
 
-def _enumerate_min_vcs(g: Graph, cap: int) -> CoverSet:
-    k = mvc_mask(g, g.full_mask)
-    out: set[int] = set()
-    overflow = False
-
-    def branch(m: int, chosen: int) -> None:
-        nonlocal overflow
-        if overflow:
-            return
-        v = _max_degree_vertex(g, m)
-        if v < 0:
-            # chosen covers every edge; keep it only when optimal
-            if chosen.bit_count() == k:
-                out.add(chosen)
-                if len(out) > cap:
-                    overflow = True
-            return
-        if chosen.bit_count() + _greedy_matching_lb(g, m) > k:
-            return
-        branch(m ^ (1 << v), chosen | (1 << v))
-        nb = g.adj_mask[v] & m
-        branch(m & ~((1 << v) | nb), chosen | nb)
-
-    if g.m == 0:
-        return CoverSet(size=0, covers=((),), truncated=False, cap=cap)
-    branch(g.full_mask, 0)
-    covers = sorted(tuple(bits(c)) for c in out)
-    if overflow:
-        covers = covers[:cap]
-    return CoverSet(size=k, covers=tuple(covers), truncated=overflow, cap=cap)
-
-
 def min_vc_containing(g: Graph, v: int):
-    """Some minimum vertex cover containing ``v``, or None if every minimum
-    cover avoids it (a certificate that the graph is not Spartan)."""
+    """The minimum vertex cover with the smallest mask among those that
+    contain ``v``, or None if every minimum cover avoids it (a certificate
+    that the graph is not Spartan)."""
     if not 0 <= v < g.n:
         raise PreconditionError(f"vertex index {v} out of range")
-    k = mvc_mask(g, g.full_mask)
-    return _cover_of_size_containing(g, k, 1 << v)
+    return _min_cover_containing(g, 1 << v)
 
 
 def enumerate_covers_up_to(g: Graph, k: int, within: int | None = None) -> list[int]:
@@ -210,30 +161,44 @@ def enumerate_covers_up_to(g: Graph, k: int, within: int | None = None) -> list[
     return [mask for mask in covers if mask.bit_count() <= k]
 
 
-def _covers_between(g: Graph, within: int, lo: int, hi: int) -> list[int]:
-    """The covers C of the subgraph induced by ``within`` with
-    lo <= |C| <= hi, ascending, as complements of its independent sets.
+def _covers_between(
+    g: Graph, within: int, lo: int, hi: int, limit: int | None = None
+) -> list[int]:
+    """The first ``limit`` (default: all) covers C of the subgraph induced by
+    ``within`` with lo <= |C| <= hi, ascending, as complements of its
+    independent sets.
 
     Depth first on the highest candidate vertex, taking it (and dropping its
     neighbours) before skipping it, lists the independent sets in descending
     mask order, hence their complements in ascending order.  A branch ends
     when it cannot reach ``width - hi`` vertices, and takes no vertex once
-    it holds ``width - lo`` (a larger set gives a smaller cover).
+    it holds ``width - lo`` (a larger set gives a smaller cover).  An
+    independent set of the candidates leaves out one end of every edge of a
+    greedy matching among them, which bounds the branch from above.
     """
     adj = g.adj_mask
     width = within.bit_count()
     need = width - hi
     room = width - lo
     found: list[int] = []
-    stack = [(0, within, 0)]  # (independent set, candidates, its size)
+    # (independent set, candidates, its size); a negative hi admits no cover
+    stack = [(0, within, 0)] if hi >= 0 else []
     while stack:
         ind, cand, size = stack.pop()
         if not cand or size == room:
             found.append(within ^ ind)
+            if len(found) == limit:
+                break
             continue
+        free = cand.bit_count()
+        # a matching has at most free // 2 edges, so the bound can end the
+        # branch only when size + ceil(free / 2) falls short of need
+        if size + free - free // 2 < need:
+            if size + free - _greedy_matching_lb(g, cand) < need:
+                continue
         v = cand.bit_length() - 1
         rest = cand ^ (1 << v)
-        if size + rest.bit_count() >= need:
+        if size + free - 1 >= need:
             stack.append((ind, rest, size))
         take = rest & ~adj[v]
         if size + 1 + take.bit_count() >= need:
@@ -263,18 +228,3 @@ def cover_configurations(
             for v in extra:
                 counts[v] += 1
             yield tuple(counts)
-
-
-def brute_force_min_covers(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
-    """Subset brute force; test oracle for the branch-and-bound paths."""
-    if g.m == 0:
-        return 0, [()]
-    for size in range(g.n + 1):
-        found = []
-        for combo in itertools.combinations(range(g.n), size):
-            cm = mask_of(combo)
-            if all((cm >> u & 1) or (cm >> v & 1) for u, v in g.edges):
-                found.append(combo)
-        if found:
-            return size, found
-    raise AssertionError("unreachable")

@@ -1,12 +1,11 @@
-"""Maximum matchings, forced-edge perfect matchings, and Hall-condition machinery.
+"""Maximum matchings, the pairs that lie in some perfect matching, and
+Hall-condition machinery.
 
 General graphs go through augmenting-path search with blossom contraction;
 bipartite graphs use layered (Hopcroft-Karp) augmentation.  Given one
 perfect matching, ``matchable_classes`` tells every pair that lies in some
 perfect matching with one strong-component pass; the elementary test and the
-defense scan's yes/no answers use it.  A subset-DP
-oracle (`exhaustive_max_matching_size`) is kept for small graphs so the fast
-algorithms can be cross-checked against an independent route.
+defense scan's yes/no answers use it.
 """
 
 from __future__ import annotations
@@ -310,62 +309,6 @@ def max_matching(g: Graph) -> Matching:
             if len(chosen) == target:
                 break
     return tuple(chosen)
-
-
-def exhaustive_max_matching_size(g: Graph) -> int:
-    """Independent oracle: subset DP over vertex masks (small graphs only)."""
-    if g.n > 22:
-        raise PreconditionError("exhaustive matching oracle capped at 22 vertices")
-    adj = g.adj_mask
-    memo = g._memo.setdefault("mm_dp", {})
-
-    def rec(mask: int) -> int:
-        if mask == 0:
-            return 0
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        v = (mask & -mask).bit_length() - 1
-        best = rec(mask ^ (1 << v))  # leave v unmatched
-        nb = adj[v] & mask
-        for w in bits(nb):
-            best = max(best, 1 + rec(mask ^ (1 << v) ^ (1 << w)))
-        memo[mask] = best
-        return best
-
-    return rec(g.full_mask)
-
-
-def perfect_matching_through_edge(g: Graph, side_a, side_b, e) -> Matching | None:
-    """Perfect matching of the bipartite subgraph between the sides that
-    contains the edge ``e``, or ``None``.
-
-    Implemented by deleting e's endpoints, matching the rest, re-adding e.
-    """
-    sa, sb = set(side_a), set(side_b)
-    if sa & sb:
-        raise PreconditionError("sides must be disjoint")
-    if len(sa) != len(sb):
-        raise PreconditionError("sides must have equal size")
-    for side in (side_a, side_b):
-        smask = mask_of(side)
-        for v in side:
-            if g.adj_mask[v] & smask:
-                raise PreconditionError("each side must be an independent set")
-    a, b = e
-    if a in sb and b in sa:
-        a, b = b, a
-    if a not in sa or b not in sb:
-        raise PreconditionError("edge must cross the bipartition")
-    if not g.has_edge(a, b):
-        raise PreconditionError(f"{g.labels[a]} {g.labels[b]} is not an edge")
-    rest_a = [x for x in side_a if x != a]
-    rest_b = [x for x in side_b if x != b]
-    adj = _crossing_adjacency(g, rest_a, rest_b)
-    pair = hopcroft_karp(rest_a, adj)
-    if len(pair) != len(rest_a):
-        return None
-    return canonical_matching(list(pair.items()) + [(a, b)])
 
 
 @dataclass(frozen=True)

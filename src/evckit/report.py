@@ -138,7 +138,7 @@ def delabelize(g: Graph, obj, active: bool = False):
 
 def revalidate_certificate(g: Graph, cert: dict) -> bool:
     """Re-check a (label-space) certificate against the graph from scratch."""
-    from .covers import enumerate_min_vcs, min_vc_containing, mvc_mask
+    from .covers import enumerate_min_vcs, mvc_mask
     from .goodness import BadSetCertificate, revalidate_bad_set
     from .graph import OddCycle, bipartition, connected_components
     from .matching import is_essentially_elementary, max_matching_size
@@ -153,7 +153,11 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
             g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))
         )
     if kind == "vertex_in_no_min_cover":
-        return min_vc_containing(g, data["vertex"]) is None
+        # checked apart from the cover listing that found it: v lies in no
+        # minimum cover iff deleting it leaves the cover number unchanged
+        v = data["vertex"]
+        full = g.full_mask
+        return 0 <= v < g.n and mvc_mask(g, full & ~(1 << v)) == mvc_mask(g, full)
     if kind == "hall_violator":
         x = set(data["violator"])
         nb = neighbors_of_set(g, mask_of(x))

@@ -1,9 +1,13 @@
+import functools
+import itertools
 import random
 
 import pytest
 
 from evckit.corpus import fixtures
-from evckit.graph import Graph, is_connected
+from evckit.errors import PreconditionError
+from evckit.graph import Graph, bits, is_connected, mask_of
+from evckit.matching import canonical_matching, hopcroft_karp
 from evckit.reachability import GuardConfiguration
 
 
@@ -42,3 +46,68 @@ def config_of_labels(g: Graph, mapping) -> GuardConfiguration:
     for lab, c in mapping.items():
         counts[g.index(lab)] += c
     return GuardConfiguration(tuple(counts))
+
+
+# -- independent oracles for the fast routes in src/ ------------------------
+
+
+def brute_force_min_covers(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
+    """Every minimum vertex cover by subset brute force, lexicographic."""
+    if g.m == 0:
+        return 0, [()]
+    for size in range(g.n + 1):
+        found = []
+        for combo in itertools.combinations(range(g.n), size):
+            cm = mask_of(combo)
+            if all((cm >> u & 1) or (cm >> v & 1) for u, v in g.edges):
+                found.append(combo)
+        if found:
+            return size, found
+    raise AssertionError("unreachable")
+
+
+def exhaustive_max_matching_size(g: Graph) -> int:
+    """Maximum matching size by a subset DP over vertex masks."""
+    adj = g.adj_mask
+
+    @functools.cache
+    def rec(mask: int) -> int:
+        if mask == 0:
+            return 0
+        v = (mask & -mask).bit_length() - 1
+        best = rec(mask ^ (1 << v))  # leave v unmatched
+        for w in bits(adj[v] & mask):
+            best = max(best, 1 + rec(mask ^ (1 << v) ^ (1 << w)))
+        return best
+
+    return rec(g.full_mask)
+
+
+def perfect_matching_through_edge(g: Graph, side_a, side_b, e):
+    """Perfect matching of the bipartite subgraph between the sides that
+    contains the edge ``e``, or ``None``: delete e's endpoints, match the
+    rest with Hopcroft-Karp, re-add e."""
+    sa, sb = set(side_a), set(side_b)
+    if sa & sb:
+        raise PreconditionError("sides must be disjoint")
+    if len(sa) != len(sb):
+        raise PreconditionError("sides must have equal size")
+    for side in (side_a, side_b):
+        smask = mask_of(side)
+        for v in side:
+            if g.adj_mask[v] & smask:
+                raise PreconditionError("each side must be an independent set")
+    a, b = e
+    if a in sb and b in sa:
+        a, b = b, a
+    if a not in sa or b not in sb:
+        raise PreconditionError("edge must cross the bipartition")
+    if not g.has_edge(a, b):
+        raise PreconditionError(f"{g.labels[a]} {g.labels[b]} is not an edge")
+    rest_a = [x for x in side_a if x != a]
+    rest_b = mask_of(x for x in side_b if x != b)
+    adj = {x: tuple(bits(g.adj_mask[x] & rest_b)) for x in rest_a}
+    pair = hopcroft_karp(rest_a, adj)
+    if len(pair) != len(rest_a):
+        return None
+    return canonical_matching(list(pair.items()) + [(a, b)])

@@ -223,6 +223,15 @@ def test_forged_certificate_rejected(cert):
     assert not revalidate_certificate(parse_edge_list("a b\nb c\nc d\nd a\n"), cert)
 
 
+def test_vertex_in_no_min_cover_is_rechecked_on_the_cover_number():
+    # P3's minimum cover is {b}: a and c lie in no minimum cover, b does, and
+    # an index outside the graph names no vertex
+    p3 = parse_edge_list("a b\nb c\n")
+    for vertex, holds in (("a", True), ("c", True), ("b", False), (3, False), (-1, False)):
+        cert = {"kind": "vertex_in_no_min_cover", "vertex": vertex}
+        assert revalidate_certificate(p3, cert) == holds, vertex
+
+
 P5 = parse_edge_list("a b\nb c\nc d\nd e\n")  # one minimum cover, {b, d}
 # a triangle with a pendant: covers {a, c} and {b, c}, both lost on c -> d
 TAILED = parse_edge_list("a b\nb c\nc a\nc d\n")

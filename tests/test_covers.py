@@ -4,7 +4,6 @@ import pytest
 
 from evckit import covers
 from evckit.covers import (
-    brute_force_min_covers,
     cover_configurations,
     enumerate_covers_up_to,
     enumerate_min_vcs,
@@ -12,9 +11,9 @@ from evckit.covers import (
     mvc,
 )
 from evckit.errors import PreconditionError
-from evckit.graph import Graph
+from evckit.graph import Graph, bits
 
-from conftest import random_graph_corpus
+from conftest import brute_force_min_covers, random_graph_corpus
 
 
 def test_mvc_footnote(named):
@@ -79,6 +78,21 @@ def test_enumerate_is_memoized_per_cap(named):
     assert not full.truncated and len(full.covers) == 5
     assert capped.truncated and capped.covers == full.covers[:2]
     assert enumerate_min_vcs(g) is full and enumerate_min_vcs(g, cap=2) is capped
+    # at every cap a truncated list keeps the covers with the smallest vertex
+    # masks, sorted lexicographically, and is flagged exactly when a cover is
+    # left out
+    many = [_path_or_cycle(n, True) for n in (7, 8, 9, 11)]
+    many += [Graph(tuple("abcdef"), tuple(itertools.combinations(range(6), 2)))]
+    for g0 in random_graph_corpus(40, 2, 10, seed=359) + many:
+        g = Graph(g0.labels, g0.edges)
+        full = enumerate_min_vcs(g)
+        masks = sorted(sum(1 << v for v in c) for c in full.covers)
+        for cap in range(1, len(masks) + 1):
+            capped = enumerate_min_vcs(g, cap=cap)
+            assert capped.size == full.size and capped.cap == cap
+            assert capped.covers == tuple(sorted(tuple(bits(m)) for m in masks[:cap]))
+            assert capped.truncated == (len(masks) > cap), (g0.edges, cap)
+            assert enumerate_min_vcs(g, cap=cap) is capped
 
 
 def test_enumerate_cap_validation(named):
@@ -149,14 +163,14 @@ def test_cover_scan_memo_matches_brute_force_in_any_order(monkeypatch):
     # asked in, each answer equals an itertools brute force, stays ascending
     # and is a fresh list; an ask at or below the largest size done
     # enumerates nothing, a rising ask enumerates only the new sizes, and so
-    # every cover is enumerated exactly once
+    # every cover is enumerated exactly once; a limit of j lists the first j
     import random
 
     listed = []
     enumerate_between = covers._covers_between
 
-    def counting(g, within, lo, hi):
-        found = enumerate_between(g, within, lo, hi)
+    def counting(g, within, lo, hi, limit=None):
+        found = enumerate_between(g, within, lo, hi, limit)
         listed.append((lo, hi, found))
         return found
 
@@ -194,6 +208,10 @@ def test_cover_scan_memo_matches_brute_force_in_any_order(monkeypatch):
                 assert new[0][2] == [
                     c for c in expected[top] if c.bit_count() > done
                 ], (g0.edges, order, k)
+                for j in range(1, len(new[0][2]) + 2):
+                    assert enumerate_between(
+                        g, g.full_mask, done + 1, top, limit=j
+                    ) == new[0][2][:j], (g0.edges, order, k, j)
                 done = top
             once = sorted(c for _, _, found in listed for c in found)
             assert once == expected[g0.n], (g0.edges, order)
@@ -270,3 +288,27 @@ def test_cover_enumeration_refused_above_twenty_vertices():
     # 10-vertex covers are the complements of its comb(11, 10) largest
     # independent sets
     assert len(enumerate_covers_up_to(c21, 10, c21.full_mask >> 1)) == 11
+
+
+def test_min_covers_above_twenty_vertices_match_closed_forms():
+    # minimum covers are listed without the 20-vertex cap of the cover scan:
+    # odd C_n has n minimum covers of size (n + 1) / 2, even C_n its two
+    # colour classes, and P_2m has m + 1 minimum covers of size m
+    for n in range(21, 25):
+        cs = enumerate_min_vcs(_path_or_cycle(n, True))
+        assert cs.size == (n + 1) // 2 and not cs.truncated
+        if n % 2:
+            assert len(cs.covers) == n
+        else:
+            assert cs.covers == (tuple(range(0, n, 2)), tuple(range(1, n, 2)))
+    cs = enumerate_min_vcs(_path_or_cycle(30, False))
+    assert cs.size == 15 and len(cs.covers) == 16 and not cs.truncated
+    c24 = _path_or_cycle(24, True)
+    for v in range(24):
+        got = min_vc_containing(c24, v)
+        assert got is not None and v in got and len(got) == 12
+    # P31's one minimum cover is its 15 odd vertices, so it misses both ends
+    p31 = _path_or_cycle(31, False)
+    assert enumerate_min_vcs(p31).covers == (tuple(range(1, 31, 2)),)
+    assert min_vc_containing(p31, 0) is None
+    assert min_vc_containing(p31, 30) is None

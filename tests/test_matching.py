@@ -10,7 +10,6 @@ from evckit.graph import Graph, bipartition, connected_components
 from evckit.matching import (
     ElementaryWitness,
     HallWitness,
-    exhaustive_max_matching_size,
     hall_check,
     hopcroft_karp,
     is_elementary,
@@ -18,12 +17,15 @@ from evckit.matching import (
     max_matching,
     matchable_classes,
     max_matching_size,
-    perfect_matching_through_edge,
     proper_tight_set,
 )
-from evckit.covers import brute_force_min_covers
 
-from conftest import random_graph_corpus
+from conftest import (
+    brute_force_min_covers,
+    exhaustive_max_matching_size,
+    perfect_matching_through_edge,
+    random_graph_corpus,
+)
 
 
 def brute_all_max_matchings(g):
