@@ -155,7 +155,7 @@ def cmd_konig(args) -> int:
                 bip_ok = False
                 odd = [g.induced(comp).labels[i] for i in res.vertices]
                 break
-        elem, _ = is_essentially_elementary(g) if bip_ok else (False, None)
+        elem = bip_ok and is_essentially_elementary(g)
     out = rpt.base_report(g, "konig")
     out["result"] = {
         "max_matching": mm,

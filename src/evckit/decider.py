@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .covers import DEFAULT_COVER_CAP, enumerate_min_vcs, mvc_mask
-from .defense import Defense, DefenseContext, DefenseStats, check_defense
+from .defense import DefenseContext, DefenseStats, GuardPaths, check_defense
 from .errors import IntegrityError, PreconditionError
 from .fixpoint import greatest_fixpoint, oriented_attacks
 from .graph import (
@@ -29,7 +29,6 @@ from .graph import (
     require_analysis_ready,
 )
 from .matching import is_elementary, max_matching_size
-from .reachability import PathSystem
 from .report import delabelize, labelize
 
 
@@ -38,7 +37,7 @@ class DefenseFamily:
     """Minimum covers closed under defended attacks, plus the transition table."""
 
     covers: tuple[tuple[int, ...], ...]
-    transitions: dict[tuple[int, tuple[int, int]], tuple[int, PathSystem]]
+    transitions: dict[tuple[int, tuple[int, int]], tuple[int, GuardPaths]]
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ def spartan_fixpoint(
     g: Graph,
     *,
     covers=None,
-    cover_cap: int = DEFAULT_COVER_CAP,
     stats: DefenseStats | None = None,
 ):
     """Greatest fixpoint of the defended-attack operator over minimum covers.
@@ -74,7 +72,7 @@ def spartan_fixpoint(
     proving emptiness.
     """
     if covers is None:
-        cs = enumerate_min_vcs(g, cap=cover_cap)
+        cs = enumerate_min_vcs(g)
         if cs.truncated:
             raise PreconditionError(
                 "fixpoint needs the complete minimum-cover enumeration"
@@ -96,7 +94,7 @@ def spartan_fixpoint(
     transitions = {}
     for (i, attack), (j, _) in answers.items():
         defense = check_defense(g, covers[i], attack, (covers[j],), ctx)
-        if not isinstance(defense, Defense):
+        if defense is None:
             raise IntegrityError(
                 "the reducer cannot witness a defense the matchable classes allow"
             )
@@ -133,7 +131,7 @@ def _decide_component(
             max_matching=mm,
         )
     if method != "fixpoint" and mm == k:
-        return _decide_konig(g, cs, k, mm, cover_cap=cover_cap, stats=stats)
+        return _decide_konig(g, cs, k, mm, stats=stats)
     result = spartan_fixpoint(g, covers=cs.covers, stats=stats)
     if isinstance(result, DefenseFamily):
         return SpartanVerdict(
@@ -154,7 +152,7 @@ def _decide_component(
 
 
 def _decide_konig(
-    g: Graph, cs, k: int, mm: int, *, cover_cap: int, stats: DefenseStats | None
+    g: Graph, cs, k: int, mm: int, *, stats: DefenseStats | None
 ) -> SpartanVerdict:
     """Koenig component (max matching = cover number): Spartan iff bipartite
     and elementary; the fixpoint still runs on a positive answer so the
@@ -205,16 +203,8 @@ def _decide_lifted(g: Graph, comp: tuple[int, ...], **kwargs) -> SpartanVerdict:
         verdict.family = DefenseFamily(
             covers=tuple(tr(c) for c in family.covers),
             transitions={
-                (ci, tr(attack)): (
-                    ti,
-                    PathSystem(
-                        paths=tuple(tr(p) for p in ps.paths),
-                        sources=tr(ps.sources),
-                        sinks=tr(ps.sinks),
-                        allowed_interior=tr(ps.allowed_interior),
-                    ),
-                )
-                for (ci, attack), (ti, ps) in family.transitions.items()
+                (ci, tr(attack)): (ti, tuple(tr(p) for p in paths))
+                for (ci, attack), (ti, paths) in family.transitions.items()
             },
         )
     if verdict.certificate is not None:
@@ -299,7 +289,7 @@ def strategy_export(family: DefenseFamily, g: Graph) -> dict:
                 "from": ci,
                 "attack": [g.labels[attack[0]], g.labels[attack[1]]],
                 "to": ti,
-                "moves": [list(g.labels_of(p)) for p in paths.paths],
+                "moves": [list(g.labels_of(p)) for p in paths],
             }
         )
     return {
@@ -333,7 +323,7 @@ def validate_defense_family(g: Graph, family: DefenseFamily) -> list[str]:
             if target not in cover_set:
                 problems.append(f"transition target {target} left the family")
                 continue
-            moves = paths.moves()
+            moves = tuple(step for p in paths for step in zip(p, p[1:]))
             if attack not in moves:
                 problems.append(f"no guard crosses {attack} in {moves}")
                 continue

@@ -44,9 +44,11 @@ from functools import cached_property
 from .errors import IntegrityError, PreconditionError
 from .graph import Graph, bits, mask_components, mask_of
 from .matching import hopcroft_karp, matchable_classes
-from .reachability import PathSystem
 
 REAL = -1  # tag for real edges; helper tags are color indices >= 0
+# vertex-disjoint guard chains, each from a vacated vertex of S - T to a
+# newly occupied one of T - S, interiors inside S n T
+GuardPaths = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,6 @@ class AuxiliaryGraph:
     @cached_property
     def dead_mask(self) -> int:
         return mask_of(self.dead_zone)
-
-    @cached_property
-    def shared(self) -> tuple[int, ...]:
-        """S n T, where guard chains may pass through."""
-        return tuple(bits(mask_of(self.cover_s) & mask_of(self.cover_t)))
 
     @cached_property
     def _helper_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -530,7 +527,7 @@ def matching_to_paths(
     aux: AuxiliaryGraph,
     rm: RainbowMatching,
     via: dict[tuple[int, int], int] | None = None,
-) -> PathSystem:
+) -> GuardPaths:
     """Expand a rainbow matching into vertex-disjoint guard chains.
 
     Real edges become single steps; a helper edge of color i threads through
@@ -551,14 +548,9 @@ def matching_to_paths(
         through = via.get((u, v)) if via else None
         interior = _interior_path(g, cmask, start_opts, end_opts, through)
         paths.append((u, *interior, v))
-    ps = PathSystem(
-        paths=tuple(paths),
-        sources=aux.left,
-        sinks=aux.right,
-        allowed_interior=aux.shared,
-    )
-    _validate_defense_paths(g, aux, ps)
-    return ps
+    paths = tuple(paths)
+    _validate_defense_paths(g, aux, paths)
+    return paths
 
 
 def _interior_path(
@@ -615,11 +607,11 @@ def _bfs_inside(g, cmask: int, sources_mask: int, targets_mask: int):
     return None
 
 
-def _validate_defense_paths(g: Graph, aux: AuxiliaryGraph, ps: PathSystem) -> None:
+def _validate_defense_paths(g: Graph, aux: AuxiliaryGraph, paths: GuardPaths) -> None:
     adj = g.adj_mask
     dead = aux.dead_mask
     used = 0
-    for p in ps.paths:
+    for p in paths:
         for a, b in zip(p, p[1:]):
             if not adj[a] >> b & 1:
                 raise IntegrityError("defense path uses a non-edge")
@@ -638,22 +630,18 @@ def _validate_defense_paths(g: Graph, aux: AuxiliaryGraph, ps: PathSystem) -> No
 @dataclass(frozen=True)
 class Defense:
     target: tuple[int, ...]
-    paths: PathSystem
-    condition: int  # 1 = partner leaves, 2 = chain through the shared part
-    matching: RainbowMatching
+    paths: GuardPaths
 
 
-@dataclass(frozen=True)
-class DefenseFailure:
-    reasons: tuple[tuple[tuple[int, ...], str], ...]
+VERIFY_SIDES_CAP = 10  # brute force enumerates every perfect matching
 
 
 @dataclass
 class DefenseStats:
     """Optional instrumentation: the matchable classes and the reducer
-    cross-checked by brute force."""
+    cross-checked by brute force on pairs with at most
+    ``VERIFY_SIDES_CAP`` vertices per side."""
 
-    verify_sides_cap: int = 10
     instances: int = 0
     mismatches: int = 0
     failures: list = field(default_factory=list)
@@ -714,7 +702,7 @@ class DefenseContext:
     def _record_stats(self, s, t, mode, oracle: bool) -> None:
         stats = self.stats
         aux = self.aux_for(s, t)
-        if aux.side_size > stats.verify_sides_cap:
+        if aux.side_size > VERIFY_SIDES_CAP:
             return
         stats.instances += 1
         reducer = self.rainbow_for(s, t, mode) is not None
@@ -741,8 +729,9 @@ def check_defense(
     attacked: tuple[int, int],
     candidates,
     ctx: DefenseContext | None = None,
-) -> Defense | DefenseFailure:
-    """First candidate cover that defends the attacked edge from ``s``.
+) -> Defense | None:
+    """First candidate cover that defends the attacked edge from ``s``, or
+    None when none does.
 
     The attack names an edge with exactly one endpoint in ``s``; attacks
     inside the cover are answered upstream by swapping the two guards.
@@ -763,33 +752,26 @@ def check_defense(
         raise PreconditionError(
             "attacked edge must have exactly one endpoint in the cover"
         )
-    reasons = []
     for t in candidates:
         if v not in t:
-            reasons.append((t, "attacked endpoint not in candidate"))
             continue
-        outcome = _try_candidate(g, s, t, u, v, ctx)
-        if isinstance(outcome, str):
-            reasons.append((t, outcome))
-            continue
-        return outcome
-    return DefenseFailure(reasons=tuple(reasons))
+        defense = _try_candidate(g, s, t, u, v, ctx)
+        if defense is not None:
+            return defense
+    return None
 
 
-def _try_candidate(g, s, t, u, v, ctx: DefenseContext):
+def _try_candidate(g, s, t, u, v, ctx: DefenseContext) -> Defense | None:
     aux = ctx.aux_for(s, t)
     mode = _mode(aux, u, v)
     rm = ctx.rainbow_for(s, t, mode)
     if ctx.stats is not None:
         ctx._record_stats(s, t, mode, _satisfiable(aux, mode))
-    if mode[0] == "forced_real":
-        if rm is None:
-            return "no perfect matching through the attacked edge"
-        paths = matching_to_paths(g, aux, rm)
-        return Defense(target=t, paths=paths, condition=1, matching=rm)
     if rm is None:
-        return "no matching whose partner reaches the attacked component"
-    fu, fv, ftag = rm.forced
+        return None
+    if mode[0] == "forced_real":
+        return Defense(target=t, paths=matching_to_paths(g, aux, rm))
+    fu, fv, _ = rm.forced
     paths = matching_to_paths(g, aux, rm, via={(fu, fv): u})
     # the forced chain ends ...-> u -> v by construction of the via route
-    return Defense(target=t, paths=paths, condition=2, matching=rm)
+    return Defense(target=t, paths=paths)

@@ -46,7 +46,13 @@ def _state_budget(budget: int | None) -> int:
     if budget is not None:
         return budget
     env = os.environ.get(STATE_BUDGET_ENV)
-    return int(env) if env else DEFAULT_STATE_BUDGET
+    if not env:
+        return DEFAULT_STATE_BUDGET
+    if not env.isdecimal():
+        raise PreconditionError(
+            f"{STATE_BUDGET_ENV} must be an integer of at least 0, got {env!r}"
+        )
+    return int(env)
 
 
 def enumerate_states(

@@ -282,6 +282,7 @@ def revalidate_bad_set(g: Graph, cert: BadSetCertificate) -> bool:
 
 
 CONFIG_ENUMERATION_LIMIT = 200_000
+CONFIG_VERTEX_CAP = 10  # largest graph whose configurations are scanned at k > mvc
 
 
 def count_configurations(g: Graph, k: int) -> int:
@@ -296,14 +297,7 @@ def count_configurations(g: Graph, k: int) -> int:
     return total
 
 
-def necessary_conditions_report(
-    g: Graph,
-    k: int,
-    *,
-    cover_cap: int = 10_000,
-    independent_cap: int = INDEPENDENT_SET_CAP,
-    config_vertex_cap: int = 10,
-) -> dict:
+def necessary_conditions_report(g: Graph, k: int) -> dict:
     """Evaluate every necessary condition for the eternal vertex cover number
     to equal ``k``, with certificates for each failure.
 
@@ -315,7 +309,7 @@ def necessary_conditions_report(
     require_analysis_ready(g)
     if not is_connected(g):
         raise PreconditionError("the condition battery expects a connected graph")
-    cs = enumerate_min_vcs(g, cap=cover_cap)
+    cs = enumerate_min_vcs(g)
     if k < cs.size:
         raise PreconditionError(f"k={k} is below the cover number {cs.size}")
     spartan_mode = k == cs.size
@@ -327,7 +321,6 @@ def necessary_conditions_report(
         passed,
         certificate=None,
         partial=False,
-        details=None,
         conclusive=True,
     ):
         # the first four conditions witness necessity only at k = mvc; above
@@ -340,7 +333,7 @@ def necessary_conditions_report(
                 "partial": bool(partial),
                 "conclusive_at_k": bool(conclusive),
                 "certificate": certificate,
-                "details": details,
+                "details": None,
             }
         )
 
@@ -400,7 +393,7 @@ def necessary_conditions_report(
 
     # (d) no non-maximal independent set with |N(I)| = |I|
     tight_cert = None
-    partial_d = g.n > independent_cap
+    partial_d = g.n > INDEPENDENT_SET_CAP
     if not partial_d:
         tight_cert = _find_tight_independent(g)
     add(
@@ -433,7 +426,7 @@ def necessary_conditions_report(
             partial = cs.truncated
         else:
             if (
-                g.n > config_vertex_cap
+                g.n > CONFIG_VERTEX_CAP
                 or count_configurations(g, k) > CONFIG_ENUMERATION_LIMIT
             ):
                 partial = True

@@ -144,9 +144,7 @@ class Graph:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def from_pairs(
-        pairs: Iterable[tuple[str, str]], extra_vertices: Iterable[str] = ()
-    ) -> "Graph":
+    def from_pairs(pairs: Iterable[tuple[str, str]]) -> "Graph":
         """Build a graph from labeled edge pairs in first-appearance order."""
         order: list[str] = []
         index: dict[str, int] = {}
@@ -158,16 +156,16 @@ class Graph:
             return index[lab]
 
         edges = []
+        seen = set()
         for a, b in pairs:
             u, v = intern(a), intern(b)
             if u == v:
                 raise ValidationError(f"self-loop at {a!r}")
             e = (u, v) if u < v else (v, u)
-            if e in set(edges):
+            if e in seen:
                 raise ValidationError(f"duplicate edge {a} {b}")
+            seen.add(e)
             edges.append(e)
-        for lab in extra_vertices:
-            intern(lab)
         return Graph(tuple(order), tuple(sorted(edges)))
 
 

@@ -1,11 +1,12 @@
 """Maximum matchings, the pairs that lie in some perfect matching, and
 Hall-condition machinery.
 
-General graphs go through augmenting-path search with blossom contraction;
-bipartite graphs use layered (Hopcroft-Karp) augmentation.  Given one
-perfect matching, ``matchable_classes`` tells every pair that lies in some
-perfect matching with one strong-component pass; the elementary test and the
-defense scan's yes/no answers use it.
+Matching sizes come from augmenting-path search with blossom contraction,
+on every graph; the bipartite questions (Hall's condition, the elementary
+test, the defense scan's pair matchings) use layered (Hopcroft-Karp)
+augmentation.  Given one perfect matching, ``matchable_classes`` tells
+every pair that lies in some perfect matching with one strong-component
+pass; the elementary test and the defense scan's yes/no answers use it.
 """
 
 from __future__ import annotations
@@ -246,48 +247,8 @@ def _crossing_adjacency(g: Graph, side_a, side_b) -> dict[int, tuple[int, ...]]:
 
 
 def max_matching_size(g: Graph) -> int:
-    """Maximum matching size of ``g``, kept in ``g._memo`` once computed."""
-    got = g._memo.get("max_matching_size")
-    if got is not None:
-        return got
-    if g.m == 0:
-        got = 0
-    elif _is_bipartite(g):
-        side0 = _bipartite_side0(g)
-        pair = hopcroft_karp(side0, _crossing_adjacency(g, side0, _others(g, side0)))
-        got = len(pair)
-    else:
-        got = _mm_size_mask(g, g.full_mask)
-    g._memo["max_matching_size"] = got
-    return got
-
-
-def _is_bipartite(g: Graph) -> bool:
-    return not any(
-        isinstance(bipartition(g.induced(comp)), OddCycle)
-        for comp in _component_tuples(g)
-    )
-
-
-def _component_tuples(g: Graph):
-    from .graph import connected_components
-
-    return connected_components(g)
-
-
-def _bipartite_side0(g: Graph) -> tuple[int, ...]:
-    side = []
-    for comp in _component_tuples(g):
-        sub = g.induced(comp)
-        res = bipartition(sub)
-        a, _ = res
-        side.extend(comp[i] for i in a)
-    return tuple(sorted(side))
-
-
-def _others(g: Graph, side) -> tuple[int, ...]:
-    s = set(side)
-    return tuple(v for v in range(g.n) if v not in s)
+    """Maximum matching size of ``g`` (blossom), kept in ``g._memo``."""
+    return _mm_size_mask(g, g.full_mask)
 
 
 def max_matching(g: Graph) -> Matching:
@@ -470,37 +431,8 @@ def is_elementary(g: Graph) -> tuple[bool, ElementaryWitness | None]:
     return True, None
 
 
-def is_essentially_elementary(g: Graph) -> tuple[bool, ElementaryWitness | None]:
+def is_essentially_elementary(g: Graph) -> bool:
     """Every connected component elementary (components must be bipartite)."""
     from .graph import connected_components
 
-    for comp in connected_components(g):
-        ok, witness = is_elementary(g.induced(comp))
-        if not ok:
-            # translate the witness back to parent indices
-            remap = dict(enumerate(comp))
-
-            def tr(t):
-                return tuple(remap[i] for i in t)
-
-            edge = tuple(sorted(tr(witness.edge))) if witness.edge else None
-            tight = (
-                HallWitness(
-                    tr(witness.tight_set.violator),
-                    tr(witness.tight_set.neighborhood),
-                    witness.tight_set.kind,
-                )
-                if witness.tight_set
-                else None
-            )
-            defc = (
-                HallWitness(
-                    tr(witness.deficiency.violator),
-                    tr(witness.deficiency.neighborhood),
-                    witness.deficiency.kind,
-                )
-                if witness.deficiency
-                else None
-            )
-            return False, ElementaryWitness(edge=edge, tight_set=tight, deficiency=defc)
-    return True, None
+    return all(is_elementary(g.induced(comp))[0] for comp in connected_components(g))

@@ -1,9 +1,10 @@
-"""Guard configurations, path systems, and one-step reachability.
+"""Guard configurations and one-step reachability.
 
 Configuration c1 can become c2 in one step when every guard of c1 stays or
 moves to a neighbour and the guards land exactly on c2.  That is a transport
 question on closed neighbourhoods, answered by one guard-to-slot matching
-(:func:`_route`); the matching doubles as the move list.
+(:func:`_route`); the matching doubles as the move list.  A defense's
+witness, its guard paths, is ``defense.GuardPaths``.
 """
 
 from __future__ import annotations
@@ -43,27 +44,6 @@ class GuardConfiguration:
         for v in vertices:
             counts[v] += 1
         return GuardConfiguration(tuple(counts))
-
-
-@dataclass(frozen=True)
-class PathSystem:
-    """Vertex-disjoint guard-movement paths (the defense scan's witness).
-
-    Each path starts on a vacated vertex, ends on a newly occupied one, and
-    its interior stays inside the allowed shared region.
-    """
-
-    paths: tuple[tuple[int, ...], ...]
-    sources: tuple[int, ...]
-    sinks: tuple[int, ...]
-    allowed_interior: tuple[int, ...]
-
-    def moves(self) -> tuple[tuple[int, int], ...]:
-        """Flatten to simultaneous one-step guard moves (path edges)."""
-        out = []
-        for p in self.paths:
-            out.extend(zip(p, p[1:]))
-        return tuple(out)
 
 
 def _closed_neighbourhoods(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -160,14 +140,14 @@ def move_feasible_counts(g: Graph, c1: tuple[int, ...], c2: tuple[int, ...]) -> 
     return _route(g, c1, c2) is not None
 
 
-def min_covers_compatible_check(g: Graph, cover_cap: int = 10_000) -> dict:
+def min_covers_compatible_check(g: Graph) -> dict:
     """Every pair of minimum covers must admit a perfect matching between the
     difference sides (length-1 disjoint paths); a counterexample would signal
     an implementation bug upstream."""
     from .covers import enumerate_min_vcs
     from .matching import hopcroft_karp
 
-    cs = enumerate_min_vcs(g, cap=cover_cap)
+    cs = enumerate_min_vcs(g)
     failures = []
     pairs = 0
     for i in range(len(cs.covers)):

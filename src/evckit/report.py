@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import ValidationError
+from .errors import PreconditionError, ValidationError
 from .graph import Graph, bits, graph_json_obj, mask_of, neighbors_of_set
 
 SCHEMA_VERSION = "1.0"
@@ -137,7 +137,20 @@ def delabelize(g: Graph, obj, active: bool = False):
 
 
 def revalidate_certificate(g: Graph, cert: dict) -> bool:
-    """Re-check a (label-space) certificate against the graph from scratch."""
+    """Re-check a (label-space) certificate against the graph from scratch.
+
+    A malformed or forged certificate reads False.  A refusal, such as the
+    capped cover scan's PreconditionError, still raises: it is no verdict.
+    """
+    try:
+        return _revalidate(g, cert)
+    except PreconditionError:
+        raise
+    except (IndexError, KeyError, TypeError, ValueError):
+        return False
+
+
+def _revalidate(g: Graph, cert: dict) -> bool:
     from .covers import enumerate_min_vcs, mvc_mask
     from .goodness import BadSetCertificate, revalidate_bad_set
     from .graph import OddCycle, bipartition, connected_components
@@ -177,12 +190,19 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
     if kind == "mvc_below_half":
         return 2 * mvc_mask(g, g.full_mask) < g.n
     if kind in ("weakly_bad", "strongly_bad"):
+        support, claimed = data["support"], data["counts_on_support"]
+        # a positive whole number of guards per support entry; a repeated
+        # vertex adds them up
+        if len(claimed) != len(support):
+            return False
+        if any(type(c) is not int or c < 1 for c in claimed):
+            return False
         counts = [0] * g.n
-        for v, c in zip(data.get("support", []), data.get("counts_on_support", [])):
-            counts[v] = c
+        for v, c in zip(support, claimed):
+            counts[v] += c
         bc = BadSetCertificate(
             kind=kind,
-            support=tuple(data["support"]),
+            support=tuple(support),
             counts=tuple(counts),
             bad_set=tuple(data["bad_set"]),
             component=tuple(data["component"]),
@@ -197,7 +217,7 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
             return False
         edge = data.get("edge_in_no_perfect_matching")
         if edge is None:
-            return not is_essentially_elementary(g)[0]
+            return not is_essentially_elementary(g)
         if not g.has_edge(*edge):
             return False
         # e lies in a perfect matching iff G minus its endpoints has one
@@ -228,31 +248,27 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
         # round or later defends; then no non-empty family of minimum covers
         # defends every attack on its members, as the member deleted first
         # would have a defender
-        from .defense import Defense, DefenseContext, check_defense
+        from .defense import DefenseContext, check_defense
         from .fixpoint import oriented_attacks
 
-        try:  # an empty trace fails here too
-            first = g.label_index[cert["deletions"][0]["attack"][0]]
-            comp = next(c for c in connected_components(g) if first in c)
-            h = g.induced(comp)
-            trace = [
-                (tuple(sorted(d["cover"])), tuple(d["attack"]), int(d["round"]))
-                for d in delabelize(h, cert["deletions"])
-            ]
-        except (IndexError, KeyError, TypeError, ValueError, ValidationError):
-            return False
+        # an empty trace raises IndexError here, and reads False
+        first = g.label_index[cert["deletions"][0]["attack"][0]]
+        comp = next(c for c in connected_components(g) if first in c)
+        h = g.induced(comp)
+        trace = [
+            (tuple(sorted(d["cover"])), tuple(d["attack"]), int(d["round"]))
+            for d in delabelize(h, cert["deletions"])
+        ]
         cs = enumerate_min_vcs(h)
         if cs.truncated or sorted(c for c, _, _ in trace) != sorted(cs.covers):
             return False
         ctx = DefenseContext(h)
         return all(
             attack in oriented_attacks(h, mask_of(cover))
-            and not isinstance(
-                check_defense(
-                    h, cover, attack, [c for c, _, r in trace if r >= rnd], ctx
-                ),
-                Defense,
+            and check_defense(
+                h, cover, attack, [c for c, _, r in trace if r >= rnd], ctx
             )
+            is None
             for cover, attack, rnd in trace
         )
     if kind == "game_attacker_win":

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from evckit.cli import main
 from evckit.corpus import exhaustive_connected, fixtures, random_connected
 from evckit.errors import PreconditionError
-from evckit.graph import parse_edge_list
+from evckit.graph import parse_edge_list, serialize_edge_list
 from evckit.report import revalidate_certificate
 
 
@@ -141,6 +142,16 @@ def test_state_budget_env_override(graph_file, capsys, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_state_budget_env_is_validated(graph_file, capsys, monkeypatch, value):
+    # a bad environment value is an input error, like a bad --budget
+    monkeypatch.setenv("EVCKIT_STATE_BUDGET", value)
+    f = graph_file("c5.edges", "1 2\n2 3\n3 4\n4 5\n5 1\n")
+    for argv in (["evc", f], ["spartan", f, "--method", "game"]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2 and err.startswith("input error: EVCKIT_STATE_BUDGET"), err
+
+
 def test_play_via_stdin(graph_file, capsys, monkeypatch):
     f = graph_file("c4.edges", "a b\nb c\nc d\nd a\n")
     monkeypatch.setattr("sys.stdin", io.StringIO("attack a b\nquit\n"))
@@ -223,6 +234,52 @@ def test_forged_certificate_rejected(cert):
     assert not revalidate_certificate(parse_edge_list("a b\nb c\nc d\nd a\n"), cert)
 
 
+P5 = parse_edge_list("a b\nb c\nc d\nd e\n")  # one minimum cover, {b, d}
+MALFORMED_ON_P5 = [
+    {"kind": "vertex_in_no_min_cover"},
+    {"kind": "vertex_in_no_min_cover", "vertex": "zz"},
+    {"kind": "hall_violator", "violator": ["a"]},
+    {"kind": "odd_cycle", "cycle": "abc"},
+    {
+        "kind": "weakly_bad",
+        "support": ["b"],
+        "counts_on_support": [-1],
+        "bad_set": ["a"],
+        "component": ["b", "c", "d", "e"],
+    },
+    # {a, d} is weakly bad; the claimed {a, d, e} and {a, d, d} are not
+    {
+        "kind": "weakly_bad",
+        "support": ["a", "d", "e"],
+        "counts_on_support": [1, 1],
+        "bad_set": ["b"],
+        "component": ["c", "d", "e"],
+    },
+    {
+        "kind": "weakly_bad",
+        "support": ["a", "d", "d"],
+        "counts_on_support": [1, 1, 1],
+        "bad_set": ["b"],
+        "component": ["c", "d", "e"],
+    },
+    {"kind": "no_weakly_good_coverage", "vertex": "a"},
+    {"kind": "game_attacker_win", "k": "x"},
+]
+
+
+@pytest.mark.parametrize("cert", MALFORMED_ON_P5)
+def test_malformed_certificate_rejected(cert):
+    assert revalidate_certificate(P5, cert) is False
+
+
+def test_revalidation_refusal_still_raises():
+    # the cover scan's cap is a refusal, not a forgery
+    c22 = parse_edge_list("".join(f"v{i} v{(i + 1) % 22}\n" for i in range(22)))
+    cert = {"kind": "no_strongly_good_coverage", "k": 11, "vertex": "v0"}
+    with pytest.raises(PreconditionError, match="capped at 20 vertices"):
+        revalidate_certificate(c22, cert)
+
+
 def test_vertex_in_no_min_cover_is_rechecked_on_the_cover_number():
     # P3's minimum cover is {b}: a and c lie in no minimum cover, b does, and
     # an index outside the graph names no vertex
@@ -232,7 +289,6 @@ def test_vertex_in_no_min_cover_is_rechecked_on_the_cover_number():
         assert revalidate_certificate(p3, cert) == holds, vertex
 
 
-P5 = parse_edge_list("a b\nb c\nc d\nd e\n")  # one minimum cover, {b, d}
 # a triangle with a pendant: covers {a, c} and {b, c}, both lost on c -> d
 TAILED = parse_edge_list("a b\nb c\nc a\nc d\n")
 TAILED_TRACE = [
@@ -413,3 +469,41 @@ def test_selftest_out_of_range_options_are_input_errors(capsys, argv, flag):
     code, out, err = run_cli(capsys, ["selftest", *argv])
     assert code == 2 and not out
     assert f"input error: {flag} must be at least" in err
+
+
+FIXTURE_COMMANDS = (
+    ["spartan"],
+    ["spartan", "--method", "fixpoint"],
+    ["konig"],
+    ["mvc"],
+    ["evc"],
+    ["certify"],
+)
+# the first 10 hex digits of the sha256 of each command's --json output on
+# each fixture, commands in FIXTURE_COMMANDS order; a deliberate change of
+# output updates them and says so in CHANGES.md
+FIXTURE_DIGESTS = {
+    "K2": "2d3e53b372 1b00b3b16c 34c6b5faff 9c90c964c2 cb2b08e792 ea5fadfa0f",
+    "P3": "082d2c1800 a9dc6f13eb 5757490a2b fc3007bd8e 7326f2a926 f0747030df",
+    "P4": "86296cfd61 06cc87676a f84346e5e9 c8a7e0cea2 d5b042d53f 6b1e765f8b",
+    "P5": "b5b52214da 7a1022773d 3af1557112 c45eb953c1 999e778571 feab1a423e",
+    "C4": "e506cb81f3 4866227e9b 075168d53e c3ef9c8412 6b49f8205a bfb6176908",
+    "C5": "7f104520b9 7f104520b9 9dfd77eb50 04dde03c64 a09a38e10b 390f799745",
+    "C6": "4583dccf23 b8eddac902 7cd79f6e08 0cd453e450 e23704be44 df142ec306",
+    "K1,3": "63c3c5d24e 14e3c6f639 8e25c154fe 1c54e534dd 144434e220 321cb5540a",
+    "bowtie": "d490ee73d5 d490ee73d5 c5b3c11458 0059e7f753 7389b2fee9 89e7ac3025",
+    "footnote": "b362737cf6 37b0cc5760 99d993f8e2 0b4caf2f8a f1913cee41 776e46a318",
+}
+
+
+def test_fixture_json_outputs_are_pinned(graph_file, capsys):
+    got = {}
+    for name, g in fixtures().items():
+        f = graph_file("fixture.edges", serialize_edge_list(g))
+        digests = []
+        for command in FIXTURE_COMMANDS:
+            code, out, _ = run_cli(capsys, [command[0], f, *command[1:], "--json"])
+            assert code == 0, (name, command)
+            digests.append(hashlib.sha256(out.encode()).hexdigest()[:10])
+        got[name] = " ".join(digests)
+    assert got == FIXTURE_DIGESTS

@@ -159,7 +159,7 @@ def test_fixpoint_lane_agrees_on_konig_graphs():
             continue
         seen += 1
         bip = not isinstance(bipartition(g), OddCycle)
-        structural = bip and is_essentially_elementary(g)[0]
+        structural = bip and is_essentially_elementary(g)
         assert is_spartan(g, method="fixpoint").spartan == structural, g.edges
     assert seen > 20
 

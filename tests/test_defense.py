@@ -8,7 +8,6 @@ from evckit.defense import (
     REAL,
     Defense,
     DefenseContext,
-    DefenseFailure,
     DefenseStats,
     _bfs_inside,
     _validate_defense_paths,
@@ -23,7 +22,6 @@ from evckit.defense import (
 )
 from evckit.errors import IntegrityError, PreconditionError
 from evckit.graph import Graph
-from evckit.reachability import PathSystem
 
 from conftest import random_graph_corpus
 
@@ -99,8 +97,7 @@ def test_rainbow_forced_real_c4(named):
     aux = build_aux(c4, (0, 2), (1, 3))
     rm = rainbow_pm_with_edge(aux, forced_real=(0, 1))
     assert rm.edges == ((0, 1, REAL), (2, 3, REAL))
-    ps = matching_to_paths(c4, aux, rm)
-    assert ps.paths == ((0, 1), (2, 3))
+    assert matching_to_paths(c4, aux, rm) == ((0, 1), (2, 3))
 
 
 def test_rainbow_partner_mode_bowtie(named):
@@ -109,7 +106,7 @@ def test_rainbow_partner_mode_bowtie(named):
     rm = rainbow_pm_with_edge(aux, partner_adjacent=(bow.index("b"), 0))
     assert rm.forced == (bow.index("a"), bow.index("b"), 0)
     ps = matching_to_paths(bow, aux, rm, via={(bow.index("a"), bow.index("b")): bow.index("x")})
-    assert [bow.labels_of(p) for p in ps.paths] == [("a", "x", "b")]
+    assert [bow.labels_of(p) for p in ps] == [("a", "x", "b")]
 
 
 def test_rainbow_mode_arguments(named):
@@ -181,8 +178,8 @@ def test_check_defense_c4(named):
     cs = enumerate_min_vcs(c4)
     d = check_defense(c4, (0, 2), (0, 1), cs.covers)
     assert isinstance(d, Defense)
-    assert d.target == (1, 3) and d.condition == 1
-    assert d.paths.paths == ((0, 1), (2, 3))
+    assert d.target == (1, 3)
+    assert d.paths == ((0, 1), (2, 3))
 
 
 def test_check_defense_bowtie_chain(named):
@@ -191,17 +188,15 @@ def test_check_defense_bowtie_chain(named):
     s = bow.index_set(["x", "a", "c"])
     d = check_defense(bow, s, (bow.index("x"), bow.index("b")), cs.covers)
     assert isinstance(d, Defense)
-    assert d.condition == 2
     assert set(bow.labels_of(d.target)) == {"x", "b", "c"}
-    assert [bow.labels_of(p) for p in d.paths.paths] == [("a", "x", "b")]
+    assert [bow.labels_of(p) for p in d.paths] == [("a", "x", "b")]
 
 
 def test_check_defense_p5_failure(named):
     p5 = named["P5"]
     cs = enumerate_min_vcs(p5)
-    d = check_defense(p5, p5.index_set(["b", "d"]), (0, 1), cs.covers)
-    assert isinstance(d, DefenseFailure)
-    assert d.reasons  # the lone candidate lacks the attacked endpoint
+    # the lone candidate lacks the attacked endpoint
+    assert check_defense(p5, p5.index_set(["b", "d"]), (0, 1), cs.covers) is None
 
 
 def test_check_defense_validates_attack(named):
@@ -229,8 +224,7 @@ def test_paths_never_touch_dead_zone():
                     continue
                 d = check_defense(g, s, (a, b) if a in sset else (b, a), cs.covers, ctx)
                 if isinstance(d, Defense):
-                    dead = set(d.paths.allowed_interior) | set(s) | set(d.target)
-                    for p in d.paths.paths:
+                    for p in d.paths:
                         assert set(p) <= set(s) | set(d.target), (g.edges, s, p)
 
 
@@ -317,7 +311,7 @@ def _min_cover_pairs(count, seed, n_lo=4, n_hi=9):
 
 
 def test_cached_aux_views_match_their_definitions():
-    from evckit.graph import bits, mask_of
+    from evckit.graph import mask_of
     from evckit.matching import hopcroft_karp
 
     pairs = 0
@@ -343,7 +337,6 @@ def test_cached_aux_views_match_their_definitions():
                         c for a, b, c in aux.helper_pairs if a == u and b == v
                     )
             assert aux.color_masks == tuple(mask_of(c) for c in aux.colors)
-            assert aux.shared == tuple(bits(mask_of(s) & mask_of(t)))
             pairs += 1
     assert pairs > 1000
 
@@ -442,11 +435,8 @@ def test_defense_path_validation_rejects(paths, message):
     g = Graph(tuple("abcd"), ((0, 1), (1, 2), (2, 3)))
     aux = build_aux(g, (0, 2), (1, 2))
     assert aux.dead_zone == (3,)
-    ps = PathSystem(
-        paths=paths, sources=aux.left, sinks=aux.right, allowed_interior=aux.shared
-    )
     with pytest.raises(IntegrityError, match=message):
-        _validate_defense_paths(g, aux, ps)
+        _validate_defense_paths(g, aux, paths)
 
 
 def _all_modes(aux):
