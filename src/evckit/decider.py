@@ -92,7 +92,7 @@ def spartan_fixpoint(
     index = {i: pos for pos, i in enumerate(alive)}
     ctx.stats = None  # every ask is recorded; the witnesses add nothing
     transitions = {}
-    for (i, attack), (j, _) in answers.items():
+    for (i, attack), j in answers.items():
         defense = check_defense(g, covers[i], attack, (covers[j],), ctx)
         if defense is None:
             raise IntegrityError(

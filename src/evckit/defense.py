@@ -12,33 +12,43 @@ real edges become single steps, and each helper edge threads through its own
 color component, so the chains never collide and never enter the dead zone
 V - (S u T).
 
-The reducer turns an arbitrary mode-satisfying perfect matching into a
-rainbow one by superposing it with an all-real perfect matching and applying
-exchange steps along the unique surviving alternating cycle; every exchange
-strictly grows the overlap with the all-real matching, which bounds the loop.
+T answers the attack (u, v) on S (u in S, v in T - S, uv an edge) when a
+rainbow perfect matching answers one question: v is matched to one of a
+tuple of left partners, and the pair carries one tag.  A guard u of S - T
+must step onto v itself, so the partners are (u,) and the tag is REAL.  A
+guard u of S n T keeps its post, and the chain into v threads through u's
+shared component: the partners are the left vertices touching that
+component, and the tag is its color.  So all guards of one shared component
+ask the same question.
 
-Whether a mode is satisfiable at all needs no witness: the all-real
+The reducer turns an arbitrary perfect matching that answers the question
+into a rainbow one by superposing it with an all-real perfect matching and
+applying exchange steps along the unique surviving alternating cycle; every
+exchange strictly grows the overlap with the all-real matching, which bounds
+the loop.
+
+Whether the question has an answer at all needs no witness: the all-real
 matching is a perfect matching of the pair adjacency, and one
 strong-component pass over it (``matching.matchable_classes``) tells every
-pair that lies in some perfect matching.  ``mode_satisfiable`` answers from
-those classes; the reducer returns a witness exactly when they say yes.  The
-decider decides its fixpoint on that answer and runs ``check_defense`` (the
-reducer) only for the transitions it exports; ``check_defense`` itself, and
-so the certificate check, never consults the classes.
+pair that lies in some perfect matching.  ``DefenseContext.defends`` answers
+from those classes; the reducer returns a witness exactly when they say yes.
+The decider decides its fixpoint on that answer and runs ``check_defense``
+(the reducer) only for the transitions it exports; ``check_defense`` itself,
+and so the certificate check, never consults the classes.
 
 The decider asks about one cover pair (S, T) many times.  Everything the
 reducer and the classes derive from the auxiliary graph alone (the all-real
 matching and its reverse, the pair adjacency, the matchable classes, the
-helper colors per pair, the color masks, S n T, and the perfect matching
-left after removing each skipped pair) is cached on the auxiliary graph, and
-``DefenseContext`` keeps one auxiliary graph per (S, T) and one reducer
-answer per (S, T, mode).  Each is a pure function of its key, so cached and
-recomputed answers are identical.
+helper colors per pair, the color masks, each shared component's partners,
+and the perfect matching left after removing each skipped pair) is cached on
+the auxiliary graph, and ``DefenseContext`` keeps one auxiliary graph per
+(S, T) and one reducer answer per (S, T, question).  Each is a pure function
+of its key, so cached and recomputed answers are identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IntegrityError, PreconditionError
@@ -116,6 +126,17 @@ class AuxiliaryGraph:
         """Whether the pair (u, v) of the pair adjacency lies in some perfect
         matching of it."""
         return self.matchable[u] == self.matchable[self.real_pm_reverse[v]]
+
+    @cached_property
+    def shared_partners(self) -> dict[int, tuple[tuple[int, ...], int]]:
+        """Vertex of S n T -> (left vertices touching its component, the
+        component's color)."""
+        adj = self.graph.adj_mask
+        out = {}
+        for color, (comp, cmask) in enumerate(zip(self.colors, self.color_masks)):
+            entry = (tuple(w for w in self.left if adj[w] & cmask), color)
+            out.update(dict.fromkeys(comp, entry))
+        return out
 
     @cached_property
     def _rest_pairings(self) -> dict[tuple[int, int], dict[int, int] | None]:
@@ -244,7 +265,7 @@ def _reduce_to_rainbow(
     one helper edge per color.
 
     Invariant between steps: matched stays a perfect matching whose edge at
-    the protected right vertex satisfies the caller's mode; every rewiring
+    the protected right vertex answers the caller's question; every rewiring
     strictly increases overlap with the all-real matching, which
     bounds the loop by the side size.
     """
@@ -314,7 +335,7 @@ def _exchange_on_cycle(aux, matched, order, positions, color) -> None:
         p = positions[1]
         v0 = matched[order[0]][0]
         up = order[p]
-        if not _has_helper(aux, up, v0, color):
+        if color not in aux.helper_colors(up, v0):
             raise IntegrityError("missing color shortcut for protected exchange")
         new = {}
         for j in range(p, t):
@@ -325,7 +346,7 @@ def _exchange_on_cycle(aux, matched, order, positions, color) -> None:
     else:
         p, q = positions[0], positions[1]
         up, vq = order[p], matched[order[q]][0]
-        if not _has_helper(aux, up, vq, color):
+        if color not in aux.helper_colors(up, vq):
             raise IntegrityError("missing color shortcut for exchange")
         new = {}
         for j in range(p, q):
@@ -334,11 +355,7 @@ def _exchange_on_cycle(aux, matched, order, positions, color) -> None:
         matched.update(new)
 
 
-def _has_helper(aux: AuxiliaryGraph, u: int, v: int, color: int) -> bool:
-    return color in aux.helper_colors(u, v)
-
-
-def _validate_rainbow(aux: AuxiliaryGraph, rm: RainbowMatching) -> None:
+def _validate_rainbow(aux: AuxiliaryGraph, rm: RainbowMatching, question: tuple) -> None:
     lefts = {e[0] for e in rm.edges}
     rights = {e[1] for e in rm.edges}
     if lefts != set(aux.left) or rights != set(aux.right):
@@ -356,115 +373,77 @@ def _validate_rainbow(aux: AuxiliaryGraph, rm: RainbowMatching) -> None:
             if tag in used_colors:
                 raise IntegrityError("two helper edges share a color")
             used_colors.add(tag)
-    if rm.forced not in rm.edges:
-        raise IntegrityError("forced edge missing from rainbow matching")
+    partners, v, tag = question
+    fu, fv, ftag = rm.forced
+    if fu not in partners or (fv, ftag) != (v, tag) or rm.forced not in rm.edges:
+        raise IntegrityError("the forced pair does not answer the question")
 
 
-def _check_mode(aux: AuxiliaryGraph, forced_real, partner_adjacent) -> None:
-    if (forced_real is None) == (partner_adjacent is None):
-        raise PreconditionError("exactly one mode must be given")
-    if aux.side_size == 0:
-        raise PreconditionError("empty auxiliary graph has no forced matching")
-    aux.real_pm  # raises when the covers are not both minimum
-    if forced_real is not None:
-        if tuple(forced_real) not in aux.real_pairs:
-            raise PreconditionError("forced edge must be a real auxiliary edge")
-        return
-    v, color = partner_adjacent
+def _question(aux: AuxiliaryGraph, u: int, v: int) -> tuple:
+    """The matching question of the attack (u, v): ``(partners, v, tag)``,
+    asking that v be matched to one of ``partners`` by a pair tagged ``tag``."""
+    if u in aux.left:
+        return (u,), v, REAL
+    # the attacked guard keeps its post: thread the chain through u's
+    # component of the shared part
+    partners, color = aux.shared_partners[u]
+    return partners, v, color
+
+
+def _checked_question(aux: AuxiliaryGraph, u: int, v: int) -> tuple:
+    """``_question`` of the attack (u, v), which must be an edge from S to
+    T - S (so both sides are non-empty) between two minimum covers."""
+    if u not in aux.cover_s:
+        raise PreconditionError("the attacked guard must stand on S")
     if v not in aux.right:
-        raise PreconditionError("partner mode needs a right-side vertex")
-    if not 0 <= color < len(aux.colors):
-        raise PreconditionError("unknown color component")
-    if not aux.graph.adj_mask[v] & aux.color_masks[color]:
-        raise PreconditionError(
-            "right vertex has no neighbor in the requested component"
-        )
+        raise PreconditionError("the attacked vertex must lie in T - S")
+    if not aux.graph.has_edge(u, v):
+        raise PreconditionError("the attack must be an edge")
+    aux.real_pm  # raises when the covers are not both minimum
+    return _question(aux, u, v)
 
 
-def _partner_candidates(aux: AuxiliaryGraph, color: int) -> list[int]:
-    """Left vertices touching the color's component, ascending."""
-    adj, cmask = aux.graph.adj_mask, aux.color_masks[color]
-    return [w for w in aux.left if adj[w] & cmask]
+def _satisfiable(aux: AuxiliaryGraph, question: tuple) -> bool:
+    """Whether some perfect matching answers the question: whether v is
+    matchable to one of the partners (no partner, no classes computed)."""
+    partners, v, _ = question
+    return any(aux.in_some_pm(w, v) for w in partners)
 
 
-def mode_satisfiable(
-    aux: AuxiliaryGraph,
-    *,
-    forced_real: tuple[int, int] | None = None,
-    partner_adjacent: tuple[int, int] | None = None,
-) -> bool:
-    """Whether some perfect matching satisfies the mode, that is, whether
-    ``rainbow_pm_with_edge`` with the same arguments returns a witness.
-
-    Answered from the auxiliary graph's matchable classes: the forced real
-    pair must lie in some perfect matching, or, in partner mode, some left
-    vertex touching the color's component must be matchable to v.
-    """
-    _check_mode(aux, forced_real, partner_adjacent)
-    if forced_real is not None:
-        return _satisfiable(aux, ("forced_real", forced_real))
-    return _satisfiable(aux, ("partner_adjacent", partner_adjacent))
+def mode_satisfiable(aux: AuxiliaryGraph, u: int, v: int) -> bool:
+    """Whether some perfect matching answers the attack (u, v), that is,
+    whether ``rainbow_pm_with_edge(aux, u, v)`` returns a witness; answered
+    from the auxiliary graph's matchable classes."""
+    return _satisfiable(aux, _checked_question(aux, u, v))
 
 
-def _satisfiable(aux: AuxiliaryGraph, mode) -> bool:
-    """``mode_satisfiable`` for a ``(kind, arg)`` mode known to be valid."""
-    kind, arg = mode
-    if kind == "forced_real":
-        return aux.in_some_pm(*arg)
-    v, color = arg
-    return any(aux.in_some_pm(w, v) for w in _partner_candidates(aux, color))
+def rainbow_pm_with_edge(aux: AuxiliaryGraph, u: int, v: int) -> RainbowMatching | None:
+    """Rainbow perfect matching answering the attack (u, v) on S.
 
+    For u in S - T the matching contains the real edge uv; for u in S n T
+    the matched partner of v touches u's shared component, and the pair is
+    carried as that color's helper edge.  ``forced`` names the pair at v.
 
-def rainbow_pm_with_edge(
-    aux: AuxiliaryGraph,
-    *,
-    forced_real: tuple[int, int] | None = None,
-    partner_adjacent: tuple[int, int] | None = None,
-) -> RainbowMatching | None:
-    """Rainbow perfect matching satisfying one of two modes.
-
-    ``forced_real=(u, v)``: the matching must contain the real edge uv.
-    ``partner_adjacent=(v, color)``: the matched partner w of the right
-    vertex v must have a neighbor in that color's component; the pair (w, v)
-    is carried as the color's helper edge.
-
-    Returns None exactly when no perfect matching (rainbow or not) satisfies
-    the mode; when one exists the exchange reduction always lands on a
+    Returns None exactly when no perfect matching (rainbow or not) answers
+    the attack; when one exists the exchange reduction always lands on a
     rainbow witness.
     """
-    _check_mode(aux, forced_real, partner_adjacent)
-    if forced_real is not None:
-        u, v = forced_real
-        rest = _perfect_pairing(aux, (u, v))
+    question = _checked_question(aux, u, v)
+    partners, _, tag = question
+    for w in partners:
+        rest = _perfect_pairing(aux, (w, v))
         if rest is None:
-            return None
+            continue
         pairing = dict(rest)
-        pairing[u] = v
-        matched = _assign_tags(aux, pairing, (u, v, REAL))
+        pairing[w] = v
+        matched = _assign_tags(aux, pairing, (w, v, tag))
         matched = _reduce_to_rainbow(aux, matched, v)
-        forced_edge = (u, v, REAL)
-    else:
-        v, color = partner_adjacent
-        result = None
-        for w in _partner_candidates(aux, color):
-            rest = _perfect_pairing(aux, (w, v))
-            if rest is None:
-                continue
-            pairing = dict(rest)
-            pairing[w] = v
-            matched = _assign_tags(aux, pairing, (w, v, color))
-            matched = _reduce_to_rainbow(aux, matched, v)
-            result = matched
-            break
-        if result is None:
-            return None
-        matched = result
-        forced_left = next(u for u, (vv, _) in matched.items() if vv == v)
-        forced_edge = (forced_left, v, matched[forced_left][1])
-    edges = tuple(sorted((u, vv, tag) for u, (vv, tag) in matched.items()))
-    rm = RainbowMatching(edges=edges, forced=forced_edge)
-    _validate_rainbow(aux, rm)
-    return rm
+        fw = next(x for x, (y, _) in matched.items() if y == v)
+        edges = tuple(sorted((x, y, tg) for x, (y, tg) in matched.items()))
+        rm = RainbowMatching(edges=edges, forced=(fw, v, matched[fw][1]))
+        _validate_rainbow(aux, rm, question)
+        return rm
+    return None
 
 
 def enumerate_tagged_pms(aux: AuxiliaryGraph):
@@ -494,79 +473,48 @@ def enumerate_tagged_pms(aux: AuxiliaryGraph):
     yield from rec(0, set(), [])
 
 
-def rainbow_pm_bruteforce(
-    aux: AuxiliaryGraph,
-    *,
-    forced_real: tuple[int, int] | None = None,
-    partner_adjacent: tuple[int, int] | None = None,
-) -> tuple[bool, bool]:
-    """(mode-satisfiable at all, rainbow-and-mode-satisfiable) by enumeration."""
-    g = aux.graph
-    any_mode = False
-    any_rainbow = False
+def rainbow_pm_bruteforce(aux: AuxiliaryGraph, u: int, v: int) -> tuple[bool, bool]:
+    """(some perfect matching pairs v with one of the attack's partners, some
+    rainbow tagged one does) by enumeration."""
+    partners, _, _ = _checked_question(aux, u, v)
+    any_match = False
     for pm in enumerate_tagged_pms(aux):
-        if forced_real is not None:
-            u, v = forced_real
-            ok = any(e[0] == u and e[1] == v and e[2] == REAL for e in pm)
-        else:
-            v, color = partner_adjacent
-            cmask = aux.color_masks[color]
-            ok = any(e[1] == v and g.adj_mask[e[0]] & cmask for e in pm)
-        if not ok:
+        if not any(e[1] == v and e[0] in partners for e in pm):
             continue
-        any_mode = True
+        any_match = True
         colors_used = [e[2] for e in pm if e[2] != REAL]
         if len(colors_used) == len(set(colors_used)):
-            any_rainbow = True
-            break
-    return any_mode, any_rainbow
+            return True, True
+    return any_match, False
 
 
 def matching_to_paths(
-    g: Graph,
-    aux: AuxiliaryGraph,
-    rm: RainbowMatching,
-    via: dict[tuple[int, int], int] | None = None,
+    aux: AuxiliaryGraph, rm: RainbowMatching, through: int | None = None
 ) -> GuardPaths:
     """Expand a rainbow matching into vertex-disjoint guard chains.
 
     Real edges become single steps; a helper edge of color i threads through
-    H_i (shortest interior, lexicographic ties).  ``via`` may pin an interior
-    vertex for specific pairs, which the defense scan uses to route the
-    forced chain through the attacked cover vertex.
+    H_i (shortest interior, lexicographic ties).  ``through`` pins the last
+    interior vertex of the forced pair's helper chain, which the defense scan
+    sets to the attacked guard so that the chain crosses the attacked edge.
     """
+    g = aux.graph
     paths = []
-    for u, v, tag in rm.edges:
+    for edge in rm.edges:
+        u, v, tag = edge
         if tag == REAL:
             paths.append((u, v))
             continue
-        cmask = aux.color_masks[tag]
-        start_opts = g.adj_mask[u] & cmask
-        end_opts = g.adj_mask[v] & cmask
-        if not start_opts or not end_opts:
-            raise IntegrityError("helper edge endpoints lost their component contact")
-        through = via.get((u, v)) if via else None
-        interior = _interior_path(g, cmask, start_opts, end_opts, through)
+        ends = g.adj_mask[v]
+        if through is not None and edge == rm.forced:
+            ends = 1 << through
+        interior = _bfs_inside(g, aux.color_masks[tag], g.adj_mask[u], ends)
+        if interior is None:
+            raise IntegrityError("color component fails to connect the helper edge")
         paths.append((u, *interior, v))
     paths = tuple(paths)
     _validate_defense_paths(g, aux, paths)
     return paths
-
-
-def _interior_path(
-    g: Graph, cmask: int, start_opts: int, end_opts: int, through: int | None
-) -> tuple[int, ...]:
-    if through is not None:
-        if not (cmask >> through & 1):
-            raise PreconditionError("via vertex outside the color component")
-        first = _bfs_inside(g, cmask, start_opts, 1 << through)
-        if first is None:
-            raise IntegrityError("no interior route to the via vertex")
-        return first
-    direct = _bfs_inside(g, cmask, start_opts, end_opts)
-    if direct is None:
-        raise IntegrityError("color component fails to connect the helper edge")
-    return direct
 
 
 def _bfs_inside(g, cmask: int, sources_mask: int, targets_mask: int):
@@ -644,19 +592,18 @@ class DefenseStats:
 
     instances: int = 0
     mismatches: int = 0
-    failures: list = field(default_factory=list)
 
 
 class DefenseContext:
     """Caches, for the scans of one graph, each cover pair's auxiliary graph
-    and the reducer's answer per (S, T, mode).
+    and the reducer's answer per (S, T, question).
 
     Both are exact: the auxiliary graph (with the views it caches) is a pure
     function of (S, T), and ``rainbow_pm_with_edge`` a deterministic pure
-    function of the auxiliary graph and the mode.  The partner mode names
-    (v, color of u's shared component) and not the attacked guard u, so all
+    function of the auxiliary graph and the question.  The question of a
+    guard of S n T names its shared component and not the guard, so all
     guards of one shared component share its answer.  Guard chains are still
-    expanded and checked per defense, since they route through u.
+    expanded and checked per defense, since they route through the guard.
 
     With ``stats``, each ask, by ``defends`` or by a ``check_defense``
     candidate, compares the matchable classes, the reducer and brute force.
@@ -674,53 +621,37 @@ class DefenseContext:
             self._aux[key] = build_aux(self.g, s, t)
         return self._aux[key]
 
-    def rainbow_for(self, s, t, mode) -> RainbowMatching | None:
-        """``rainbow_pm_with_edge(aux_for(s, t), **{kind: arg})`` for
-        ``mode = (kind, arg)``, computed once per (s, t, mode)."""
-        key = (s, t, mode)
+    def rainbow_for(self, s, t, attack: tuple[int, int]) -> RainbowMatching | None:
+        """``rainbow_pm_with_edge(aux_for(s, t), *attack)``, computed once per
+        (s, t, question)."""
+        aux = self.aux_for(s, t)
+        key = (s, t, _question(aux, *attack))
         if key not in self._rainbow:
-            kind, arg = mode
-            aux = self.aux_for(s, t)
-            self._rainbow[key] = rainbow_pm_with_edge(aux, **{kind: arg})
+            self._rainbow[key] = rainbow_pm_with_edge(aux, *attack)
         return self._rainbow[key]
 
     def defends(self, s, attack: tuple[int, int], t) -> bool:
         """Whether cover ``t`` answers the attack ``(u, v)`` on cover ``s``
-        (u in s, v not), decided by ``mode_satisfiable`` without a witness:
+        (u in s, v not), decided on the matchable classes without a witness:
         ``check_defense(g, s, attack, (t,), self)`` returns a Defense exactly
         when this is True."""
-        u, v = attack
-        if v not in t:
+        if attack[1] not in t:
             return False
         aux = self.aux_for(s, t)
-        mode = _mode(aux, u, v)
-        answer = _satisfiable(aux, mode)
+        answer = _satisfiable(aux, _question(aux, *attack))
         if self.stats is not None:
-            self._record_stats(s, t, mode, answer)
+            self._record_stats(s, t, attack, answer)
         return answer
 
-    def _record_stats(self, s, t, mode, oracle: bool) -> None:
-        stats = self.stats
+    def _record_stats(self, s, t, attack, oracle: bool) -> None:
         aux = self.aux_for(s, t)
         if aux.side_size > VERIFY_SIDES_CAP:
             return
-        stats.instances += 1
-        reducer = self.rainbow_for(s, t, mode) is not None
-        kind, arg = mode
-        any_mode, _ = rainbow_pm_bruteforce(aux, **{kind: arg})
-        if not oracle == reducer == any_mode:
-            stats.mismatches += 1
-            stats.failures.append((aux.cover_s, aux.cover_t, mode))
-
-
-def _mode(aux: AuxiliaryGraph, u: int, v: int) -> tuple[str, tuple[int, int]]:
-    """The matching question for the attack (u, v) on S answered by T."""
-    if u in aux.left:
-        return ("forced_real", (u, v))
-    # the attacked guard keeps its post: thread the chain through u's
-    # component of the shared part
-    color = next(i for i, cmask in enumerate(aux.color_masks) if cmask >> u & 1)
-    return ("partner_adjacent", (v, color))
+        self.stats.instances += 1
+        reducer = self.rainbow_for(s, t, attack) is not None
+        any_match, _ = rainbow_pm_bruteforce(aux, *attack)
+        if not oracle == reducer == any_match:
+            self.stats.mismatches += 1
 
 
 def check_defense(
@@ -755,23 +686,18 @@ def check_defense(
     for t in candidates:
         if v not in t:
             continue
-        defense = _try_candidate(g, s, t, u, v, ctx)
+        defense = _try_candidate(s, t, u, v, ctx)
         if defense is not None:
             return defense
     return None
 
 
-def _try_candidate(g, s, t, u, v, ctx: DefenseContext) -> Defense | None:
+def _try_candidate(s, t, u, v, ctx: DefenseContext) -> Defense | None:
     aux = ctx.aux_for(s, t)
-    mode = _mode(aux, u, v)
-    rm = ctx.rainbow_for(s, t, mode)
+    rm = ctx.rainbow_for(s, t, (u, v))
     if ctx.stats is not None:
-        ctx._record_stats(s, t, mode, _satisfiable(aux, mode))
+        ctx._record_stats(s, t, (u, v), _satisfiable(aux, _question(aux, u, v)))
     if rm is None:
         return None
-    if mode[0] == "forced_real":
-        return Defense(target=t, paths=matching_to_paths(g, aux, rm))
-    fu, fv, _ = rm.forced
-    paths = matching_to_paths(g, aux, rm, via={(fu, fv): u})
-    # the forced chain ends ...-> u -> v by construction of the via route
-    return Defense(target=t, paths=paths)
+    # a guard of S n T keeps its post: its color's chain ends ...-> u -> v
+    return Defense(target=t, paths=matching_to_paths(aux, rm, through=u))

@@ -27,18 +27,18 @@ def greatest_fixpoint(threats, candidates, answer):
 
     ``threats[i]`` lists the threats on state ``i`` in order,
     ``candidates(threat)`` the states that may answer one in canonical order,
-    and ``answer(i, threat, j)`` returns a truthy witness when ``j`` answers.
+    and ``answer(i, threat, j)`` tells whether ``j`` answers.
     A state leaves in the first round in which one of its threats has no
     responder among the states alive at the round's start; it records the
     first such threat, and its later threats are not asked that round.
 
     Returns ``(alive, removals, answers)``: the survivors in order, one
     ``(state, threat, round)`` per removal in round then state order, and
-    ``{(state, threat): (responder, witness)}`` naming each survivor's first
-    live responder.
+    ``{(state, threat): responder}`` naming each survivor's first live
+    responder.
     """
     live = [True] * len(threats)
-    watch = {}  # (state, threat index) -> (position, responder, witness)
+    watch = {}  # (state, threat index) -> position of the watched responder
     watchers: list[list[tuple[int, int]]] = [[] for _ in threats]
     removals = []
     pending = {i: range(len(ts)) for i, ts in enumerate(threats)}
@@ -49,15 +49,15 @@ def greatest_fixpoint(threats, candidates, answer):
             for t in sorted(pending[i]):
                 threat = threats[i][t]
                 cands = candidates(threat)
-                p = watch[(i, t)][0] + 1 if (i, t) in watch else 0
+                p = watch[(i, t)] + 1 if (i, t) in watch else 0
                 while p < len(cands) and not (
-                    live[cands[p]] and (witness := answer(i, threat, cands[p]))
+                    live[cands[p]] and answer(i, threat, cands[p])
                 ):
                     p += 1
                 if p == len(cands):
                     dying.append((i, threat))
                     break
-                watch[(i, t)] = (p, cands[p], witness)
+                watch[(i, t)] = p
                 watchers[cands[p]].append((i, t))
         for i, threat in dying:
             live[i] = False
@@ -70,7 +70,7 @@ def greatest_fixpoint(threats, candidates, answer):
         round_no += 1
     alive = [i for i, ok in enumerate(live) if ok]
     answers = {
-        (i, threat): watch[(i, t)][1:]
+        (i, threat): candidates(threat)[watch[(i, t)]]
         for i in alive
         for t, threat in enumerate(threats[i])
     }

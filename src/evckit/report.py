@@ -129,11 +129,12 @@ def delabelize(g: Graph, obj, active: bool = False):
         }
     if isinstance(obj, list):
         return [delabelize(g, v, active) for v in obj]
-    if active and isinstance(obj, str):
-        if obj in g.label_index:
-            return g.label_index[obj]
-        raise ValidationError(f"unknown vertex label {obj!r} in certificate")
-    return obj
+    if not active:
+        return obj
+    # a vertex field holds labels only: an index would pass through unchecked
+    if isinstance(obj, str) and obj in g.label_index:
+        return g.label_index[obj]
+    raise ValidationError(f"unknown vertex label {obj!r} in certificate")
 
 
 def revalidate_certificate(g: Graph, cert: dict) -> bool:
@@ -168,9 +169,8 @@ def _revalidate(g: Graph, cert: dict) -> bool:
     if kind == "vertex_in_no_min_cover":
         # checked apart from the cover listing that found it: v lies in no
         # minimum cover iff deleting it leaves the cover number unchanged
-        v = data["vertex"]
         full = g.full_mask
-        return 0 <= v < g.n and mvc_mask(g, full & ~(1 << v)) == mvc_mask(g, full)
+        return mvc_mask(g, full & ~(1 << data["vertex"])) == mvc_mask(g, full)
     if kind == "hall_violator":
         x = set(data["violator"])
         nb = neighbors_of_set(g, mask_of(x))

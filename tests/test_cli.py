@@ -264,6 +264,18 @@ MALFORMED_ON_P5 = [
     },
     {"kind": "no_weakly_good_coverage", "vertex": "a"},
     {"kind": "game_attacker_win", "k": "x"},
+    # a vertex field takes labels only: an index, read as a position,
+    # would turn -1, -2 and 4 into e, d and e
+    *(
+        {
+            "kind": "weakly_bad",
+            "support": ["a", index],
+            "counts_on_support": [1, 1],
+            "bad_set": ["b"],
+            "component": ["c", "d", "e"],
+        }
+        for index in (-1, -2, 4)
+    ),
 ]
 
 
@@ -507,3 +519,34 @@ def test_fixture_json_outputs_are_pinned(graph_file, capsys):
             digests.append(hashlib.sha256(out.encode()).hexdigest()[:10])
         got[name] = " ".join(digests)
     assert got == FIXTURE_DIGESTS
+
+
+# the selftest's report on every connected graph up to 5 vertices plus 20
+# seeded samples; criterion 6 counts the fixpoint's questions that are
+# cross-checked, so an unchanged count shows the same questions are asked
+SELFTEST_LINES = [
+    "criterion 1 [PASS] characterization equivalence (decider vs game oracle):"
+    " 821 graphs, 0 mismatches",
+    "criterion 2 [PASS] Koenig characterization (bipartite + essentially"
+    " elementary): 424 Koenig graphs, 0 mismatches",
+    "criterion 3 [PASS] minimum-cover pairs joined by a direct perfect matching:"
+    " 2427 pairs, 0 failures",
+    "criterion 4 [PASS] necessary-condition battery on oracle-confirmed graphs:"
+    " 214 graphs confirmed by the game oracle, 0 battery failures",
+    "criterion 5 [PASS] strongly good implies weakly good; covers missing a cut"
+    " vertex are not weakly good: 2041 covers, 0 implication violations,"
+    " 0 cut-vertex violations",
+    "criterion 6 [PASS] rainbow reducer agrees with exhaustive matching"
+    " enumeration: 6518 instances, 0 mismatches",
+    "criterion 7 [PASS] fixed solver values on the named graphs: 7 fixed checks",
+    "criterion 8 [PASS] defense replays are legal moves crossing the attacked"
+    " edge: 214 families + scripted sessions, 0 replay failures",
+    "selftest: PASS (821 corpus graphs, seed 20240)",
+]
+
+
+def test_selftest_report_is_pinned():
+    from evckit.selftest import run_selftest
+
+    report = run_selftest(max_n=5, samples=20, seed=20240, jobs=1)
+    assert report.lines() == SELFTEST_LINES

@@ -21,7 +21,8 @@ from evckit.defense import (
     rainbow_pm_with_edge,
 )
 from evckit.errors import IntegrityError, PreconditionError
-from evckit.graph import Graph
+from evckit.fixpoint import oriented_attacks
+from evckit.graph import Graph, mask_of
 
 from conftest import random_graph_corpus
 
@@ -95,26 +96,47 @@ def test_all_real_pm_integrity_error(named):
 def test_rainbow_forced_real_c4(named):
     c4 = named["C4"]
     aux = build_aux(c4, (0, 2), (1, 3))
-    rm = rainbow_pm_with_edge(aux, forced_real=(0, 1))
+    rm = rainbow_pm_with_edge(aux, 0, 1)
     assert rm.edges == ((0, 1, REAL), (2, 3, REAL))
-    assert matching_to_paths(c4, aux, rm) == ((0, 1), (2, 3))
+    assert rm.forced == (0, 1, REAL)
+    assert matching_to_paths(aux, rm) == ((0, 1), (2, 3))
 
 
 def test_rainbow_partner_mode_bowtie(named):
+    # the guard on x keeps its post: b is matched to a by x's color, and the
+    # chain from a is pinned through x
     bow = named["bowtie"]
     aux = build_aux(bow, bow.index_set(["x", "a", "c"]), bow.index_set(["x", "b", "c"]))
-    rm = rainbow_pm_with_edge(aux, partner_adjacent=(bow.index("b"), 0))
+    rm = rainbow_pm_with_edge(aux, bow.index("x"), bow.index("b"))
     assert rm.forced == (bow.index("a"), bow.index("b"), 0)
-    ps = matching_to_paths(bow, aux, rm, via={(bow.index("a"), bow.index("b")): bow.index("x")})
+    ps = matching_to_paths(aux, rm, through=bow.index("x"))
     assert [bow.labels_of(p) for p in ps] == [("a", "x", "b")]
 
 
+def _invalid_attacks(named):
+    # (aux, u, v, error, message): one per way an attack can fail to pose a
+    # question; the bowtie's covers {x, a, c} and {x, b, c} differ in a -> b
+    bow = named["bowtie"]
+    s, t = bow.index_set(["x", "a", "c"]), bow.index_set(["x", "b", "c"])
+    aux = build_aux(bow, s, t)
+    x, b, c, d = (bow.index(lab) for lab in "xbcd")
+    p4 = named["P4"]
+    wide = build_aux(p4, p4.index_set("abc"), p4.index_set("bcd"))
+    return [
+        (aux, b, x, PreconditionError, "guard must stand on S"),
+        (aux, x, d, PreconditionError, "must lie in T - S"),
+        (aux, c, b, PreconditionError, "must be an edge"),
+        (build_aux(bow, s, s), x, b, PreconditionError, "must lie in T - S"),
+        (wide, p4.index("c"), p4.index("d"), IntegrityError, "not both minimum"),
+    ]
+
+
 def test_rainbow_mode_arguments(named):
-    aux = build_aux(named["C4"], (0, 2), (1, 3))
-    with pytest.raises(PreconditionError):
-        rainbow_pm_with_edge(aux)
-    with pytest.raises(PreconditionError):
-        rainbow_pm_with_edge(aux, forced_real=(0, 1), partner_adjacent=(1, 0))
+    # a guard off S, a target off T - S, a non-edge, empty sides (S = T) and
+    # covers that are not both minimum are each refused
+    for aux, u, v, error, message in _invalid_attacks(named):
+        with pytest.raises(error, match=message):
+            rainbow_pm_with_edge(aux, u, v)
 
 
 def test_rainbow_against_bruteforce_on_cover_pairs():
@@ -129,8 +151,8 @@ def test_rainbow_against_bruteforce_on_cover_pairs():
             if aux.side_size == 0:
                 continue
             for u, v in sorted(aux.real_pairs):
-                rm = rainbow_pm_with_edge(aux, forced_real=(u, v))
-                any_mode, any_rainbow = rainbow_pm_bruteforce(aux, forced_real=(u, v))
+                rm = rainbow_pm_with_edge(aux, u, v)
+                any_mode, any_rainbow = rainbow_pm_bruteforce(aux, u, v)
                 assert (rm is not None) == any_mode, (g.edges, s, t, (u, v))
                 if rm is not None:
                     assert any_rainbow
@@ -139,6 +161,8 @@ def test_rainbow_against_bruteforce_on_cover_pairs():
 
 
 def test_rainbow_partner_against_bruteforce():
+    # every (right vertex, adjacent shared component) pair, asked as the
+    # attack from the component's first guard next to the right vertex
     instances = 0
     for g in random_graph_corpus(60, 3, 7, seed=113):
         cs = enumerate_min_vcs(g)
@@ -146,19 +170,11 @@ def test_rainbow_partner_against_bruteforce():
             aux = build_aux(g, s, t)
             if aux.side_size == 0 or not aux.colors:
                 continue
-            for color, comp in enumerate(aux.colors):
-                from evckit.graph import mask_of
-
-                cmask = mask_of(comp)
-                for v in aux.right:
-                    if not g.adj_mask[v] & cmask:
-                        continue
-                    rm = rainbow_pm_with_edge(aux, partner_adjacent=(v, color))
-                    any_mode, _ = rainbow_pm_bruteforce(
-                        aux, partner_adjacent=(v, color)
-                    )
-                    assert (rm is not None) == any_mode, (g.edges, s, t, v, color)
-                    instances += 1
+            for u, v in _shared_attacks(aux):
+                rm = rainbow_pm_with_edge(aux, u, v)
+                any_mode, _ = rainbow_pm_bruteforce(aux, u, v)
+                assert (rm is not None) == any_mode, (g.edges, s, t, u, v)
+                instances += 1
     assert instances > 30
 
 
@@ -228,11 +244,27 @@ def test_paths_never_touch_dead_zone():
                         assert set(p) <= set(s) | set(d.target), (g.edges, s, p)
 
 
+def test_defense_paths_cross_the_attacked_edge():
+    # the guard on u steps onto v, even when u keeps its post in the shared
+    # part and its chain is pinned through u
+    shared = 0
+    for g in random_graph_corpus(60, 4, 9, seed=229):
+        cs = enumerate_min_vcs(g)
+        ctx = DefenseContext(g)
+        for s in cs.covers:
+            for u, v in oriented_attacks(g, mask_of(s)):
+                d = check_defense(g, s, (u, v), cs.covers, ctx)
+                if d is None:
+                    continue
+                steps = {step for p in d.paths for step in zip(p, p[1:])}
+                assert (u, v) in steps, (g.edges, s, (u, v), d.paths)
+                shared += u in d.target
+    assert shared > 100
+
+
 def test_helper_edges_match_their_definition():
     # recompute pseudo-adjacency from scratch: (u, v, i) is a helper edge
     # exactly when both endpoints have a neighbor inside color component i
-    from evckit.graph import mask_of
-
     for g in random_graph_corpus(40, 3, 8, seed=167):
         cs = enumerate_min_vcs(g)
         for s, t in itertools.islice(itertools.combinations(cs.covers, 2), 4):
@@ -254,7 +286,7 @@ def test_exchange_reduction_branches_fire():
     import random
 
     import evckit.defense as defense_mod
-    from evckit.graph import Graph, is_connected, mask_of
+    from evckit.graph import Graph, is_connected
 
     fired = {"generic": 0, "protected": 0}
     original = defense_mod._exchange_on_cycle
@@ -291,16 +323,21 @@ def test_exchange_reduction_branches_fire():
                 aux = build_aux(g, cs.covers[i], cs.covers[j])
                 if aux.side_size == 0 or aux.side_size > 6 or not aux.helper_pairs:
                     continue
-                for u, v in sorted(aux.real_pairs):
-                    rainbow_pm_with_edge(aux, forced_real=(u, v))
-                for color, comp in enumerate(aux.colors):
-                    cm = mask_of(comp)
-                    for v in aux.right:
-                        if g.adj_mask[v] & cm:
-                            rainbow_pm_with_edge(aux, partner_adjacent=(v, color))
+                for u, v in _all_attacks(aux):
+                    rainbow_pm_with_edge(aux, u, v)
     finally:
         defense_mod._exchange_on_cycle = original
     assert fired["generic"] > 0 and fired["protected"] > 0, fired
+
+
+def _shared_attacks(aux):
+    # one attack per (right vertex, adjacent shared component): from the
+    # smallest guard of the component next to the right vertex
+    for cmask in aux.color_masks:
+        for v in aux.right:
+            guards = aux.graph.adj_mask[v] & cmask
+            if guards:
+                yield (guards & -guards).bit_length() - 1, v
 
 
 def _min_cover_pairs(count, seed, n_lo=4, n_hi=9):
@@ -311,7 +348,6 @@ def _min_cover_pairs(count, seed, n_lo=4, n_hi=9):
 
 
 def test_cached_aux_views_match_their_definitions():
-    from evckit.graph import mask_of
     from evckit.matching import hopcroft_karp
 
     pairs = 0
@@ -337,15 +373,17 @@ def test_cached_aux_views_match_their_definitions():
                         c for a, b, c in aux.helper_pairs if a == u and b == v
                     )
             assert aux.color_masks == tuple(mask_of(c) for c in aux.colors)
+            assert aux.shared_partners == {
+                x: (tuple(w for w in aux.left if g.adj_mask[w] & mask_of(c)), ci)
+                for ci, c in enumerate(aux.colors)
+                for x in c
+            }
             pairs += 1
     assert pairs > 1000
 
 
 def _oriented_checks(g, covers):
     # (s, attack, t): every oriented attack on s posed to every single cover
-    from evckit.fixpoint import oriented_attacks
-    from evckit.graph import mask_of
-
     for s in covers:
         for attack in oriented_attacks(g, mask_of(s)):
             for t in covers:
@@ -371,9 +409,9 @@ def test_reducer_instance_computed_once_per_context(monkeypatch):
     calls = []
     original = defense_mod.rainbow_pm_with_edge
 
-    def recording(aux, **mode):
-        calls.append((aux.cover_s, aux.cover_t, tuple(mode.items())))
-        return original(aux, **mode)
+    def recording(aux, u, v):
+        calls.append((aux.cover_s, aux.cover_t, defense_mod._question(aux, u, v)))
+        return original(aux, u, v)
 
     monkeypatch.setattr(defense_mod, "rainbow_pm_with_edge", recording)
     asked = computed = 0
@@ -439,16 +477,12 @@ def test_defense_path_validation_rejects(paths, message):
         _validate_defense_paths(g, aux, paths)
 
 
-def _all_modes(aux):
-    # every question a defense scan can put to this auxiliary graph
-    from evckit.graph import mask_of
-
-    for pair in sorted(aux.real_pairs):
-        yield {"forced_real": pair}
-    for color, comp in enumerate(aux.colors):
-        for v in aux.right:
-            if aux.graph.adj_mask[v] & mask_of(comp):
-                yield {"partner_adjacent": (v, color)}
+def _all_attacks(aux):
+    # one attack per question a defense scan can put to this auxiliary
+    # graph: every real pair, then every shared component next to a right
+    # vertex
+    yield from sorted(aux.real_pairs)
+    yield from _shared_attacks(aux)
 
 
 def test_mode_satisfiable_matches_reducer_and_brute_force():
@@ -459,24 +493,24 @@ def test_mode_satisfiable_matches_reducer_and_brute_force():
                 aux = build_aux(g, s, t)
                 if aux.side_size == 0:
                     continue
-                for mode in _all_modes(aux):
-                    got = mode_satisfiable(aux, **mode)
-                    where = (g.edges, s, t, mode)
-                    assert got == rainbow_pm_bruteforce(aux, **mode)[0], where
-                    assert got == (rainbow_pm_with_edge(aux, **mode) is not None), where
+                for u, v in _all_attacks(aux):
+                    got = mode_satisfiable(aux, u, v)
+                    where = (g.edges, s, t, u, v)
+                    assert got == rainbow_pm_bruteforce(aux, u, v)[0], where
+                    assert got == (rainbow_pm_with_edge(aux, u, v) is not None), where
                     asked += 1
                     satisfiable += got
-                    partner += "partner_adjacent" in mode
+                    partner += u not in aux.left
     assert 0 < satisfiable < asked and asked > 5000 and partner > 1000
 
 
 def test_mode_satisfiable_checks_the_mode(named):
-    c4 = named["C4"]
-    aux = build_aux(c4, (0, 2), (1, 3))
-    with pytest.raises(PreconditionError):
-        mode_satisfiable(aux)
-    with pytest.raises(PreconditionError):
-        mode_satisfiable(aux, forced_real=(0, 2))
+    # the classes and brute force refuse the same attacks as the reducer
+    for aux, u, v, error, message in _invalid_attacks(named):
+        with pytest.raises(error, match=message):
+            mode_satisfiable(aux, u, v)
+        with pytest.raises(error, match=message):
+            rainbow_pm_bruteforce(aux, u, v)
 
 
 def test_stats_flag_a_wrong_matching_answer(monkeypatch):
@@ -484,7 +518,7 @@ def test_stats_flag_a_wrong_matching_answer(monkeypatch):
 
     original = defense_mod._satisfiable
     monkeypatch.setattr(
-        defense_mod, "_satisfiable", lambda aux, mode: not original(aux, mode)
+        defense_mod, "_satisfiable", lambda aux, question: not original(aux, question)
     )
     stats = DefenseStats()
     for g, covers, _ in _min_cover_pairs(20, 199):

@@ -149,7 +149,7 @@ def test_engine_answers_name_first_live_responder():
     )
     assert alive == [0, 2]
     assert removals == [(1, "t1", 0)]
-    assert table == {(0, "t0"): (2, True), (2, "t2"): (0, True)}
+    assert table == {(0, "t0"): 2, (2, "t2"): 0}
 
 
 def test_oriented_attacks_orient_boundary_edges(named):
