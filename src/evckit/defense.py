@@ -21,29 +21,27 @@ shared component: the partners are the left vertices touching that
 component, and the tag is its color.  So all guards of one shared component
 ask the same question.
 
-The reducer turns an arbitrary perfect matching that answers the question
-into a rainbow one by superposing it with an all-real perfect matching and
-applying exchange steps along the unique surviving alternating cycle; every
-exchange strictly grows the overlap with the all-real matching, which bounds
-the loop.
+The witness is the all-real perfect matching flipped along a shortest
+alternating cycle through v, found by one breadth-first search
+(``rainbow_pm_with_edge``): a shortest cycle repeats no helper color, since
+a repeated color would be a shortcut.
 
 Whether the question has an answer at all needs no witness: the all-real
 matching is a perfect matching of the pair adjacency, and one
 strong-component pass over it (``matching.matchable_classes``) tells every
 pair that lies in some perfect matching.  ``DefenseContext.defends`` answers
-from those classes; the reducer returns a witness exactly when they say yes.
+from those classes; the search returns a witness exactly when they say yes.
 The decider decides its fixpoint on that answer and runs ``check_defense``
-(the reducer) only for the transitions it exports; ``check_defense`` itself,
+(the search) only for the transitions it exports; ``check_defense`` itself,
 and so the certificate check, never consults the classes.
 
 The decider asks about one cover pair (S, T) many times.  Everything the
-reducer and the classes derive from the auxiliary graph alone (the all-real
+search and the classes derive from the auxiliary graph alone (the all-real
 matching and its reverse, the pair adjacency, the matchable classes, the
-helper colors per pair, the color masks, each shared component's partners,
-and the perfect matching left after removing each skipped pair) is cached on
-the auxiliary graph, and ``DefenseContext`` keeps one auxiliary graph per
-(S, T) and one reducer answer per (S, T, question).  Each is a pure function
-of its key, so cached and recomputed answers are identical.
+helper colors per pair, the color masks and each shared component's
+partners) is cached on the auxiliary graph, and ``DefenseContext`` keeps one
+auxiliary graph per (S, T) and one witness per (S, T, question).  Each is a
+pure function of its key, so cached and recomputed answers are identical.
 """
 
 from __future__ import annotations
@@ -138,10 +136,6 @@ class AuxiliaryGraph:
             out.update(dict.fromkeys(comp, entry))
         return out
 
-    @cached_property
-    def _rest_pairings(self) -> dict[tuple[int, int], dict[int, int] | None]:
-        return {}
-
 
 @dataclass(frozen=True)
 class RainbowMatching:
@@ -204,23 +198,6 @@ def build_aux(g: Graph, s, t) -> AuxiliaryGraph:
     )
 
 
-def _perfect_pairing(
-    aux: AuxiliaryGraph, skip: tuple[int, int]
-) -> dict[int, int] | None:
-    """Perfect matching of the pair adjacency without the two ``skip``
-    vertices, or None; memoized on ``aux``, so callers must copy it."""
-    memo = aux._rest_pairings
-    if skip not in memo:
-        lefts = [u for u in aux.left if u not in skip]
-        adj = {
-            u: tuple(v for v in aux.pair_adjacency[u] if v not in skip)
-            for u in lefts
-        }
-        pair = hopcroft_karp(lefts, adj)
-        memo[skip] = pair if len(pair) == len(lefts) else None
-    return memo[skip]
-
-
 def all_real_pm(aux: AuxiliaryGraph) -> dict[int, int]:
     """Perfect matching using real edges only (guaranteed for minimum covers)."""
     adj: dict[int, list[int]] = {u: [] for u in aux.left}
@@ -232,127 +209,6 @@ def all_real_pm(aux: AuxiliaryGraph) -> dict[int, int]:
             "no all-real perfect matching; the covers are not both minimum"
         )
     return pair
-
-
-def _assign_tags(
-    aux: AuxiliaryGraph, pairing: dict[int, int], forced: tuple[int, int, int]
-) -> dict[int, tuple[int, int]]:
-    """Map left -> (right, tag); real preferred, forced pair keeps its tag."""
-    out: dict[int, tuple[int, int]] = {}
-    fu, fv, ftag = forced
-    for u, v in pairing.items():
-        if u == fu:
-            if v != fv:
-                raise IntegrityError("forced pair missing from pairing")
-            out[u] = (v, ftag)
-        elif (u, v) in aux.real_pairs:
-            out[u] = (v, REAL)
-        else:
-            colors = aux.helper_colors(u, v)
-            if not colors:
-                raise IntegrityError("matched pair is not an auxiliary edge")
-            out[u] = (v, colors[0])
-    return out
-
-
-def _reduce_to_rainbow(
-    aux: AuxiliaryGraph,
-    matched: dict[int, tuple[int, int]],
-    protected_right: int,
-) -> dict[int, tuple[int, int]]:
-    """Exchange reduction: protect the edge matched at ``protected_right``
-    (its tag survives; its left partner may legally change), end with at most
-    one helper edge per color.
-
-    Invariant between steps: matched stays a perfect matching whose edge at
-    the protected right vertex answers the caller's question; every rewiring
-    strictly increases overlap with the all-real matching, which
-    bounds the loop by the side size.
-    """
-    mp = aux.real_pm
-    mp_rev = aux.real_pm_reverse
-    guard = 2 * aux.side_size + 4
-    for _ in range(guard):
-        # realign tags: prefer the real tag wherever the pair admits it
-        for u, (v, tag) in list(matched.items()):
-            if v != protected_right and tag != REAL and (u, v) in aux.real_pairs:
-                matched[u] = (v, REAL)
-        protected_left = next(
-            u for u, (v, _) in matched.items() if v == protected_right
-        )
-        # cycle structure of matched vs mp over the left side
-        seen: set[int] = set()
-        cycles: list[list[int]] = []
-        for u0 in aux.left:
-            if u0 in seen:
-                continue
-            cyc = []
-            u = u0
-            while u not in seen:
-                seen.add(u)
-                cyc.append(u)
-                u = mp_rev[matched[u][0]]
-            if len(cyc) > 1:
-                cycles.append(cyc)
-        # realign every cycle avoiding the protected edge onto mp (all real)
-        progressed = False
-        for cyc in cycles:
-            if protected_left in cyc:
-                continue
-            for u in cyc:
-                matched[u] = (mp[u], REAL)
-            progressed = True
-        by_color: dict[int, list[int]] = {}
-        for u, (v, tag) in matched.items():
-            if tag != REAL:
-                by_color.setdefault(tag, []).append(u)
-        dup_colors = sorted(c for c, us in by_color.items() if len(us) > 1)
-        if not dup_colors:
-            return matched
-        if progressed:
-            continue
-        # all duplicates now lie on the single cycle through the protected edge
-        cyc = next(c for c in cycles if protected_left in c)
-        order = cyc[cyc.index(protected_left):] + cyc[: cyc.index(protected_left)]
-        color = dup_colors[0]
-        positions = sorted(order.index(u) for u in by_color[color])
-        _exchange_on_cycle(aux, matched, order, positions, color)
-    raise IntegrityError("rainbow reduction failed to terminate")
-
-
-def _exchange_on_cycle(aux, matched, order, positions, color) -> None:
-    """One rewiring step killing a duplicated color on the protected cycle.
-
-    ``order`` lists the cycle's left vertices starting at the protected edge.
-    Writing v_i for the matched partner of order[i], the cycle alternates
-    matched pairs (u_i, v_i) with all-real pairs (u_{i+1}, v_i), so a segment
-    can be slid onto the real side and closed with one color shortcut.
-    """
-    t = len(order)
-    if positions[0] == 0:
-        # the protected edge itself carries the color; hand the protected
-        # right vertex to the other duplicate via the color shortcut
-        p = positions[1]
-        v0 = matched[order[0]][0]
-        up = order[p]
-        if color not in aux.helper_colors(up, v0):
-            raise IntegrityError("missing color shortcut for protected exchange")
-        new = {}
-        for j in range(p, t):
-            nxt = order[(j + 1) % t]
-            new[nxt] = (matched[order[j]][0], REAL)  # slide onto real pairs
-        new[up] = (v0, color)
-        matched.update(new)
-    else:
-        p, q = positions[0], positions[1]
-        up, vq = order[p], matched[order[q]][0]
-        if color not in aux.helper_colors(up, vq):
-            raise IntegrityError("missing color shortcut for exchange")
-        new = {}
-        for j in range(p, q):
-            new[order[j + 1]] = (matched[order[j]][0], REAL)
-        new[up] = (vq, color)
-        matched.update(new)
 
 
 def _validate_rainbow(aux: AuxiliaryGraph, rm: RainbowMatching, question: tuple) -> None:
@@ -424,26 +280,48 @@ def rainbow_pm_with_edge(aux: AuxiliaryGraph, u: int, v: int) -> RainbowMatching
     the matched partner of v touches u's shared component, and the pair is
     carried as that color's helper edge.  ``forced`` names the pair at v.
 
-    Returns None exactly when no perfect matching (rainbow or not) answers
-    the attack; when one exists the exchange reduction always lands on a
-    rainbow witness.
+    The witness is the all-real matching mp flipped along a shortest
+    alternating cycle through v.  A breadth-first search over left vertices
+    starts at a0, mp's partner of v, steps from a to mp's partner of each
+    other right neighbour of a (neighbours ascending), and stops at the
+    nearest partner w.  Each left vertex of the path takes mp's partner of
+    the next one, w takes v, and every other pair stays in mp.  A path pair
+    is tagged REAL when it is a real edge, else with its first helper color.
+
+    The witness is rainbow.  If two path pairs shared a color, the helper
+    edge from the earlier left vertex to the later right vertex would be a
+    shortcut.  A path pair of the forced color would touch the shared
+    component, so its left vertex would be a partner nearer than w.  So the
+    path repeats no color and never uses the forced one.  No partner is
+    reachable exactly when no perfect matching (rainbow or not) answers the
+    attack, and then the result is None.
     """
     question = _checked_question(aux, u, v)
     partners, _, tag = question
-    for w in partners:
-        rest = _perfect_pairing(aux, (w, v))
-        if rest is None:
-            continue
-        pairing = dict(rest)
-        pairing[w] = v
-        matched = _assign_tags(aux, pairing, (w, v, tag))
-        matched = _reduce_to_rainbow(aux, matched, v)
-        fw = next(x for x, (y, _) in matched.items() if y == v)
-        edges = tuple(sorted((x, y, tg) for x, (y, tg) in matched.items()))
-        rm = RainbowMatching(edges=edges, forced=(fw, v, matched[fw][1]))
-        _validate_rainbow(aux, rm, question)
-        return rm
-    return None
+    mp, mp_rev = aux.real_pm, aux.real_pm_reverse
+    parent = {mp_rev[v]: -1}
+    queue = [mp_rev[v]]
+    for w in queue:
+        if w in partners:
+            break
+        for x in aux.pair_adjacency[w]:
+            b = mp_rev[x]  # mp's own pair leads back to w, already seen
+            if b not in parent:
+                parent[b] = w
+                queue.append(b)
+    else:
+        return None
+    forced = (w, v, tag)
+    flipped = {w: forced}
+    while parent[w] >= 0:
+        a, x = parent[w], mp[w]
+        color = REAL if (a, x) in aux.real_pairs else aux.helper_colors(a, x)[0]
+        flipped[a] = (a, x, color)
+        w = a
+    edges = tuple(sorted(flipped.get(a, (a, x, REAL)) for a, x in mp.items()))
+    rm = RainbowMatching(edges=edges, forced=forced)
+    _validate_rainbow(aux, rm, question)
+    return rm
 
 
 def enumerate_tagged_pms(aux: AuxiliaryGraph):
@@ -586,8 +464,8 @@ VERIFY_SIDES_CAP = 10  # brute force enumerates every perfect matching
 
 @dataclass
 class DefenseStats:
-    """Optional instrumentation: the matchable classes and the reducer
-    cross-checked by brute force on pairs with at most
+    """Optional instrumentation: the matchable classes and the witness
+    search cross-checked by brute force on pairs with at most
     ``VERIFY_SIDES_CAP`` vertices per side."""
 
     instances: int = 0
@@ -596,7 +474,7 @@ class DefenseStats:
 
 class DefenseContext:
     """Caches, for the scans of one graph, each cover pair's auxiliary graph
-    and the reducer's answer per (S, T, question).
+    and the witness search's answer per (S, T, question).
 
     Both are exact: the auxiliary graph (with the views it caches) is a pure
     function of (S, T), and ``rainbow_pm_with_edge`` a deterministic pure
@@ -606,7 +484,7 @@ class DefenseContext:
     expanded and checked per defense, since they route through the guard.
 
     With ``stats``, each ask, by ``defends`` or by a ``check_defense``
-    candidate, compares the matchable classes, the reducer and brute force.
+    candidate, compares the matchable classes, the search and brute force.
     """
 
     def __init__(self, g: Graph, stats: DefenseStats | None = None):
@@ -648,9 +526,9 @@ class DefenseContext:
         if aux.side_size > VERIFY_SIDES_CAP:
             return
         self.stats.instances += 1
-        reducer = self.rainbow_for(s, t, attack) is not None
+        search = self.rainbow_for(s, t, attack) is not None
         any_match, _ = rainbow_pm_bruteforce(aux, *attack)
-        if not oracle == reducer == any_match:
+        if not oracle == search == any_match:
             self.stats.mismatches += 1
 
 
@@ -667,7 +545,7 @@ def check_defense(
     The attack names an edge with exactly one endpoint in ``s``; attacks
     inside the cover are answered upstream by swapping the two guards.
     Candidates are scanned in their given (canonical) order, each decided by
-    the reducer, so a defense always comes with its witness.
+    the witness search, so a defense always comes with its witness.
     """
     if ctx is None:
         ctx = DefenseContext(g)

@@ -32,6 +32,7 @@ from .fixpoint import greatest_fixpoint, oriented_attacks
 from .graph import Graph, connected_components, is_connected, mask_of
 from .reachability import (
     GuardConfiguration,
+    _support_masks,
     compatible_configs,
     move_feasible_counts,
 )
@@ -95,20 +96,6 @@ def _minus(counts: Counts, v: int) -> Counts:
     return tuple(lst)
 
 
-def _support_masks(g: Graph, counts: Counts) -> tuple[int, int]:
-    """The support of ``counts`` and its closed neighbourhood, as masks.
-
-    c1 can reach c2 in one step only if each support lies in the other's
-    closed neighbourhood: every guard stays or moves to a neighbour, and
-    every guard of c2 comes from one of c1."""
-    support = near = 0
-    for v, c in enumerate(counts):
-        if c:
-            support |= 1 << v
-            near |= (1 << v) | g.adj_mask[v]
-    return support, near
-
-
 def solve_guard_game(
     g: Graph, k: int, *, budget: int | None = None, one_per_vertex: bool = False
 ) -> GameOutcome:
@@ -159,8 +146,6 @@ def _best_response(
     outcome: GameOutcome,
     counts: Counts,
     attack: tuple[int, int],
-    *,
-    surviving_only: bool,
 ):
     """Deterministic response to an attack from an arbitrary configuration.
 
@@ -186,8 +171,6 @@ def _best_response(
         if not move_feasible_counts(g, c_from, _minus(target, v)):
             continue
         surviving = target in survivors_set
-        if surviving_only and not surviving:
-            continue
         rank = outcome.ranks.get(target, 1 << 30)  # survivors rank highest
         key = (0 if surviving else 1, -rank, target)
         if best_key is None or key < best_key:
@@ -388,11 +371,12 @@ def play_session(g: Graph, k: int, in_stream, out_stream) -> list[dict]:
             events.append({"event": "quit"})
             break
         if cmd == "hint":
-            # unguarded edges and attacks no surviving state answers
+            # a winning defender stands on a survivor, which answers every
+            # attack; a losing one answers only the swaps
             wins = [
-                e
-                for e in g.edges
-                if _best_response(g, outcome, current, e, surviving_only=True) is None
+                (a, b)
+                for a, b in g.edges
+                if not outcome.defender_wins and not (current[a] and current[b])
             ]
             if wins:
                 say(
@@ -424,9 +408,7 @@ def play_session(g: Graph, k: int, in_stream, out_stream) -> list[dict]:
                     {"event": "swap", "edge": (a, b), "guards": current}
                 )
                 continue
-            response = _best_response(
-                g, outcome, current, (a, b), surviving_only=False
-            )
+            response = _best_response(g, outcome, current, (a, b))
             if response is None:
                 # forced crossing into a non-cover position
                 u, v = (a, b) if current[a] else (b, a)

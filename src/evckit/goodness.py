@@ -41,7 +41,7 @@ from .covers import (
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Graph, bits, mask_components, mask_of, neighbors_of_set
 from .matching import HallWitness, hall_check
-from .reachability import GuardConfiguration, move_feasible_counts
+from .reachability import GuardConfiguration, _support_masks, move_feasible_counts
 
 BAD_SET_SEARCH_CAP = 16  # max size of the unoccupied side we will enumerate
 INDEPENDENT_SET_CAP = 18  # exhaustive non-maximal independent set scans
@@ -173,15 +173,16 @@ def _replacement_reachable(
     some configuration of ``guards_left`` guards whose support covers the
     component?  Movement is confined to the component automatically because
     every target guard sits inside it."""
-    bare = comp_mask
-    for v in bits(comp_mask):
-        if residual[v]:
-            bare &= ~(1 << v)
+    support1, near1 = _support_masks(g, residual)
+    bare = comp_mask & ~support1
     adj = g.adj_mask
     if not any(adj[v] & bare for v in bits(bare)):
         # the residual is itself a target: every guard stands still
         return True
     for target in _component_targets(g, comp_mask, guards_left):
+        support2, near2 = _support_masks(g, target)
+        if support2 & ~near1 or support1 & ~near2:
+            continue  # some guard would have to move two steps
         if move_feasible_counts(g, residual, target):
             return True
     return False
@@ -478,23 +479,21 @@ def _check_cover_claim(g: Graph, witness: HallWitness, cs) -> None:
 
 
 def _find_tight_independent(g: Graph) -> dict | None:
-    """Smallest non-empty, non-maximal independent set with |N(I)| = |I|."""
-    n = g.n
-    adj = g.adj_mask
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            m = mask_of(combo)
-            independent = all(not (adj[v] & m) for v in combo)
-            if not independent:
-                continue
-            nb = neighbors_of_set(g, m)
-            # non-maximal: some vertex outside I u N(I) stays independent of I
-            if (g.full_mask & ~m & ~nb) == 0:
-                continue
-            if nb.bit_count() == size:
-                return {
-                    "kind": "tight_independent_set",
-                    "independent_set": combo,
-                    "neighborhood": tuple(bits(nb)),
-                }
-    return None
+    """Smallest non-empty, non-maximal independent set with |N(I)| = |I|,
+    ties broken by sorted vertices; the independent sets are the
+    complements of the covers."""
+    found = []
+    for cover in enumerate_covers_up_to(g, g.n):
+        m = g.full_mask & ~cover
+        nb = neighbors_of_set(g, m)
+        # non-maximal: some vertex outside I u N(I) stays independent of I
+        if m and g.full_mask & ~m & ~nb and nb.bit_count() == m.bit_count():
+            found.append((m.bit_count(), tuple(bits(m)), tuple(bits(nb))))
+    if not found:
+        return None
+    _, independent, neighborhood = min(found)
+    return {
+        "kind": "tight_independent_set",
+        "independent_set": independent,
+        "neighborhood": neighborhood,
+    }

@@ -3,8 +3,10 @@
 Configuration c1 can become c2 in one step when every guard of c1 stays or
 moves to a neighbour and the guards land exactly on c2.  That is a transport
 question on closed neighbourhoods, answered by one guard-to-slot matching
-(:func:`_route`); the matching doubles as the move list.  A defense's
-witness, its guard paths, is ``defense.GuardPaths``.
+(:func:`_route`); the matching doubles as the move list.  Callers that ask
+many pairs first compare supports (:func:`_support_masks`), a necessary
+condition that rejects a pair without routing.  A defense's witness, its
+guard paths, is ``defense.GuardPaths``.
 """
 
 from __future__ import annotations
@@ -132,6 +134,20 @@ def compatible_configs(
     return True, tuple(
         sorted(move for move, c in routed.items() for _ in range(c))
     )
+
+
+def _support_masks(g: Graph, counts: tuple[int, ...]) -> tuple[int, int]:
+    """The support of ``counts`` and its closed neighbourhood, as masks.
+
+    c1 can reach c2 in one step only if each support lies in the other's
+    closed neighbourhood: every guard stays or moves to a neighbour, and
+    every guard of c2 comes from one of c1."""
+    support = near = 0
+    for v, c in enumerate(counts):
+        if c:
+            support |= 1 << v
+            near |= (1 << v) | g.adj_mask[v]
+    return support, near
 
 
 def move_feasible_counts(g: Graph, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:

@@ -95,20 +95,12 @@ _VERTEX_KEYS = frozenset(
         "support",
     }
 )
-_SCALAR_KEYS = frozenset(
-    {"k", "n", "mvc", "cap", "round", "color", "counts_on_support", "kind"}
-)
 
 
 def labelize(g: Graph, obj, active: bool = False):
     """Map the vertex-index payload fields of a certificate to labels."""
     if isinstance(obj, dict):
-        return {
-            key: labelize(
-                g, val, (key in _VERTEX_KEYS) or (active and key not in _SCALAR_KEYS)
-            )
-            for key, val in obj.items()
-        }
+        return {key: labelize(g, val, key in _VERTEX_KEYS) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [labelize(g, v, active) for v in obj]
     if active and isinstance(obj, int) and not isinstance(obj, bool):
@@ -120,18 +112,16 @@ def labelize(g: Graph, obj, active: bool = False):
 
 def delabelize(g: Graph, obj, active: bool = False):
     """Inverse of :func:`labelize` for the vertex-name payload fields."""
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and not active:
         return {
-            key: delabelize(
-                g, val, (key in _VERTEX_KEYS) or (active and key not in _SCALAR_KEYS)
-            )
-            for key, val in obj.items()
+            key: delabelize(g, val, key in _VERTEX_KEYS) for key, val in obj.items()
         }
     if isinstance(obj, list):
         return [delabelize(g, v, active) for v in obj]
     if not active:
         return obj
-    # a vertex field holds labels only: an index would pass through unchecked
+    # a vertex field holds labels only: an index would pass through unchecked,
+    # and a nested object is no vertex
     if isinstance(obj, str) and obj in g.label_index:
         return g.label_index[obj]
     raise ValidationError(f"unknown vertex label {obj!r} in certificate")
@@ -210,11 +200,31 @@ def _revalidate(g: Graph, cert: dict) -> bool:
         )
         return revalidate_bad_set(g, bc)
     if kind == "non_elementary":
-        if any(
-            isinstance(bipartition(g.induced(c)), OddCycle)
-            for c in connected_components(g)
-        ):
-            return False
+        sides = []  # both sides of every component, as masks of g
+        for comp in connected_components(g):
+            split = bipartition(g.induced(comp))
+            if isinstance(split, OddCycle):
+                return False
+            sides += [mask_of(comp[v] for v in side) for side in split]
+        # each Hall set present must have the claimed neighbourhood N(X): a
+        # tight one |N(X)| = |X| inside one side, a deficient one |N(X)| < |X|
+        for prefix in ("tight", "deficient"):
+            if f"{prefix}_set" not in data:
+                continue
+            x = data[f"{prefix}_set"]
+            xm = mask_of(x)
+            nb = neighbors_of_set(g, xm)
+            claimed = data[f"{prefix}_neighborhood"]
+            if xm.bit_count() != len(x) or sorted(claimed) != list(bits(nb)):
+                return False
+            if prefix == "deficient":
+                holds = nb.bit_count() < len(x)
+            else:  # and X a non-empty proper subset of one side
+                holds = nb.bit_count() == len(x) > 0 and any(
+                    xm != side and not xm & ~side for side in sides
+                )
+            if not holds:
+                return False
         edge = data.get("edge_in_no_perfect_matching")
         if edge is None:
             return not is_essentially_elementary(g)

@@ -6,9 +6,9 @@ import pytest
 
 from evckit.cli import main
 from evckit.corpus import exhaustive_connected, fixtures, random_connected
-from evckit.errors import PreconditionError
+from evckit.errors import PreconditionError, ValidationError
 from evckit.graph import parse_edge_list, serialize_edge_list
-from evckit.report import revalidate_certificate
+from evckit.report import delabelize, revalidate_certificate
 
 
 @pytest.fixture()
@@ -174,7 +174,8 @@ def test_json_graph_input(graph_file, capsys):
 def test_certificates_revalidate_after_roundtrip(graph_file, capsys):
     cases = [
         ("foot.edges", "a1 a2\na1 b1\na2 b2\na1 b2\na2 b1\n"),
-        ("p5.edges", "a b\nb c\nc d\nd e\n"),
+        ("p4.edges", "a b\nb c\nc d\n"),  # a tight set
+        ("p5.edges", "a b\nb c\nc d\nd e\n"),  # a deficient set
         ("k13.edges", "c x\nc y\nc z\n"),
     ]
     kinds = set()
@@ -405,6 +406,52 @@ def test_genuine_game_and_non_elementary_certificates_hold():
     assert revalidate_certificate(
         k13, {"kind": "non_elementary", "edge_in_no_perfect_matching": ["c", "x"]}
     )
+
+
+# the genuine non_elementary certificates of P4 and K1,3 name an edge in no
+# perfect matching; each forgery adds a Hall set that does not hold
+P4_EDGE = {"kind": "non_elementary", "edge_in_no_perfect_matching": ["b", "c"]}
+K13_EDGE = {"kind": "non_elementary", "edge_in_no_perfect_matching": ["c", "x"]}
+FORGED_HALL_SETS = {
+    # not inside one side, and N({a, b, c, d}) is empty, not {a}
+    "p4-tight-not-one-side": (
+        "a b\nb c\nc d\n",
+        {**P4_EDGE, "tight_set": ["a", "b", "c", "d"], "tight_neighborhood": ["a"]},
+    ),
+    # {a, c} is a whole side, not a proper subset of one
+    "p4-tight-whole-side": (
+        "a b\nb c\nc d\n",
+        {**P4_EDGE, "tight_set": ["a", "c"], "tight_neighborhood": ["b", "d"]},
+    ),
+    "p4-tight-not-tight": (
+        "a b\nb c\nc d\n",
+        {**P4_EDGE, "tight_set": ["b"], "tight_neighborhood": ["a", "c"]},
+    ),
+    "p4-tight-wrong-neighborhood": (
+        "a b\nb c\nc d\n",
+        {**P4_EDGE, "tight_set": ["a"], "tight_neighborhood": ["c"]},
+    ),
+    # |N({c})| = 3 is no deficiency
+    "k13-deficient-not-deficient": (
+        "c x\nc y\nc z\n",
+        {**K13_EDGE, "deficient_set": ["c"], "deficient_neighborhood": ["x", "y", "z"]},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text,cert", FORGED_HALL_SETS.values(), ids=FORGED_HALL_SETS.keys()
+)
+def test_forged_hall_sets_of_non_elementary_rejected(text, cert):
+    assert not revalidate_certificate(parse_edge_list(text), cert)
+
+
+def test_object_in_a_vertex_field_is_rejected():
+    # a vertex field holds labels, never a nested object
+    cert = {"kind": "vertex_in_no_min_cover", "vertex": {"label": "a"}}
+    with pytest.raises(ValidationError):
+        delabelize(P5, cert)
+    assert revalidate_certificate(P5, cert) is False
 
 
 def test_generate_corpus_counts():

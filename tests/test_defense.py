@@ -280,20 +280,11 @@ def test_helper_edges_match_their_definition():
                         assert ((u, v, ci) in have) == expected, (g.edges, s, t)
 
 
-def test_exchange_reduction_branches_fire():
-    # seeded stress on graphs large enough that the reduction must rewire;
-    # both the generic and the protected-color exchange paths must execute
-    import random
-
-    import evckit.defense as defense_mod
-    from evckit.graph import Graph, is_connected
-
-    fired = {"generic": 0, "protected": 0}
-    original = defense_mod._exchange_on_cycle
-
-    def spy(aux, matched, order, positions, color):
-        fired["protected" if positions[0] == 0 else "generic"] += 1
-        return original(aux, matched, order, positions, color)
+def test_shortest_cycle_witness_on_larger_cover_pairs():
+    # seeded cover pairs with helper pairs, large enough for long alternating
+    # cycles: a witness exactly when the classes say yes, and its chains
+    # move the guard on u onto v
+    from evckit.graph import is_connected
 
     labels = tuple("abcdefghijkl")
     rng = random.Random(5150)
@@ -310,24 +301,32 @@ def test_exchange_reduction_branches_fire():
             if is_connected(g) and not g.isolated_vertices():
                 return g
 
-    defense_mod._exchange_on_cycle = spy
-    try:
-        trials = 0
-        while (not fired["generic"] or not fired["protected"]) and trials < 2500:
-            trials += 1
-            g = rand_graph(rng.choice([9, 10, 11, 12]), rng.uniform(0.18, 0.4))
-            cs = enumerate_min_vcs(g, cap=300)
-            for i, j in itertools.islice(
-                itertools.combinations(range(len(cs.covers)), 2), 6
-            ):
-                aux = build_aux(g, cs.covers[i], cs.covers[j])
-                if aux.side_size == 0 or aux.side_size > 6 or not aux.helper_pairs:
+    # flipped: a witness with a helper pair on its alternating path
+    asked = witnessed = flipped = shared = 0
+    for _ in range(120):
+        g = rand_graph(rng.choice([9, 10, 11, 12]), rng.uniform(0.18, 0.4))
+        cs = enumerate_min_vcs(g, cap=300)
+        for i, j in itertools.islice(
+            itertools.combinations(range(len(cs.covers)), 2), 6
+        ):
+            aux = build_aux(g, cs.covers[i], cs.covers[j])
+            if aux.side_size == 0 or aux.side_size > 6 or not aux.helper_pairs:
+                continue
+            for u, v in _all_attacks(aux):
+                rm = rainbow_pm_with_edge(aux, u, v)
+                where = (g.edges, aux.cover_s, aux.cover_t, u, v)
+                assert (rm is not None) == mode_satisfiable(aux, u, v), where
+                asked += 1
+                if rm is None:
                     continue
-                for u, v in _all_attacks(aux):
-                    rainbow_pm_with_edge(aux, u, v)
-    finally:
-        defense_mod._exchange_on_cycle = original
-    assert fired["generic"] > 0 and fired["protected"] > 0, fired
+                paths = matching_to_paths(aux, rm, through=u)
+                assert any(p[-2:] == (u, v) for p in paths), where
+                witnessed += 1
+                flipped += any(e[2] != REAL for e in rm.edges if e != rm.forced)
+                shared += u not in aux.left
+    assert 0 < witnessed < asked and flipped > 100 and shared > 100, (
+        asked, witnessed, flipped, shared
+    )
 
 
 def _shared_attacks(aux):

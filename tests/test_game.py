@@ -119,7 +119,7 @@ def test_strategy_responses_stay_in_survivors():
             for a, b in g.edges:
                 if (state[a] > 0) == (state[b] > 0):
                     continue
-                resp = game._best_response(g, out, state, (a, b), surviving_only=True)
+                resp = game._best_response(g, out, state, (a, b))
                 assert resp is not None, (g.edges, state, (a, b))
                 target, moves = resp
                 assert target in survivors
@@ -192,6 +192,49 @@ def test_play_session_hint(named):
     out = io.StringIO()
     play_session(named["P3"], 1, io.StringIO("hint\nquit\n"), out)
     assert "winning attacks: a b" in out.getvalue()
+    # a lost position: the guarded edge a1 a2 is answered by a swap
+    out = io.StringIO()
+    play_session(named["footnote"], 2, io.StringIO("hint\nquit\n"), out)
+    assert "guards: a1 a2\n" in out.getvalue()
+    assert "winning attacks: a1 b1, a1 b2, a2 b1, a2 b2\n" in out.getvalue()
+
+
+def test_hint_names_the_attacks_no_survivor_answers():
+    # the hint read off the outcome, against its definition: an unguarded
+    # edge, or one guarded end and no surviving state in one step
+    from evckit.reachability import move_feasible_counts
+
+    hinted = 0
+    for g in random_graph_corpus(30, 2, 6, seed=163):
+        for k in (mvc_mask(g, g.full_mask), mvc_mask(g, g.full_mask) + 1):
+            out = solve_guard_game(g, k)
+            if not out.states:
+                continue
+            script = "".join(
+                f"attack {g.labels[a]} {g.labels[b]}\nhint\n" for a, b in g.edges
+            )
+            events = play_session(g, k, io.StringIO(script), io.StringIO())
+            guards = None
+            for event in events:
+                if "guards" in event:
+                    guards = event["guards"]
+                if event["event"] != "hint":
+                    continue
+                want = []
+                for a, b in g.edges:
+                    if guards[a] and guards[b]:
+                        continue
+                    u, v = (a, b) if guards[a] else (b, a)
+                    if not guards[u] or not any(
+                        t[v] and move_feasible_counts(
+                            g, game._minus(guards, u), game._minus(t, v)
+                        )
+                        for t in out.survivors
+                    ):
+                        want.append((a, b))
+                assert event["attacks"] == want, (g.edges, k, guards)
+                hinted += 1
+    assert hinted > 100
 
 
 def test_play_session_swap(named):
@@ -330,8 +373,8 @@ def test_evc_closed_forms(g, family):
 def test_support_filter_rejects_only_unroutable_pairs():
     # the move check's prefilter: a pair it rejects never routes, and the
     # masks are the residual's support and that support's closed neighbourhood
-    from evckit.game import _minus, _support_masks
-    from evckit.reachability import move_feasible_counts
+    from evckit.game import _minus
+    from evckit.reachability import _support_masks, move_feasible_counts
 
     rng = random.Random(241)
     rejected = kept = 0

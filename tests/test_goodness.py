@@ -182,6 +182,28 @@ def test_battery_rejects_disconnected():
         necessary_conditions_report(g, 2)
 
 
+def test_tight_independent_set_is_the_least_by_subset_scan():
+    # the first tight non-maximal independent set in (size, lex) order over
+    # all vertex subsets, against the one read off the cover list
+    def first_by_subsets(g):
+        for size in range(1, g.n + 1):
+            for combo in itertools.combinations(range(g.n), size):
+                m = sum(1 << v for v in combo)
+                nb = neighbors_of_set(g, m)
+                independent = not any(g.adj_mask[v] & m for v in combo)
+                if independent and g.full_mask & ~m & ~nb and nb.bit_count() == size:
+                    return combo, tuple(bits(nb))
+        return None
+
+    found = 0
+    for g in random_graph_corpus(150, 2, 9, seed=881):
+        got = goodness._find_tight_independent(g)
+        want = first_by_subsets(g)
+        assert (got and (got["independent_set"], got["neighborhood"])) == want, g.edges
+        found += want is not None
+    assert 20 < found < 150
+
+
 def test_bad_certificates_revalidate_on_corpus():
     for g in random_graph_corpus(40, 2, 6, seed=103):
         for cover in enumerate_min_vcs(g).covers:
