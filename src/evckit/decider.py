@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .covers import DEFAULT_COVER_CAP, enumerate_min_vcs, mvc_mask
 from .defense import DefenseContext, DefenseStats, GuardPaths, check_defense
-from .errors import IntegrityError, PreconditionError
+from .errors import IntegrityError, PreconditionError, ResourceLimitError
 from .fixpoint import greatest_fixpoint, oriented_attacks
 from .graph import (
     Graph,
@@ -72,12 +72,7 @@ def spartan_fixpoint(
     proving emptiness.
     """
     if covers is None:
-        cs = enumerate_min_vcs(g)
-        if cs.truncated:
-            raise PreconditionError(
-                "fixpoint needs the complete minimum-cover enumeration"
-            )
-        covers = cs.covers
+        covers = _all_min_covers(g, DEFAULT_COVER_CAP)
     ctx = DefenseContext(g, stats=stats)
     holders = [[j for j, c in enumerate(covers) if v in c] for v in range(g.n)]
     alive, removals, answers = greatest_fixpoint(
@@ -102,6 +97,17 @@ def spartan_fixpoint(
     return DefenseFamily(covers=tuple(covers[i] for i in alive), transitions=transitions)
 
 
+def _all_min_covers(g: Graph, cap: int) -> tuple[tuple[int, ...], ...]:
+    """Every minimum cover, or a refusal: a fixpoint over a truncated list
+    could delete a cover that a missing one defends."""
+    cs = enumerate_min_vcs(g, cap=cap)
+    if cs.truncated:
+        raise ResourceLimitError(
+            f"more than {cap} minimum covers; the fixpoint needs them all"
+        )
+    return cs.covers
+
+
 def _decide_component(
     g: Graph,
     *,
@@ -111,28 +117,22 @@ def _decide_component(
 ) -> SpartanVerdict:
     k = mvc_mask(g, g.full_mask)
     mm = max_matching_size(g)
-    cs = None if method == "game" else enumerate_min_vcs(g, cap=cover_cap)
-    if cs is None or cs.truncated:
-        # the game method asks the oracle, and so does a truncated enumeration:
-        # an incomplete family universe can only produce false negatives
+    if method == "game":
         from .game import solve_guard_game
 
         wins = solve_guard_game(g, k).defender_wins
-        certificate = None
-        if not wins:
-            certificate = {"kind": "game_attacker_win", "k": k}
-        elif cs is not None:
-            certificate = {"kind": "cover_enumeration_truncated", "cap": cs.cap}
+        lost = {"kind": "game_attacker_win", "k": k, "component": tuple(range(g.n))}
         return SpartanVerdict(
             spartan=wins,
             method="gameOracle",
-            certificate=certificate,
+            certificate=None if wins else lost,
             mvc=k,
             max_matching=mm,
         )
+    covers = _all_min_covers(g, cover_cap)
     if method != "fixpoint" and mm == k:
-        return _decide_konig(g, cs, k, mm, stats=stats)
-    result = spartan_fixpoint(g, covers=cs.covers, stats=stats)
+        return _decide_konig(g, covers, k, mm, stats=stats)
+    result = spartan_fixpoint(g, covers=covers, stats=stats)
     if isinstance(result, DefenseFamily):
         return SpartanVerdict(
             spartan=True, method="fixpoint", family=result, mvc=k, max_matching=mm
@@ -152,7 +152,7 @@ def _decide_component(
 
 
 def _decide_konig(
-    g: Graph, cs, k: int, mm: int, *, stats: DefenseStats | None
+    g: Graph, covers, k: int, mm: int, *, stats: DefenseStats | None
 ) -> SpartanVerdict:
     """Koenig component (max matching = cover number): Spartan iff bipartite
     and elementary; the fixpoint still runs on a positive answer so the
@@ -180,7 +180,7 @@ def _decide_konig(
         return SpartanVerdict(
             spartan=False, method="konig", certificate=cert, mvc=k, max_matching=mm
         )
-    family = spartan_fixpoint(g, covers=cs.covers, stats=stats)
+    family = spartan_fixpoint(g, covers=covers, stats=stats)
     if not isinstance(family, DefenseFamily):
         raise IntegrityError(
             "bipartite elementary component produced an empty fixpoint"

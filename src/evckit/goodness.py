@@ -7,22 +7,23 @@ the component and win).  *Strongly good* additionally demands that after the
 forced exit of any frontier guard, the remaining guards inside the component
 can still reach some cover of the component in a single simultaneous step.
 
-That replacement check answers True at once when the remaining guards
+One scan answers both questions: it walks the subsets T of the unoccupied
+side (exhaustively, so sound but exponential; the side is capped and a
+refusal is explicit) and the components of G - T, and stops once it holds
+the first weakly bad and the first strongly bad witness.  ``g._memo`` keeps
+the two verdicts with their certificates, keyed by the configuration's guard
+count vector (multiset configurations share supports), so the battery and
+the acceptance sweep scan each configuration once per graph.
+
+The replacement check answers True at once when the remaining guards
 already cover every edge of the component: they are then one of the
 targets, reached by every guard standing still.  Otherwise it tries the
 component's targets in order: configurations on the graph's own vertices,
 drawn from the cover enumerator restricted to the component mask, and only
 as far as the first reachable one.  ``g._memo`` keeps the targets drawn,
-keyed by the component mask and guard count, so each is drawn once per
-graph however many bad sets, covers and exits lead back to it.  It also
-keeps each weak and strong verdict with its certificate, keyed by the
-configuration's guard count vector (multiset configurations share
-supports), so the battery and the acceptance sweep ask each question once
-per graph.
-``revalidate_bad_set`` keeps nothing and recomputes every claim.
-
-Searches enumerate candidate subsets of the independent side exhaustively
-(sound but exponential; sizes are capped and refusals are explicit).
+with their support masks, keyed by the component mask and guard count, so
+each is drawn once per graph however many bad sets, covers and exits lead
+back to it.  ``revalidate_bad_set`` keeps nothing and recomputes every claim.
 """
 
 from __future__ import annotations
@@ -95,33 +96,84 @@ def _guards_in(cfg: GuardConfiguration, comp_mask: int) -> int:
 def is_weakly_good(g: Graph, config) -> tuple[bool, BadSetCertificate | None]:
     """No removable subset of unoccupied vertices pins a component at exactly
     its cover number of guards."""
-    cfg = _as_config(g, config)
-    memo = g._memo.setdefault("weakly_good", {})
+    return _verdicts(g, _as_config(g, config))[0]
+
+
+def is_strongly_good(g: Graph, config) -> tuple[bool, BadSetCertificate | None]:
+    """No subset T of unoccupied vertices admits a component and a frontier
+    guard whose forced exit strands the remaining guards (no one-step move to
+    a cover of the component with one guard fewer).
+
+    Strongly good implies weakly good on a connected graph; the scan
+    re-asserts that implication as an internal cross-check.
+    """
+    return _verdicts(g, _as_config(g, config))[1]
+
+
+def _verdicts(g: Graph, cfg: GuardConfiguration):
+    """The weak and the strong verdict, kept per guard count vector."""
+    memo = g._memo.setdefault("goodness", {})
     got = memo.get(cfg.counts)
     if got is None:
-        got = memo[cfg.counts] = _weakly_good(g, cfg)
+        got = memo[cfg.counts] = _bad_set_scan(g, cfg)
     return got
 
 
-def _weakly_good(
-    g: Graph, cfg: GuardConfiguration
-) -> tuple[bool, BadSetCertificate | None]:
+def _bad_set_scan(g: Graph, cfg: GuardConfiguration):
+    """Walk the subsets T of the unoccupied side in (size, lex) order and the
+    components of G - T in mask order, recording the first weakly bad
+    (T, component) and the first strongly bad (T, component, exit); stop as
+    soon as both are found.  On a connected graph a pinned component meets T
+    through a guarded vertex, so the strong witness comes no later than the
+    weak one and the scan ends at the weak witness."""
     sup = _require_cover_support(g, cfg)
+    weak = strong = None
     for t_mask in _unoccupied_subsets(g, sup):
-        rem = g.full_mask & ~t_mask
-        for comp in mask_components(g, rem):
+        frontier = neighbors_of_set(g, t_mask) & sup
+        for comp in mask_components(g, g.full_mask & ~t_mask):
             guards = _guards_in(cfg, comp)
             need = mvc_mask(g, comp)
             assert guards >= need, "cover support cannot under-fill a component"
-            if guards == need:
-                return False, BadSetCertificate(
-                    kind="weakly_bad",
-                    support=cfg.support,
-                    counts=cfg.counts,
-                    bad_set=tuple(bits(t_mask)),
-                    component=tuple(bits(comp)),
-                )
-    return True, None
+            if weak is None and guards == need:
+                weak = _certificate("weakly_bad", cfg, t_mask, comp)
+            exits = frontier & comp
+            if strong is None and exits:
+                v = _stranding_exit(g, cfg, comp, exits, guards, need)
+                if v is not None:
+                    strong = _certificate("strongly_bad", cfg, t_mask, comp, v)
+            if weak and strong:
+                return (False, weak), (False, strong)
+    if weak:
+        raise AssertionError(
+            "strongly good arrangement failed the weakly-good cross-check"
+        )
+    return (True, None), (strong is None, strong)
+
+
+def _certificate(kind, cfg, t_mask, comp, exit_vertex=None) -> BadSetCertificate:
+    return BadSetCertificate(
+        kind=kind,
+        support=cfg.support,
+        counts=cfg.counts,
+        bad_set=tuple(bits(t_mask)),
+        component=tuple(bits(comp)),
+        exit_vertex=exit_vertex,
+    )
+
+
+def _stranding_exit(
+    g: Graph, cfg: GuardConfiguration, comp: int, exits: int, guards: int, need: int
+) -> int | None:
+    """The first frontier guard of the component whose forced exit leaves the
+    others unable to regroup, or None."""
+    if guards == need:
+        # the exit leaves too few guards to cover the component at all
+        return next(bits(exits))
+    for v in bits(exits):
+        residual = _residual(cfg.counts, comp, v)
+        if not _replacement_reachable(g, comp, residual, guards - 1):
+            return v
+    return None
 
 
 def _residual(counts, comp_mask: int, exit_vertex: int) -> tuple[int, ...]:
@@ -133,10 +185,10 @@ def _residual(counts, comp_mask: int, exit_vertex: int) -> tuple[int, ...]:
 
 def _component_targets(
     g: Graph, comp_mask: int, guards_left: int
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Every ``guards_left``-guard configuration whose support covers the
-    component, as count vectors over ``g``, in ``cover_configurations``
-    order, drawn only as far as the caller reads.
+    component, as count vectors over ``g`` with their ``_support_masks``, in
+    ``cover_configurations`` order, drawn only as far as the caller reads.
 
     ``g._memo`` keeps, per component mask and ``guards_left``, the targets
     drawn so far and the generator that draws the rest.  Each reader walks
@@ -161,7 +213,7 @@ def _component_targets(
                 raise
             if target is None:
                 return
-            drawn.append(target)
+            drawn.append((target, *_support_masks(g, target)))
         yield drawn[i]
         i += 1
 
@@ -179,80 +231,12 @@ def _replacement_reachable(
     if not any(adj[v] & bare for v in bits(bare)):
         # the residual is itself a target: every guard stands still
         return True
-    for target in _component_targets(g, comp_mask, guards_left):
-        support2, near2 = _support_masks(g, target)
+    for target, support2, near2 in _component_targets(g, comp_mask, guards_left):
         if support2 & ~near1 or support1 & ~near2:
             continue  # some guard would have to move two steps
         if move_feasible_counts(g, residual, target):
             return True
     return False
-
-
-def is_strongly_good(g: Graph, config) -> tuple[bool, BadSetCertificate | None]:
-    """No subset T of unoccupied vertices admits a component and a frontier
-    guard whose forced exit strands the remaining guards (no one-step move to
-    a cover of the component with one guard fewer).
-
-    Strongly good implies weakly good; that implication is re-asserted as an
-    internal cross-check.
-    """
-    cfg = _as_config(g, config)
-    memo = g._memo.setdefault("strongly_good", {})
-    got = memo.get(cfg.counts)
-    if got is None:
-        got = memo[cfg.counts] = _strongly_good(g, cfg)
-    return got
-
-
-def _strongly_good(
-    g: Graph, cfg: GuardConfiguration
-) -> tuple[bool, BadSetCertificate | None]:
-    sup = _require_cover_support(g, cfg)
-    certificate = None
-    for t_mask in _unoccupied_subsets(g, sup):
-        rem = g.full_mask & ~t_mask
-        nt = neighbors_of_set(g, t_mask)
-        for comp in mask_components(g, rem):
-            exits = nt & comp & sup
-            if not exits:
-                continue
-            guards = _guards_in(cfg, comp)
-            need = mvc_mask(g, comp)
-            if guards == need:
-                # the exit leaves too few guards to cover the component at all
-                certificate = BadSetCertificate(
-                    kind="strongly_bad",
-                    support=cfg.support,
-                    counts=cfg.counts,
-                    bad_set=tuple(bits(t_mask)),
-                    component=tuple(bits(comp)),
-                    exit_vertex=next(bits(exits)),
-                )
-                break
-            for v in bits(exits):
-                residual = _residual(cfg.counts, comp, v)
-                if not _replacement_reachable(g, comp, residual, guards - 1):
-                    certificate = BadSetCertificate(
-                        kind="strongly_bad",
-                        support=cfg.support,
-                        counts=cfg.counts,
-                        bad_set=tuple(bits(t_mask)),
-                        component=tuple(bits(comp)),
-                        exit_vertex=v,
-                    )
-                    break
-            if certificate:
-                break
-        if certificate:
-            break
-    if certificate is None:
-        ok, _ = is_weakly_good(g, cfg)
-        if not ok:
-            raise AssertionError(
-                "strongly good arrangement failed the weakly-good cross-check"
-            )
-        return True, None
-    return False, certificate
 
 
 def revalidate_bad_set(g: Graph, cert: BadSetCertificate) -> bool:

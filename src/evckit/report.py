@@ -144,7 +144,7 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
 def _revalidate(g: Graph, cert: dict) -> bool:
     from .covers import enumerate_min_vcs, mvc_mask
     from .goodness import BadSetCertificate, revalidate_bad_set
-    from .graph import OddCycle, bipartition, connected_components
+    from .graph import OddCycle, bipartition, connected_components, is_connected
     from .matching import is_essentially_elementary, max_matching_size
 
     kind = cert.get("kind")
@@ -238,6 +238,8 @@ def _revalidate(g: Graph, cert: dict) -> bool:
         from .goodness import is_strongly_good, is_weakly_good
         from .reachability import GuardConfiguration
 
+        if not is_connected(g):
+            return False  # the battery, and goodness, speak of connected graphs
         checker = is_weakly_good if "weakly" in kind else is_strongly_good
         v = data["vertex"]
         k = data["k"]
@@ -282,10 +284,18 @@ def _revalidate(g: Graph, cert: dict) -> bool:
             for cover, attack, rnd in trace
         )
     if kind == "game_attacker_win":
-        from .game import evc
+        # the defender loses the k-guard game on a whole component with k at
+        # least its cover number: that component, and so the graph, needs
+        # more guards than its cover number
+        from .game import solve_guard_game
 
-        return evc(g).value > data["k"]
-    # "cover_enumeration_truncated" only notes where a positive answer came
-    # from; it proves nothing, so it never revalidates
+        k = data["k"]
+        comp = tuple(sorted(data.get("component", range(g.n))))
+        if comp not in connected_components(g):
+            return False
+        h = g.induced(comp)
+        if k < mvc_mask(h, h.full_mask):
+            return False
+        return not solve_guard_game(h, k).defender_wins
     return False
 

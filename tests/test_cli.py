@@ -399,13 +399,60 @@ def test_component_verdicts_use_input_labels(
 
 
 def test_genuine_game_and_non_elementary_certificates_hold():
-    c4 = parse_edge_list("a b\nb c\nc d\nd a\n")
-    assert revalidate_certificate(c4, {"kind": "game_attacker_win", "k": 1})
+    p3 = parse_edge_list("a b\nb c\n")  # one guard loses; the cover number is 1
+    assert revalidate_certificate(p3, {"kind": "game_attacker_win", "k": 1})
     k13 = parse_edge_list("c x\nc y\nc z\n")  # bipartite, not elementary
     assert revalidate_certificate(k13, {"kind": "non_elementary"})
     assert revalidate_certificate(
         k13, {"kind": "non_elementary", "edge_in_no_perfect_matching": ["c", "x"]}
     )
+
+
+P5_C4 = "a b\nb c\nc d\nd e\np q\nq r\nr s\ns p\n"
+C4_C4 = "a b\nb c\nc d\nd a\np q\nq r\nr s\ns p\n"
+
+
+def test_game_certificate_names_the_lost_component(graph_file, capsys):
+    # C4 is Spartan and P5 is not: the lost game is P5's, at its cover
+    # number; a game lost below a component's cover number proves nothing
+    f = graph_file("p5c4.edges", P5_C4)
+    code, out, _ = run_cli(capsys, ["spartan", f, "--method", "game", "--json"])
+    cert = json.loads(out)["result"]["certificate"]
+    assert code == 0
+    assert cert == {"kind": "game_attacker_win", "k": 2, "component": list("abcde")}
+    g = parse_edge_list(P5_C4)
+    assert revalidate_certificate(g, cert)
+    for forged in (
+        {"kind": "game_attacker_win", "k": 2},
+        {"kind": "game_attacker_win", "k": 1, "component": list("abcde")},
+        {"kind": "game_attacker_win", "k": 2, "component": list("pqrs")},
+        {"kind": "game_attacker_win", "k": 2, "component": list("abcd")},
+    ):
+        assert not revalidate_certificate(g, forged), forged
+    spartan = parse_edge_list(C4_C4)
+    for k in (2, 3):
+        cert = {"kind": "game_attacker_win", "k": k}
+        assert not revalidate_certificate(spartan, cert)
+
+
+def test_goodness_coverage_certificates_need_a_connected_graph():
+    # a component that T does not touch pins its guards, so every cover of
+    # C4 u C4 is weakly bad, though the graph is Spartan
+    spartan = parse_edge_list(C4_C4)
+    for kind in ("no_weakly_good_coverage", "no_strongly_good_coverage"):
+        cert = {"kind": kind, "k": 4, "vertex": "a"}
+        assert not revalidate_certificate(spartan, cert)
+
+
+def test_windmill_with_too_many_minimum_covers_is_refused(graph_file, capsys):
+    # fourteen triangles on a shared centre: each minimum cover holds the
+    # centre and one end of every blade, 2^14 covers past the default cap of
+    # 10,000, on 29 vertices where the game oracle refuses above 20
+    text = "".join(f"c a{i}\nc b{i}\na{i} b{i}\n" for i in range(14))
+    f = graph_file("windmill.edges", text)
+    code, out, err = run_cli(capsys, ["spartan", f, "--json"])
+    assert (code, out) == (1, "")
+    assert "refused" in err and "more than 10000 minimum covers" in err
 
 
 # the genuine non_elementary certificates of P4 and K1,3 name an edge in no

@@ -8,7 +8,7 @@ from evckit.decider import (
     spartan_fixpoint,
     strategy_export,
 )
-from evckit.errors import PreconditionError
+from evckit.errors import PreconditionError, ResourceLimitError
 from evckit.game import is_spartan_by_game
 from evckit.graph import Graph, parse_edge_list
 
@@ -134,11 +134,23 @@ def test_cross_check_agrees(named):
         assert v.cross_check["agrees"]
 
 
-def test_truncated_enumeration_falls_back_to_game(named):
-    v = is_spartan(named["C5"], cover_cap=2)
-    assert v.method == "gameOracle"
-    assert v.spartan  # the game oracle still answers correctly
-    assert v.certificate["kind"] == "cover_enumeration_truncated"
+def test_truncated_enumeration_is_refused(named):
+    # a fixpoint over part of the covers could delete one that a missing
+    # cover defends, and the game oracle refuses the sizes where the default
+    # cap truncates, so truncation is a refusal on every lane but the game's
+    for method in ("auto", "fixpoint"):
+        with pytest.raises(ResourceLimitError, match="more than 2 minimum covers"):
+            is_spartan(named["C5"], cover_cap=2, method=method)
+    assert is_spartan(named["C5"], cover_cap=2, method="game").spartan
+    assert is_spartan(named["C5"], cover_cap=5).spartan
+
+
+def test_fixpoint_refuses_a_truncated_cover_list(named, monkeypatch):
+    from evckit import decider
+
+    monkeypatch.setattr(decider, "DEFAULT_COVER_CAP", 2)
+    with pytest.raises(ResourceLimitError, match="more than 2 minimum covers"):
+        spartan_fixpoint(named["C5"])
 
 
 def test_decider_matches_oracle_random():

@@ -19,7 +19,11 @@ from evckit.goodness import (
     revalidate_bad_set,
 )
 from evckit.graph import Graph, bits, cut_vertices, mask_components, neighbors_of_set
-from evckit.reachability import GuardConfiguration, move_feasible_counts
+from evckit.reachability import (
+    GuardConfiguration,
+    _support_masks,
+    move_feasible_counts,
+)
 
 from conftest import config_of_labels, random_graph_corpus
 
@@ -265,6 +269,93 @@ def test_strongly_good_matches_plain_replacement_check(monkeypatch):
     assert checked > 1000 and bad > 100
 
 
+def _bad(kind, cfg, t_mask, comp, exit_vertex=None):
+    return BadSetCertificate(
+        kind=kind,
+        support=cfg.support,
+        counts=cfg.counts,
+        bad_set=tuple(bits(t_mask)),
+        component=tuple(bits(comp)),
+        exit_vertex=exit_vertex,
+    )
+
+
+def _reference_weakly_good(g, cfg):
+    # the weak question scanned on its own: the first (T, component) whose
+    # guards equal its cover number
+    sup = goodness._require_cover_support(g, cfg)
+    for t_mask in goodness._unoccupied_subsets(g, sup):
+        for comp in mask_components(g, g.full_mask & ~t_mask):
+            if goodness._guards_in(cfg, comp) == mvc_mask(g, comp):
+                return False, _bad("weakly_bad", cfg, t_mask, comp)
+    return True, None
+
+
+def _reference_strongly_good(g, cfg):
+    # the strong question scanned on its own, with the weak scan run again
+    # as its cross-check
+    sup = goodness._require_cover_support(g, cfg)
+    for t_mask in goodness._unoccupied_subsets(g, sup):
+        nt = neighbors_of_set(g, t_mask)
+        for comp in mask_components(g, g.full_mask & ~t_mask):
+            exits = nt & comp & sup
+            if not exits:
+                continue
+            guards = goodness._guards_in(cfg, comp)
+            if guards == mvc_mask(g, comp):
+                return False, _bad("strongly_bad", cfg, t_mask, comp, next(bits(exits)))
+            for v in bits(exits):
+                residual = goodness._residual(cfg.counts, comp, v)
+                if not goodness._replacement_reachable(g, comp, residual, guards - 1):
+                    return False, _bad("strongly_bad", cfg, t_mask, comp, v)
+    if not _reference_weakly_good(g, cfg)[0]:
+        raise AssertionError("strongly good but weakly bad")
+    return True, None
+
+
+def _verdicts_or_cross_check(weak_check, strong_check, g, cfg):
+    try:
+        return weak_check(g, cfg), strong_check(g, cfg)
+    except AssertionError:
+        return "cross-check"
+
+
+def _disjoint_unions():
+    # a strongly bad witness found after the first weakly bad one makes the
+    # scan go on past it, which takes a component that T does not touch
+    small = [g for n in (2, 3, 4) for g in exhaustive_connected(n)][::7]
+    for g, h in itertools.combinations(small, 2):
+        edges = g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges)
+        yield Graph(tuple(f"v{i}" for i in range(g.n + h.n)), edges)
+
+
+def test_one_scan_matches_the_two_separate_scans():
+    # the first weak and the first strong witness, certificates included,
+    # equal those of the two scans the merged one replaced
+    checked = bad = went_on = 0
+    for g in [*_shortcut_corpus(), *_disjoint_unions()]:
+        configs = [cfg_of(g, c) for c in enumerate_min_vcs(g).covers]
+        configs += [
+            GuardConfiguration(c)
+            for c in cover_configurations(g, mvc_mask(g, g.full_mask) + 1)
+        ]
+        for cfg in configs:
+            got = _verdicts_or_cross_check(is_weakly_good, is_strongly_good, g, cfg)
+            want = _verdicts_or_cross_check(
+                _reference_weakly_good,
+                _reference_strongly_good,
+                Graph(g.labels, g.edges),
+                cfg,
+            )
+            assert got == want, (g.edges, cfg.counts)
+            checked += 1
+            bad += got != "cross-check" and not got[1][0]
+            if got != "cross-check" and not got[0][0] and not got[1][0]:
+                weak, strong = (cert.bad_set for _, cert in got)
+                went_on += (len(weak), weak) < (len(strong), strong)
+    assert checked > 1000 and bad > 100 and went_on > 10
+
+
 def test_kept_verdicts_match_a_fresh_graph():
     # verdicts are kept per guard count vector; the (mvc+1)-guard
     # configurations put several count vectors on one support
@@ -324,9 +415,14 @@ def test_revalidation_ignores_kept_verdicts():
     assert forged > 0
 
 
+def _counts_of(targets):
+    return [counts for counts, _, _ in targets]
+
+
 def test_lazy_targets_follow_the_eager_order():
     # targets drawn on g's own masks equal a fresh induced subgraph's
-    # configurations lifted to g, in the same order, read whole or in part
+    # configurations lifted to g, in the same order, read whole or in part,
+    # and each comes with its own support masks
     import random
 
     rng = random.Random(419)
@@ -337,10 +433,12 @@ def test_lazy_targets_follow_the_eager_order():
             for guards_left in range(comp.bit_count() + 2):
                 want = list(_lifted_targets(g, comp, guards_left))
                 reader = goodness._component_targets(g, comp, guards_left)
-                head = list(itertools.islice(reader, 2))
+                head = _counts_of(itertools.islice(reader, 2))
                 assert head == want[:2], (g.edges, comp, guards_left)
                 got = list(goodness._component_targets(g, comp, guards_left))
-                assert got == want, (g.edges, comp, guards_left)
+                assert _counts_of(got) == want, (g.edges, comp, guards_left)
+                for counts, *masks in got:
+                    assert tuple(masks) == _support_masks(g, counts), counts
                 checked += len(got)
     assert checked > 5000
 
@@ -387,9 +485,9 @@ def test_interleaved_readers_of_one_key_see_every_target():
         if not any(more):
             break
         for seen, items in zip(got, more):
-            seen += items
+            seen += _counts_of(items)
     assert got == [want, want]
-    assert list(goodness._component_targets(g, g.full_mask, 5)) == want
+    assert _counts_of(goodness._component_targets(g, g.full_mask, 5)) == want
 
 
 def test_a_failed_draw_is_not_kept():
