@@ -29,6 +29,7 @@ from .graph import (
     require_analysis_ready,
 )
 from .matching import is_elementary, max_matching_size
+from .reachability import counts_of, replay_moves
 from .report import delabelize, labelize
 
 
@@ -306,12 +307,9 @@ def validate_defense_family(g: Graph, family: DefenseFamily) -> list[str]:
 
     Returns the list of soundness violations (empty = fully valid).
     """
-    from .game import replay_moves
-
     problems = []
     cover_set = set(family.covers)
     for ci, cover in enumerate(family.covers):
-        cset = set(cover)
         # internal attacks swap; unguarded edges cannot exist
         for attack in oriented_attacks(g, mask_of(cover)):
             key = (ci, attack)
@@ -327,13 +325,13 @@ def validate_defense_family(g: Graph, family: DefenseFamily) -> list[str]:
             if attack not in moves:
                 problems.append(f"no guard crosses {attack} in {moves}")
                 continue
-            counts = tuple(1 if v in cset else 0 for v in range(g.n))
+            counts = counts_of(g, cover)
             try:
                 result = replay_moves(g, counts, moves)
             except Exception as exc:  # illegal move shapes
                 problems.append(f"replay failed for {cover} {attack}: {exc}")
                 continue
-            want = tuple(1 if v in set(target) else 0 for v in range(g.n))
+            want = counts_of(g, target)
             if result != want:
                 problems.append(
                     f"replay of {cover} {attack} landed on {result}, wanted {want}"

@@ -31,10 +31,10 @@ from .errors import IntegrityError, PreconditionError, ResourceLimitError
 from .fixpoint import greatest_fixpoint, oriented_attacks
 from .graph import Graph, connected_components, is_connected, mask_of
 from .reachability import (
-    GuardConfiguration,
     _support_masks,
     compatible_configs,
     move_feasible_counts,
+    replay_moves,
 )
 
 DEFAULT_STATE_BUDGET = 5_000_000
@@ -187,29 +187,15 @@ def transition_moves(
 ) -> tuple[tuple[int, int], ...]:
     """Simultaneous one-step moves realizing c_from -> c_to with a guard
     crossing u -> v; stationary guards are omitted."""
-    ok, moves = compatible_configs(
-        g, GuardConfiguration(_minus(c_from, u)), GuardConfiguration(_minus(c_to, v))
-    )
-    if not ok:
+    if not c_from[u] or not c_to[v]:
+        raise PreconditionError(
+            f"a guard crossing {g.labels[u]} -> {g.labels[v]} needs a guard "
+            f"on {g.labels[u]} before and on {g.labels[v]} after"
+        )
+    moves = compatible_configs(g, _minus(c_from, u), _minus(c_to, v))
+    if moves is None:
         raise IntegrityError("transition re-validation failed")
     return ((u, v),) + moves
-
-
-def replay_moves(g: Graph, counts: Counts, moves) -> Counts:
-    """Apply simultaneous one-step moves; raises when illegal."""
-    outs = [0] * g.n
-    ins = [0] * g.n
-    for x, y in moves:
-        if not g.has_edge(x, y):
-            raise IntegrityError(f"move along non-edge {g.labels[x]} {g.labels[y]}")
-        outs[x] += 1
-        ins[y] += 1
-    result = []
-    for w in range(g.n):
-        if outs[w] > counts[w]:
-            raise IntegrityError(f"more guards leave {g.labels[w]} than stand there")
-        result.append(counts[w] - outs[w] + ins[w])
-    return tuple(result)
 
 
 @dataclass

@@ -15,6 +15,12 @@ the two verdicts with their certificates, keyed by the configuration's guard
 count vector (multiset configurations share supports), so the battery and
 the acceptance sweep scan each configuration once per graph.
 
+Both questions take a connected graph and a guard count vector (one whole
+number of at least 0 per vertex, as in ``reachability``); anything else is
+refused.  On a disconnected graph a component that T does not touch may
+hold exactly its cover number of guards with no attack able to drain it,
+so the weak question loses its meaning there.
+
 The replacement check answers True at once when the remaining guards
 already cover every edge of the component: they are then one of the
 targets, reached by every guard standing still.  Otherwise it tries the
@@ -40,9 +46,9 @@ from .covers import (
     mvc_mask,
 )
 from .errors import PreconditionError, ResourceLimitError
-from .graph import Graph, bits, mask_components, mask_of, neighbors_of_set
+from .graph import Graph, bits, is_connected, mask_components, mask_of, neighbors_of_set
 from .matching import HallWitness, hall_check
-from .reachability import GuardConfiguration, _support_masks, move_feasible_counts
+from .reachability import _support_masks, counts_of, move_feasible_counts
 
 BAD_SET_SEARCH_CAP = 16  # max size of the unoccupied side we will enumerate
 INDEPENDENT_SET_CAP = 18  # exhaustive non-maximal independent set scans
@@ -60,14 +66,24 @@ class BadSetCertificate:
     exit_vertex: int | None = None
 
 
-def _as_config(g: Graph, c) -> GuardConfiguration:
-    if isinstance(c, GuardConfiguration):
-        return c
-    return GuardConfiguration.from_vertices(g, c)
+def _require_counts(g: Graph, counts) -> None:
+    if (
+        not isinstance(counts, tuple)
+        or len(counts) != g.n
+        or any(not isinstance(c, int) or c < 0 for c in counts)
+    ):
+        raise PreconditionError(
+            f"a guard configuration is a tuple of {g.n} whole numbers of at "
+            f"least 0, got {counts!r}"
+        )
 
 
-def _require_cover_support(g: Graph, cfg: GuardConfiguration) -> int:
-    sup = cfg.support_mask
+def _support(counts: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(v for v, c in enumerate(counts) if c)
+
+
+def _require_cover_support(g: Graph, counts: tuple[int, ...]) -> int:
+    sup = mask_of(_support(counts))
     for u, v in g.edges:
         if not (sup >> u & 1) and not (sup >> v & 1):
             raise PreconditionError(
@@ -89,17 +105,21 @@ def _unoccupied_subsets(g: Graph, sup: int):
             yield mask_of(combo)
 
 
-def _guards_in(cfg: GuardConfiguration, comp_mask: int) -> int:
-    return sum(cfg.counts[v] for v in bits(comp_mask))
+def _guards_in(counts: tuple[int, ...], comp_mask: int) -> int:
+    return sum(counts[v] for v in bits(comp_mask))
 
 
-def is_weakly_good(g: Graph, config) -> tuple[bool, BadSetCertificate | None]:
+def is_weakly_good(
+    g: Graph, counts: tuple[int, ...]
+) -> tuple[bool, BadSetCertificate | None]:
     """No removable subset of unoccupied vertices pins a component at exactly
     its cover number of guards."""
-    return _verdicts(g, _as_config(g, config))[0]
+    return _verdicts(g, counts)[0]
 
 
-def is_strongly_good(g: Graph, config) -> tuple[bool, BadSetCertificate | None]:
+def is_strongly_good(
+    g: Graph, counts: tuple[int, ...]
+) -> tuple[bool, BadSetCertificate | None]:
     """No subset T of unoccupied vertices admits a component and a frontier
     guard whose forced exit strands the remaining guards (no one-step move to
     a cover of the component with one guard fewer).
@@ -107,40 +127,43 @@ def is_strongly_good(g: Graph, config) -> tuple[bool, BadSetCertificate | None]:
     Strongly good implies weakly good on a connected graph; the scan
     re-asserts that implication as an internal cross-check.
     """
-    return _verdicts(g, _as_config(g, config))[1]
+    return _verdicts(g, counts)[1]
 
 
-def _verdicts(g: Graph, cfg: GuardConfiguration):
+def _verdicts(g: Graph, counts: tuple[int, ...]):
     """The weak and the strong verdict, kept per guard count vector."""
+    _require_counts(g, counts)
     memo = g._memo.setdefault("goodness", {})
-    got = memo.get(cfg.counts)
+    got = memo.get(counts)
     if got is None:
-        got = memo[cfg.counts] = _bad_set_scan(g, cfg)
+        if not is_connected(g):
+            raise PreconditionError("goodness expects a connected graph")
+        got = memo[counts] = _bad_set_scan(g, counts)
     return got
 
 
-def _bad_set_scan(g: Graph, cfg: GuardConfiguration):
+def _bad_set_scan(g: Graph, counts: tuple[int, ...]):
     """Walk the subsets T of the unoccupied side in (size, lex) order and the
     components of G - T in mask order, recording the first weakly bad
     (T, component) and the first strongly bad (T, component, exit); stop as
-    soon as both are found.  On a connected graph a pinned component meets T
-    through a guarded vertex, so the strong witness comes no later than the
-    weak one and the scan ends at the weak witness."""
-    sup = _require_cover_support(g, cfg)
+    soon as both are found.  The graph is connected, so a pinned component
+    meets T through a guarded vertex: the strong witness comes no later than
+    the weak one and the scan ends at the weak witness."""
+    sup = _require_cover_support(g, counts)
     weak = strong = None
     for t_mask in _unoccupied_subsets(g, sup):
         frontier = neighbors_of_set(g, t_mask) & sup
         for comp in mask_components(g, g.full_mask & ~t_mask):
-            guards = _guards_in(cfg, comp)
+            guards = _guards_in(counts, comp)
             need = mvc_mask(g, comp)
             assert guards >= need, "cover support cannot under-fill a component"
             if weak is None and guards == need:
-                weak = _certificate("weakly_bad", cfg, t_mask, comp)
+                weak = _certificate("weakly_bad", counts, t_mask, comp)
             exits = frontier & comp
             if strong is None and exits:
-                v = _stranding_exit(g, cfg, comp, exits, guards, need)
+                v = _stranding_exit(g, counts, comp, exits, guards, need)
                 if v is not None:
-                    strong = _certificate("strongly_bad", cfg, t_mask, comp, v)
+                    strong = _certificate("strongly_bad", counts, t_mask, comp, v)
             if weak and strong:
                 return (False, weak), (False, strong)
     if weak:
@@ -150,11 +173,11 @@ def _bad_set_scan(g: Graph, cfg: GuardConfiguration):
     return (True, None), (strong is None, strong)
 
 
-def _certificate(kind, cfg, t_mask, comp, exit_vertex=None) -> BadSetCertificate:
+def _certificate(kind, counts, t_mask, comp, exit_vertex=None) -> BadSetCertificate:
     return BadSetCertificate(
         kind=kind,
-        support=cfg.support,
-        counts=cfg.counts,
+        support=_support(counts),
+        counts=counts,
         bad_set=tuple(bits(t_mask)),
         component=tuple(bits(comp)),
         exit_vertex=exit_vertex,
@@ -162,7 +185,7 @@ def _certificate(kind, cfg, t_mask, comp, exit_vertex=None) -> BadSetCertificate
 
 
 def _stranding_exit(
-    g: Graph, cfg: GuardConfiguration, comp: int, exits: int, guards: int, need: int
+    g: Graph, counts: tuple[int, ...], comp: int, exits: int, guards: int, need: int
 ) -> int | None:
     """The first frontier guard of the component whose forced exit leaves the
     others unable to regroup, or None."""
@@ -170,7 +193,7 @@ def _stranding_exit(
         # the exit leaves too few guards to cover the component at all
         return next(bits(exits))
     for v in bits(exits):
-        residual = _residual(cfg.counts, comp, v)
+        residual = _residual(counts, comp, v)
         if not _replacement_reachable(g, comp, residual, guards - 1):
             return v
     return None
@@ -241,24 +264,25 @@ def _replacement_reachable(
 
 def revalidate_bad_set(g: Graph, cert: BadSetCertificate) -> bool:
     """Recompute everything a certificate claims, independently of the search."""
-    cfg = GuardConfiguration(cert.counts)
-    sup = cfg.support_mask
+    counts = cert.counts
+    _require_counts(g, counts)
+    sup = mask_of(_support(counts))
     t_mask = mask_of(cert.bad_set)
     if t_mask & sup or not t_mask:
         return False
     comp_mask = mask_of(cert.component)
     if comp_mask not in mask_components(g, g.full_mask & ~t_mask):
         return False
-    guards = _guards_in(cfg, comp_mask)
+    guards = _guards_in(counts, comp_mask)
     if cert.kind == "weakly_bad":
         return guards == mvc_mask(g, comp_mask)
     if cert.kind == "strongly_bad":
         v = cert.exit_vertex
-        if v is None or not (comp_mask >> v & 1) or cfg.counts[v] < 1:
+        if v is None or not (comp_mask >> v & 1) or counts[v] < 1:
             return False
         if not (neighbors_of_set(g, t_mask) >> v & 1):
             return False
-        residual = _residual(cfg.counts, comp_mask, v)
+        residual = _residual(counts, comp_mask, v)
         return not _replacement_reachable(g, comp_mask, residual, guards - 1)
     return False
 
@@ -289,7 +313,7 @@ def necessary_conditions_report(g: Graph, k: int) -> dict:
     At ``k == mvc(g)`` this is the Spartan-mode battery.  Any failed condition
     is conclusive: the graph needs more than ``k`` guards.
     """
-    from .graph import is_connected, require_analysis_ready
+    from .graph import require_analysis_ready
 
     require_analysis_ready(g)
     if not is_connected(g):
@@ -400,7 +424,7 @@ def necessary_conditions_report(g: Graph, k: int) -> dict:
         if spartan_mode:
             for v in range(g.n):
                 holding = [c for c in cs.covers if v in c]
-                if not any(checker(g, cover)[0] for cover in holding):
+                if not any(checker(g, counts_of(g, c))[0] for c in holding):
                     cert = {
                         "kind": f"no_{cid.replace('-', '_')}",
                         "k": k,
@@ -418,10 +442,9 @@ def necessary_conditions_report(g: Graph, k: int) -> dict:
             else:
                 covered = set()
                 for counts in cover_configurations(g, k):
-                    cfg = GuardConfiguration(counts)
-                    ok, _ = checker(g, cfg)
+                    ok, _ = checker(g, counts)
                     if ok:
-                        covered.update(cfg.support)
+                        covered.update(_support(counts))
                         if len(covered) == g.n:
                             break
                 missing = sorted(set(range(g.n)) - covered)

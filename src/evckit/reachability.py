@@ -1,51 +1,35 @@
-"""Guard configurations and one-step reachability.
+"""Guard configurations as count vectors, and one-step reachability.
 
-Configuration c1 can become c2 in one step when every guard of c1 stays or
-moves to a neighbour and the guards land exactly on c2.  That is a transport
-question on closed neighbourhoods, answered by one guard-to-slot matching
-(:func:`_route`); the matching doubles as the move list.  Callers that ask
-many pairs first compare supports (:func:`_support_masks`), a necessary
-condition that rejects a pair without routing.  A defense's witness, its
-guard paths, is ``defense.GuardPaths``.
+A guard configuration is a count vector: a tuple with one whole number of at
+least 0 per vertex, the guards standing there (:func:`counts_of` builds one
+from a list of vertices).  Configuration c1 can become c2 in one step when
+every guard of c1 stays or moves to a neighbour and the guards land exactly
+on c2.  That is a transport question on closed neighbourhoods, answered by
+one guard-to-slot matching (:func:`_route`); the matching doubles as the
+move list.  A move list is the sorted tuple of ``(x, w)`` pairs, one per
+guard moving from x to its neighbour w, with stationary guards left out:
+:func:`compatible_configs` returns one and :func:`replay_moves` applies
+one.  :func:`move_feasible_counts` answers the same question as a bool for
+the loops that ask many pairs; they first compare supports
+(:func:`_support_masks`), a necessary condition that rejects a pair without
+routing.  A defense's witness, its guard paths, is ``defense.GuardPaths``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import PreconditionError
-from .graph import Graph, bits, mask_of
+from .errors import IntegrityError
+from .graph import Graph
 
 
-@dataclass(frozen=True)
-class GuardConfiguration:
-    """Multiset of guard positions: counts[v] guards stand on vertex v."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise PreconditionError("guard counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, c in enumerate(self.counts) if c)
-
-    @property
-    def support_mask(self) -> int:
-        return mask_of(self.support)
-
-    @staticmethod
-    def from_vertices(g: Graph, vertices: Iterable[int]) -> "GuardConfiguration":
-        counts = [0] * g.n
-        for v in vertices:
-            counts[v] += 1
-        return GuardConfiguration(tuple(counts))
+def counts_of(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
+    """The count vector of guards standing on ``vertices``; a repeated
+    vertex holds one guard per repeat."""
+    counts = [0] * g.n
+    for v in vertices:
+        counts[v] += 1
+    return tuple(counts)
 
 
 def _closed_neighbourhoods(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -63,7 +47,7 @@ def _route(
 ) -> dict[tuple[int, int], int] | None:
     """Send every guard of ``c1`` to a slot of ``c2`` inside its closed
     neighbourhood; return ``{(x, w): guards moving x -> w}`` for x != w, or
-    None when no such routing exists.
+    None when no such routing exists (as when the totals differ).
 
     Guards on a vertex both configurations occupy start in place.  Each
     surplus guard then takes a BFS-shortest augmenting path (neighbours in
@@ -121,19 +105,14 @@ def _route(
 
 
 def compatible_configs(
-    g: Graph, c1: GuardConfiguration, c2: GuardConfiguration
-) -> tuple[bool, tuple[tuple[int, int], ...] | None]:
-    """One-step reachability with its witness: ``(ok, moves)`` where
-    ``moves`` is the sorted tuple of guard moves ``(x, w)`` with x != w
-    (stationary guards are omitted), or None when c2 is out of reach."""
-    if c1.total != c2.total:
-        raise PreconditionError("configurations must have equal guard totals")
-    routed = _route(g, c1.counts, c2.counts)
+    g: Graph, c1: tuple[int, ...], c2: tuple[int, ...]
+) -> tuple[tuple[int, int], ...] | None:
+    """The moves that take the guards at count vector ``c1`` to ``c2`` in
+    one step, as a move list, or None when ``c2`` is out of reach."""
+    routed = _route(g, c1, c2)
     if routed is None:
-        return False, None
-    return True, tuple(
-        sorted(move for move, c in routed.items() for _ in range(c))
-    )
+        return None
+    return tuple(sorted(move for move, c in routed.items() for _ in range(c)))
 
 
 def _support_masks(g: Graph, counts: tuple[int, ...]) -> tuple[int, int]:
@@ -156,30 +135,22 @@ def move_feasible_counts(g: Graph, c1: tuple[int, ...], c2: tuple[int, ...]) -> 
     return _route(g, c1, c2) is not None
 
 
-def min_covers_compatible_check(g: Graph) -> dict:
-    """Every pair of minimum covers must admit a perfect matching between the
-    difference sides (length-1 disjoint paths); a counterexample would signal
-    an implementation bug upstream."""
-    from .covers import enumerate_min_vcs
-    from .matching import hopcroft_karp
-
-    cs = enumerate_min_vcs(g)
-    failures = []
-    pairs = 0
-    for i in range(len(cs.covers)):
-        for j in range(i + 1, len(cs.covers)):
-            pairs += 1
-            m1, m2 = mask_of(cs.covers[i]), mask_of(cs.covers[j])
-            t1 = tuple(bits(m1 & ~m2))
-            t2mask = m2 & ~m1
-            adj = {a: tuple(bits(g.adj_mask[a] & t2mask)) for a in t1}
-            matched = hopcroft_karp(t1, adj)
-            if len(matched) != len(t1):
-                failures.append((cs.covers[i], cs.covers[j]))
-    return {
-        "cover_count": len(cs.covers),
-        "truncated": cs.truncated,
-        "pairs_checked": pairs,
-        "all_compatible": not failures,
-        "failures": failures,
-    }
+def replay_moves(
+    g: Graph, counts: tuple[int, ...], moves: Iterable[tuple[int, int]]
+) -> tuple[int, ...]:
+    """The count vector after the guards at ``counts`` make ``moves`` at
+    once; raises when a move is not along an edge or more guards leave a
+    vertex than stand there."""
+    outs = [0] * g.n
+    ins = [0] * g.n
+    for x, y in moves:
+        if not g.has_edge(x, y):
+            raise IntegrityError(f"move along non-edge {g.labels[x]} {g.labels[y]}")
+        outs[x] += 1
+        ins[y] += 1
+    result = []
+    for w in range(g.n):
+        if outs[w] > counts[w]:
+            raise IntegrityError(f"more guards leave {g.labels[w]} than stand there")
+        result.append(counts[w] - outs[w] + ins[w])
+    return tuple(result)

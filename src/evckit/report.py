@@ -236,7 +236,7 @@ def _revalidate(g: Graph, cert: dict) -> bool:
     if kind in ("no_weakly_good_coverage", "no_strongly_good_coverage"):
         from .covers import cover_configurations
         from .goodness import is_strongly_good, is_weakly_good
-        from .reachability import GuardConfiguration
+        from .reachability import counts_of
 
         if not is_connected(g):
             return False  # the battery, and goodness, speak of connected graphs
@@ -246,12 +246,10 @@ def _revalidate(g: Graph, cert: dict) -> bool:
         cs = enumerate_min_vcs(g)
         if k == cs.size:
             return not any(
-                v in c
-                and checker(g, GuardConfiguration.from_vertices(g, c))[0]
-                for c in cs.covers
+                v in c and checker(g, counts_of(g, c))[0] for c in cs.covers
             )
         return not any(
-            counts[v] > 0 and checker(g, GuardConfiguration(counts))[0]
+            counts[v] > 0 and checker(g, counts)[0]
             for counts in cover_configurations(g, k)
         )
     if kind == "empty_fixpoint":

@@ -13,6 +13,8 @@ line per criterion.
 from __future__ import annotations
 
 import io
+import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -23,9 +25,9 @@ from .decider import is_spartan, validate_defense_family
 from .defense import DefenseStats
 from .game import evc, is_spartan_by_game, play_session
 from .goodness import is_strongly_good, is_weakly_good, necessary_conditions_report
-from .graph import Graph, OddCycle, bipartition, cut_vertices
-from .matching import max_matching_size
-from .reachability import GuardConfiguration, min_covers_compatible_check
+from .graph import Graph, OddCycle, bipartition, bits, cut_vertices, mask_of
+from .matching import hopcroft_karp, max_matching_size
+from .reachability import counts_of
 
 DEFAULT_SEED = 20240
 
@@ -65,6 +67,22 @@ def _elementary_by_cover_count(g: Graph) -> bool:
     return True
 
 
+def min_covers_compatible_check(g: Graph) -> tuple[int, list]:
+    """Every pair of minimum covers must admit a perfect matching between the
+    difference sides (length-1 disjoint paths); returns the number of pairs
+    checked and the pairs without one, whose presence would signal an
+    implementation bug upstream."""
+    covers = enumerate_min_vcs(g).covers
+    failures = []
+    for c1, c2 in itertools.combinations(covers, 2):
+        m1, m2 = mask_of(c1), mask_of(c2)
+        t1 = tuple(bits(m1 & ~m2))
+        adj = {a: tuple(bits(g.adj_mask[a] & m2 & ~m1)) for a in t1}
+        if len(hopcroft_karp(t1, adj)) != len(t1):
+            failures.append((c1, c2))
+    return math.comb(len(covers), 2), failures
+
+
 def _examine_graph(payload) -> dict:
     labels, edges = payload
     g = Graph(labels, edges)
@@ -86,9 +104,8 @@ def _examine_graph(payload) -> dict:
         if verdict.spartan != _elementary_by_cover_count(g):
             out["konig_mismatches"] = 1
 
-    compat = min_covers_compatible_check(g)
-    out["cover_pairs"] = compat["pairs_checked"]
-    out["cover_pair_failures"] = len(compat["failures"])
+    out["cover_pairs"], failures = min_covers_compatible_check(g)
+    out["cover_pair_failures"] = len(failures)
     covers = enumerate_min_vcs(g).covers
 
     if oracle:
@@ -100,9 +117,9 @@ def _examine_graph(payload) -> dict:
     cut_set = set(cut_vertices(g))
     for cover in covers:
         out["covers_checked"] += 1
-        cfg = GuardConfiguration.from_vertices(g, cover)
-        weak, _ = is_weakly_good(g, cfg)
-        strong, _ = is_strongly_good(g, cfg)
+        counts = counts_of(g, cover)
+        weak, _ = is_weakly_good(g, counts)
+        strong, _ = is_strongly_good(g, counts)
         if strong and not weak:
             out["sgwg_violations"] += 1
         if cut_set - set(cover) and weak:

@@ -8,7 +8,6 @@ from evckit.corpus import fixtures
 from evckit.errors import PreconditionError
 from evckit.graph import Graph, bits, is_connected, mask_of
 from evckit.matching import canonical_matching, hopcroft_karp
-from evckit.reachability import GuardConfiguration
 
 
 @pytest.fixture(scope="session")
@@ -40,12 +39,13 @@ def random_graph_corpus(count: int, n_lo: int, n_hi: int, seed: int):
     ]
 
 
-def config_of_labels(g: Graph, mapping) -> GuardConfiguration:
-    """``mapping[label]`` guards on each named vertex, none elsewhere."""
+def config_of_labels(g: Graph, mapping) -> tuple[int, ...]:
+    """The count vector with ``mapping[label]`` guards on each named vertex,
+    none elsewhere."""
     counts = [0] * g.n
     for lab, c in mapping.items():
         counts[g.index(lab)] += c
-    return GuardConfiguration(tuple(counts))
+    return tuple(counts)
 
 
 # -- independent oracles for the fast routes in src/ ------------------------

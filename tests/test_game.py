@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import io
 import math
@@ -15,11 +16,11 @@ from evckit.game import (
     evc,
     is_spartan_by_game,
     play_session,
-    replay_moves,
     solve_guard_game,
     transition_moves,
 )
 from evckit.graph import Graph, parse_edge_list
+from evckit.reachability import replay_moves
 
 from conftest import random_graph_corpus
 
@@ -250,6 +251,42 @@ def test_play_session_malformed_command(named):
     out = io.StringIO()
     play_session(named["C4"], 2, io.StringIO("fight me\nquit\n"), out)
     assert "cannot parse command" in out.getvalue()
+
+
+# the first 10 hex digits of the sha256 of each fixture's play transcript
+# when every edge is attacked in g.edges order and then the session quits:
+# with evc guards, then with evc - 1 where that is at least the cover number
+# (a dash where it is not); a deliberate change of output updates them and
+# says so in CHANGES.md
+PLAY_DIGESTS = {
+    "K2": "b13a3feab2 -",
+    "P3": "19e9b468e7 9fc2cc3d57",
+    "P4": "a12325d898 52631c1257",
+    "P5": "92de0093af b0bcf491f3",
+    "C4": "2aadff1e61 -",
+    "C5": "66ab6e5c17 -",
+    "C6": "a65e8dc0f6 -",
+    "K1,3": "3e521fb0ba 56762926db",
+    "bowtie": "f77a1ca216 -",
+    "footnote": "4443f4b454 5543309c4e",
+}
+
+
+def test_play_transcripts_are_pinned(named):
+    got = {}
+    for name, g in named.items():
+        script = "".join(f"attack {g.labels[a]} {g.labels[b]}\n" for a, b in g.edges)
+        value = evc(g).value
+        digests = []
+        for k in (value, value - 1):
+            if k < mvc_mask(g, g.full_mask):
+                digests.append("-")
+                continue
+            out = io.StringIO()
+            play_session(g, k, io.StringIO(script + "quit\n"), out)
+            digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest()[:10])
+        got[name] = " ".join(digests)
+    assert got == PLAY_DIGESTS
 
 
 # -- the two-game proof of evc ------------------------------------------------

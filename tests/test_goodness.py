@@ -18,12 +18,16 @@ from evckit.goodness import (
     necessary_conditions_report,
     revalidate_bad_set,
 )
-from evckit.graph import Graph, bits, cut_vertices, mask_components, neighbors_of_set
-from evckit.reachability import (
-    GuardConfiguration,
-    _support_masks,
-    move_feasible_counts,
+from evckit.graph import (
+    Graph,
+    bits,
+    cut_vertices,
+    mask_components,
+    mask_of,
+    neighbors_of_set,
+    parse_edge_list,
 )
+from evckit.reachability import _support_masks, counts_of, move_feasible_counts
 
 from conftest import config_of_labels, random_graph_corpus
 
@@ -35,13 +39,13 @@ WEAK_NOT_STRONG_EDGES = (
 WEAK_NOT_STRONG_COVER = (0, 1, 2, 4)
 
 
-def cfg_of(g, vertices):
-    return GuardConfiguration.from_vertices(g, vertices)
+def support_of(counts):
+    return tuple(v for v, c in enumerate(counts) if c)
 
 
 def test_weakly_good_p5(named):
     p5 = named["P5"]
-    ok, cert = is_weakly_good(p5, cfg_of(p5, p5.index_set(["b", "d"])))
+    ok, cert = is_weakly_good(p5, counts_of(p5, p5.index_set(["b", "d"])))
     assert not ok
     assert revalidate_bad_set(p5, cert)
     # a different valid certificate (T={c} pinning component {a,b}) must
@@ -58,7 +62,7 @@ def test_weakly_good_p5(named):
 
 def test_weakly_good_star(named):
     k13 = named["K1,3"]
-    ok, cert = is_weakly_good(k13, cfg_of(k13, (k13.index("c"),)))
+    ok, cert = is_weakly_good(k13, counts_of(k13, (k13.index("c"),)))
     assert not ok
     assert k13.labels_of(cert.bad_set) == ("x",)
     assert set(k13.labels_of(cert.component)) == {"c", "y", "z"}
@@ -66,20 +70,20 @@ def test_weakly_good_star(named):
 
 def test_weakly_good_c4(named):
     c4 = named["C4"]
-    ok, cert = is_weakly_good(c4, cfg_of(c4, (0, 2)))
+    ok, cert = is_weakly_good(c4, counts_of(c4, (0, 2)))
     assert ok and cert is None
 
 
 def test_strongly_good_c4(named):
     c4 = named["C4"]
-    ok, cert = is_strongly_good(c4, cfg_of(c4, (0, 2)))
+    ok, cert = is_strongly_good(c4, counts_of(c4, (0, 2)))
     assert ok and cert is None
 
 
 def test_strongly_good_p5(named):
     # not weakly good, so (contrapositive of the implication) not strongly good
     p5 = named["P5"]
-    ok, cert = is_strongly_good(p5, cfg_of(p5, p5.index_set(["b", "d"])))
+    ok, cert = is_strongly_good(p5, counts_of(p5, p5.index_set(["b", "d"])))
     assert not ok
     assert cert.kind == "strongly_bad"
     assert revalidate_bad_set(p5, cert)
@@ -87,16 +91,45 @@ def test_strongly_good_p5(named):
 
 def test_cover_support_required(named):
     with pytest.raises(PreconditionError):
-        is_weakly_good(named["C4"], cfg_of(named["C4"], (0,)))
+        is_weakly_good(named["C4"], counts_of(named["C4"], (0,)))
+
+
+def test_goodness_refuses_a_disconnected_graph():
+    # C4 u C4 with a minimum cover: each C4 alone is strongly good, but a
+    # component that T does not touch sits at its cover number
+    g = parse_edge_list("a b\nb c\nc d\nd a\np q\nq r\nr s\ns p")
+    counts = counts_of(g, g.index_set("acpr"))
+    for check in (is_weakly_good, is_strongly_good):
+        with pytest.raises(PreconditionError, match="connected graph"):
+            check(g, counts)
+
+
+def test_goodness_reads_count_vectors_only(named):
+    p3 = named["P3"]
+    c4 = Graph(named["C4"].labels, named["C4"].edges)
+    # one guard on b, not the vertex list (a, b, a): T = {a} pins {b, c}
+    ok, cert = is_weakly_good(p3, (0, 1, 0))
+    assert not ok and cert.counts == (0, 1, 0)
+    for malformed in (
+        (1, 0, 1, 0, 1),  # five entries for four vertices
+        (1, 0, 1),
+        (1, 0, 2, -1),
+        (1, 0, 1.0, 0),
+        [1, 0, 1, 0],
+    ):
+        for check in (is_weakly_good, is_strongly_good):
+            with pytest.raises(PreconditionError, match="guard configuration"):
+                check(c4, malformed)
+    assert not c4._memo.get("goodness")  # nothing malformed is kept
 
 
 def test_weak_not_strong_instance():
     g = Graph(tuple("abcdefg"), WEAK_NOT_STRONG_EDGES)
     cs = enumerate_min_vcs(g)
     assert WEAK_NOT_STRONG_COVER in cs.covers  # it is a minimum cover
-    cfg = cfg_of(g, WEAK_NOT_STRONG_COVER)
-    weak, _ = is_weakly_good(g, cfg)
-    strong, cert = is_strongly_good(g, cfg)
+    counts = counts_of(g, WEAK_NOT_STRONG_COVER)
+    weak, _ = is_weakly_good(g, counts)
+    strong, cert = is_strongly_good(g, counts)
     assert weak and not strong
     assert revalidate_bad_set(g, cert)
 
@@ -106,9 +139,9 @@ def test_no_weak_not_strong_instance_below_six():
     for n in (2, 3, 4):
         for g in exhaustive_connected(n):
             for cover in enumerate_min_vcs(g).covers:
-                cfg = cfg_of(g, cover)
-                weak, _ = is_weakly_good(g, cfg)
-                strong, _ = is_strongly_good(g, cfg)
+                counts = counts_of(g, cover)
+                weak, _ = is_weakly_good(g, counts)
+                strong, _ = is_strongly_good(g, counts)
                 assert strong == (strong and weak)
                 assert not (weak and not strong), (g.edges, cover)
 
@@ -116,10 +149,10 @@ def test_no_weak_not_strong_instance_below_six():
 def test_strongly_implies_weakly_random():
     for g in random_graph_corpus(60, 2, 6, seed=97):
         for cover in enumerate_min_vcs(g).covers:
-            cfg = cfg_of(g, cover)
-            strong, _ = is_strongly_good(g, cfg)
+            counts = counts_of(g, cover)
+            strong, _ = is_strongly_good(g, counts)
             if strong:
-                weak, _ = is_weakly_good(g, cfg)
+                weak, _ = is_weakly_good(g, counts)
                 assert weak, (g.edges, cover)
 
 
@@ -130,7 +163,7 @@ def test_cut_vertex_covers_not_weakly_good():
             continue
         for cover in enumerate_min_vcs(g).covers:
             if cuts - set(cover):
-                ok, cert = is_weakly_good(g, cfg_of(g, cover))
+                ok, cert = is_weakly_good(g, counts_of(g, cover))
                 assert not ok, (g.edges, cover)
                 assert revalidate_bad_set(g, cert)
 
@@ -139,10 +172,10 @@ def test_multi_guard_configuration_weakly_good(named):
     # two guards on the star center plus one on a leaf: removing any leaf
     # subset still leaves a guard surplus everywhere
     k13 = named["K1,3"]
-    cfg = config_of_labels(k13, {"c": 2, "x": 1})
-    ok, _ = is_weakly_good(k13, cfg)
+    counts = config_of_labels(k13, {"c": 2, "x": 1})
+    ok, _ = is_weakly_good(k13, counts)
     assert ok
-    ok, _ = is_strongly_good(k13, cfg)
+    ok, _ = is_strongly_good(k13, counts)
     assert ok
 
 
@@ -211,11 +244,11 @@ def test_tight_independent_set_is_the_least_by_subset_scan():
 def test_bad_certificates_revalidate_on_corpus():
     for g in random_graph_corpus(40, 2, 6, seed=103):
         for cover in enumerate_min_vcs(g).covers:
-            cfg = cfg_of(g, cover)
-            ok, cert = is_weakly_good(g, cfg)
+            counts = counts_of(g, cover)
+            ok, cert = is_weakly_good(g, counts)
             if not ok:
                 assert revalidate_bad_set(g, cert), (g.edges, cert)
-            ok, cert = is_strongly_good(g, cfg)
+            ok, cert = is_strongly_good(g, counts)
             if not ok:
                 assert revalidate_bad_set(g, cert), (g.edges, cert)
 
@@ -250,18 +283,15 @@ def _shortcut_corpus():
 def test_strongly_good_matches_plain_replacement_check(monkeypatch):
     checked = bad = 0
     for g in _shortcut_corpus():
-        configs = [cfg_of(g, c) for c in enumerate_min_vcs(g).covers]
-        configs += [
-            GuardConfiguration(c)
-            for c in cover_configurations(g, mvc_mask(g, g.full_mask) + 1)
-        ]
-        for cfg in configs:
-            got = is_strongly_good(g, cfg)
+        configs = [counts_of(g, c) for c in enumerate_min_vcs(g).covers]
+        configs += cover_configurations(g, mvc_mask(g, g.full_mask) + 1)
+        for counts in configs:
+            got = is_strongly_good(g, counts)
             with monkeypatch.context() as m:
                 m.setattr(goodness, "_replacement_reachable", _plain_replacement_reachable)
                 # a fresh copy, so no answer leans on the caches in g._memo
-                want = is_strongly_good(Graph(g.labels, g.edges), cfg)
-            assert got == want, (g.edges, cfg.counts)
+                want = is_strongly_good(Graph(g.labels, g.edges), counts)
+            assert got == want, (g.edges, counts)
             checked += 1
             if not got[0]:
                 bad += 1
@@ -269,91 +299,72 @@ def test_strongly_good_matches_plain_replacement_check(monkeypatch):
     assert checked > 1000 and bad > 100
 
 
-def _bad(kind, cfg, t_mask, comp, exit_vertex=None):
+def _bad(kind, counts, t_mask, comp, exit_vertex=None):
     return BadSetCertificate(
         kind=kind,
-        support=cfg.support,
-        counts=cfg.counts,
+        support=support_of(counts),
+        counts=counts,
         bad_set=tuple(bits(t_mask)),
         component=tuple(bits(comp)),
         exit_vertex=exit_vertex,
     )
 
 
-def _reference_weakly_good(g, cfg):
+def _reference_weakly_good(g, counts):
     # the weak question scanned on its own: the first (T, component) whose
     # guards equal its cover number
-    sup = goodness._require_cover_support(g, cfg)
+    sup = goodness._require_cover_support(g, counts)
     for t_mask in goodness._unoccupied_subsets(g, sup):
         for comp in mask_components(g, g.full_mask & ~t_mask):
-            if goodness._guards_in(cfg, comp) == mvc_mask(g, comp):
-                return False, _bad("weakly_bad", cfg, t_mask, comp)
+            if goodness._guards_in(counts, comp) == mvc_mask(g, comp):
+                return False, _bad("weakly_bad", counts, t_mask, comp)
     return True, None
 
 
-def _reference_strongly_good(g, cfg):
+def _reference_strongly_good(g, counts):
     # the strong question scanned on its own, with the weak scan run again
     # as its cross-check
-    sup = goodness._require_cover_support(g, cfg)
+    sup = goodness._require_cover_support(g, counts)
     for t_mask in goodness._unoccupied_subsets(g, sup):
         nt = neighbors_of_set(g, t_mask)
         for comp in mask_components(g, g.full_mask & ~t_mask):
             exits = nt & comp & sup
             if not exits:
                 continue
-            guards = goodness._guards_in(cfg, comp)
+            guards = goodness._guards_in(counts, comp)
             if guards == mvc_mask(g, comp):
-                return False, _bad("strongly_bad", cfg, t_mask, comp, next(bits(exits)))
+                return False, _bad("strongly_bad", counts, t_mask, comp, next(bits(exits)))
             for v in bits(exits):
-                residual = goodness._residual(cfg.counts, comp, v)
+                residual = goodness._residual(counts, comp, v)
                 if not goodness._replacement_reachable(g, comp, residual, guards - 1):
-                    return False, _bad("strongly_bad", cfg, t_mask, comp, v)
-    if not _reference_weakly_good(g, cfg)[0]:
+                    return False, _bad("strongly_bad", counts, t_mask, comp, v)
+    if not _reference_weakly_good(g, counts)[0]:
         raise AssertionError("strongly good but weakly bad")
     return True, None
 
 
-def _verdicts_or_cross_check(weak_check, strong_check, g, cfg):
-    try:
-        return weak_check(g, cfg), strong_check(g, cfg)
-    except AssertionError:
-        return "cross-check"
-
-
-def _disjoint_unions():
-    # a strongly bad witness found after the first weakly bad one makes the
-    # scan go on past it, which takes a component that T does not touch
-    small = [g for n in (2, 3, 4) for g in exhaustive_connected(n)][::7]
-    for g, h in itertools.combinations(small, 2):
-        edges = g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges)
-        yield Graph(tuple(f"v{i}" for i in range(g.n + h.n)), edges)
-
-
 def test_one_scan_matches_the_two_separate_scans():
     # the first weak and the first strong witness, certificates included,
-    # equal those of the two scans the merged one replaced
+    # equal those of the two scans the merged one replaced; on a connected
+    # graph the scan never goes on past the first weak witness
     checked = bad = went_on = 0
-    for g in [*_shortcut_corpus(), *_disjoint_unions()]:
-        configs = [cfg_of(g, c) for c in enumerate_min_vcs(g).covers]
-        configs += [
-            GuardConfiguration(c)
-            for c in cover_configurations(g, mvc_mask(g, g.full_mask) + 1)
-        ]
-        for cfg in configs:
-            got = _verdicts_or_cross_check(is_weakly_good, is_strongly_good, g, cfg)
-            want = _verdicts_or_cross_check(
-                _reference_weakly_good,
-                _reference_strongly_good,
-                Graph(g.labels, g.edges),
-                cfg,
+    for g in _shortcut_corpus():
+        configs = [counts_of(g, c) for c in enumerate_min_vcs(g).covers]
+        configs += cover_configurations(g, mvc_mask(g, g.full_mask) + 1)
+        for counts in configs:
+            got = is_weakly_good(g, counts), is_strongly_good(g, counts)
+            fresh = Graph(g.labels, g.edges)
+            want = (
+                _reference_weakly_good(fresh, counts),
+                _reference_strongly_good(fresh, counts),
             )
-            assert got == want, (g.edges, cfg.counts)
+            assert got == want, (g.edges, counts)
             checked += 1
-            bad += got != "cross-check" and not got[1][0]
-            if got != "cross-check" and not got[0][0] and not got[1][0]:
+            bad += not got[1][0]
+            if not got[0][0] and not got[1][0]:
                 weak, strong = (cert.bad_set for _, cert in got)
                 went_on += (len(weak), weak) < (len(strong), strong)
-    assert checked > 1000 and bad > 100 and went_on > 10
+    assert checked > 1000 and bad > 100 and went_on == 0
 
 
 def test_kept_verdicts_match_a_fresh_graph():
@@ -361,23 +372,20 @@ def test_kept_verdicts_match_a_fresh_graph():
     # configurations put several count vectors on one support
     checked = shared = 0
     for g in _shortcut_corpus():
-        configs = [cfg_of(g, c) for c in enumerate_min_vcs(g).covers]
-        configs += [
-            GuardConfiguration(c)
-            for c in cover_configurations(g, mvc_mask(g, g.full_mask) + 1)
-        ]
+        configs = [counts_of(g, c) for c in enumerate_min_vcs(g).covers]
+        configs += cover_configurations(g, mvc_mask(g, g.full_mask) + 1)
         supports = set()
-        for cfg in configs:
-            weak = is_weakly_good(g, cfg)
-            strong = is_strongly_good(g, cfg)
-            assert is_weakly_good(g, cfg) is weak
-            assert is_strongly_good(g, cfg) is strong
+        for counts in configs:
+            weak = is_weakly_good(g, counts)
+            strong = is_strongly_good(g, counts)
+            assert is_weakly_good(g, counts) is weak
+            assert is_strongly_good(g, counts) is strong
             fresh = Graph(g.labels, g.edges)
-            assert weak == is_weakly_good(fresh, cfg), (g.edges, cfg.counts)
-            assert strong == is_strongly_good(fresh, cfg), (g.edges, cfg.counts)
+            assert weak == is_weakly_good(fresh, counts), (g.edges, counts)
+            assert strong == is_strongly_good(fresh, counts), (g.edges, counts)
             checked += 1
-            shared += cfg.support in supports
-            supports.add(cfg.support)
+            shared += support_of(counts) in supports
+            supports.add(support_of(counts))
     assert checked > 1000 and shared > 500
 
 
@@ -385,27 +393,27 @@ def test_revalidation_ignores_kept_verdicts():
     # a strongly bad cover with its verdict kept: a certificate naming an
     # exit whose guards can in fact regroup is still rejected
     g = Graph(tuple("abcdefg"), WEAK_NOT_STRONG_EDGES)
-    cfg = cfg_of(g, WEAK_NOT_STRONG_COVER)
-    strong, cert = is_strongly_good(g, cfg)
+    counts = counts_of(g, WEAK_NOT_STRONG_COVER)
+    strong, cert = is_strongly_good(g, counts)
     assert not strong and revalidate_bad_set(g, cert)
-    sup = cfg.support_mask
+    sup = mask_of(support_of(counts))
     forged = 0
     for t_mask in range(1, 1 << g.n):
         if t_mask & sup:
             continue
         near = neighbors_of_set(g, t_mask)
         for comp in mask_components(g, g.full_mask & ~t_mask):
-            guards = sum(cfg.counts[v] for v in bits(comp))
+            guards = sum(counts[v] for v in bits(comp))
             if guards == mvc_mask(g, comp):
                 continue
             for v in bits(near & comp & sup):
-                residual = goodness._residual(cfg.counts, comp, v)
+                residual = goodness._residual(counts, comp, v)
                 if not _plain_replacement_reachable(g, comp, residual, guards - 1):
                     continue
                 claim = BadSetCertificate(
                     kind="strongly_bad",
-                    support=cfg.support,
-                    counts=cfg.counts,
+                    support=support_of(counts),
+                    counts=counts,
                     bad_set=tuple(bits(t_mask)),
                     component=tuple(bits(comp)),
                     exit_vertex=v,
