@@ -9,6 +9,14 @@ in which some guard crosses the attacked edge; the shared greatest-fixpoint
 engine (``fixpoint``) removes states that lose some attack in synchronous
 rounds until the set stabilizes.
 
+A response is checked on residuals, the two states less the guard that
+crosses: the remaining guards must reach the responder's in one step.  A
+residual with one guard per vertex (every residual of the one-per-vertex
+game, and each multiset residual whose support has k - 1 vertices, so every
+one at k = mvc) is kept as its support mask and the mask of that support's
+closed neighbourhood, and two such residuals go to the move check as masks;
+any other pair goes as count vectors.
+
 ``evc`` proves its answer with two games.  The one-per-vertex game keeps
 only the 0/1 states (the vertex covers of size exactly k); its strategies
 are multiset strategies, so its first win k* is an upper bound.  The
@@ -31,7 +39,7 @@ from .errors import IntegrityError, PreconditionError, ResourceLimitError
 from .fixpoint import greatest_fixpoint, oriented_attacks
 from .graph import Graph, connected_components, is_connected, mask_of
 from .reachability import (
-    _support_masks,
+    _closed_masks,
     compatible_configs,
     move_feasible_counts,
     replay_moves,
@@ -96,6 +104,27 @@ def _minus(counts: Counts, v: int) -> Counts:
     return tuple(lst)
 
 
+def _residual(
+    g: Graph, counts: Counts, support: int, v: int
+) -> tuple[Counts | None, int, int]:
+    """``counts`` (whose support mask is ``support``) less one guard on v,
+    as ``(count vector, support, near)``: the masks of
+    ``reachability._support_masks``, and the count vector only where some
+    vertex keeps two guards.  With one guard per vertex the support mask is
+    the configuration, and the count vector is None."""
+    if counts[v] == 1:
+        support &= ~(1 << v)
+    closed = _closed_masks(g)
+    near = 0
+    rest = support
+    while rest:
+        near |= closed[(rest & -rest).bit_length() - 1]
+        rest &= rest - 1
+    if support.bit_count() == sum(counts) - 1:
+        return None, support, near
+    return _minus(counts, v), support, near
+
+
 def solve_guard_game(
     g: Graph, k: int, *, budget: int | None = None, one_per_vertex: bool = False
 ) -> GameOutcome:
@@ -106,16 +135,16 @@ def solve_guard_game(
     if k < 1:
         raise PreconditionError("at least one guard is required")
     states = enumerate_states(g, k, budget, one_per_vertex=one_per_vertex)
+    supports = [mask_of(v for v in range(g.n) if c[v]) for c in states]
     # candidate responders per vertex: states with a guard on v
     holders = [[j for j, c in enumerate(states) if c[v]] for v in range(g.n)]
-    # (state, vertex) -> (state minus a guard on vertex, its _support_masks)
-    residuals: dict[tuple[int, int], tuple[Counts, int, int]] = {}
+    # (state, vertex) -> _residual of the state less a guard on vertex
+    residuals: dict[tuple[int, int], tuple[Counts | None, int, int]] = {}
 
-    def residual(i: int, v: int) -> tuple[Counts, int, int]:
+    def residual(i: int, v: int) -> tuple[Counts | None, int, int]:
         got = residuals.get((i, v))
         if got is None:
-            counts = _minus(states[i], v)
-            got = residuals[(i, v)] = (counts, *_support_masks(g, counts))
+            got = residuals[(i, v)] = _residual(g, states[i], supports[i], v)
         return got
 
     def answer(i: int, threat: tuple[int, int], j: int) -> bool:
@@ -123,10 +152,16 @@ def solve_guard_game(
         c2, support2, near2 = residual(j, threat[1])
         if support2 & ~near1 or support1 & ~near2:
             return False
-        return move_feasible_counts(g, c1, c2)
+        if c1 is None and c2 is None:
+            return move_feasible_counts(g, support1, support2)
+        return move_feasible_counts(
+            g,
+            _minus(states[i], threat[0]) if c1 is None else c1,
+            _minus(states[j], threat[1]) if c2 is None else c2,
+        )
 
     alive, removals, _ = greatest_fixpoint(
-        [oriented_attacks(g, mask_of(v for v in range(g.n) if c[v])) for c in states],
+        [oriented_attacks(g, support) for support in supports],
         lambda threat: holders[threat[1]],
         answer,
     )

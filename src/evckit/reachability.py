@@ -9,10 +9,21 @@ one guard-to-slot matching (:func:`_route`); the matching doubles as the
 move list.  A move list is the sorted tuple of ``(x, w)`` pairs, one per
 guard moving from x to its neighbour w, with stationary guards left out:
 :func:`compatible_configs` returns one and :func:`replay_moves` applies
-one.  :func:`move_feasible_counts` answers the same question as a bool for
-the loops that ask many pairs; they first compare supports
+one.
+
+:func:`move_feasible_counts` answers the same question as a bool for the
+loops that ask many pairs; they first compare supports
 (:func:`_support_masks`), a necessary condition that rejects a pair without
-routing.  A defense's witness, its guard paths, is ``defense.GuardPaths``.
+routing.  It takes two count vectors, or two vertex masks when both
+configurations hold at most one guard per vertex: the game solver passes
+masks for such residuals (every one of the one-per-vertex game, and those of
+the multiset game whose support has k - 1 vertices), and goodness passes
+count vectors.  A mask pair is matched on closed-neighbourhood masks
+(:func:`_match_masks`) in the order :func:`_route` searches, without building
+a count vector or a flow table.  :func:`compatible_configs` keeps
+:func:`_route`: its flow table is the move list, and the ``play`` session
+prints that list, so the routing order is part of the output.  A defense's
+witness, its guard paths, is ``defense.GuardPaths``.
 """
 
 from __future__ import annotations
@@ -39,6 +50,16 @@ def _closed_neighbourhoods(g: Graph) -> tuple[tuple[int, ...], ...]:
             tuple(sorted((v,) + g.adjacency[v])) for v in range(g.n)
         )
         g._memo["closed_neighbourhoods"] = got
+    return got
+
+
+def _closed_masks(g: Graph) -> tuple[int, ...]:
+    """Each vertex's closed neighbourhood as a mask."""
+    got = g._memo.get("closed_masks")
+    if got is None:
+        got = g._memo["closed_masks"] = tuple(
+            1 << v | g.adj_mask[v] for v in range(g.n)
+        )
     return got
 
 
@@ -129,9 +150,62 @@ def _support_masks(g: Graph, counts: tuple[int, ...]) -> tuple[int, int]:
     return support, near
 
 
-def move_feasible_counts(g: Graph, c1: tuple[int, ...], c2: tuple[int, ...]) -> bool:
-    """Can the guards at count vector ``c1`` reach ``c2`` in one
-    simultaneous step (each guard staying or moving to a neighbour)?"""
+def _match_masks(g: Graph, support1: int, support2: int) -> bool:
+    """:func:`_route` for one guard per vertex: can the guards on
+    ``support1`` land one each on ``support2``?
+
+    A guard on a vertex of both starts in place; ``placed`` records the
+    origin of every other occupied slot.  Each surplus guard, lowest vertex
+    first, takes a BFS-shortest augmenting path whose slots are scanned in
+    ascending order, as in :func:`_route`."""
+    if support1.bit_count() != support2.bit_count():
+        return False
+    closed = _closed_masks(g)
+    free = support2 & ~support1
+    surplus = support1 & ~support2
+    placed: dict[int, int] = {}  # slot -> origin of the guard there, if moved
+    while surplus:
+        x = (surplus & -surplus).bit_length() - 1
+        surplus &= surplus - 1
+        reached_via = {x: -1}  # origin -> slot it can give up
+        slot_parent: dict[int, int] = {}  # slot -> origin that can take it
+        seen = 0
+        queue = [x]
+        end = -1
+        for y in queue:
+            fresh = closed[y] & support2 & ~seen
+            hit = fresh & free
+            if hit:
+                end = (hit & -hit).bit_length() - 1
+                slot_parent[end] = y
+                break
+            seen |= fresh
+            while fresh:
+                w = (fresh & -fresh).bit_length() - 1
+                fresh &= fresh - 1
+                slot_parent[w] = y
+                z = placed.get(w, w)
+                if z not in reached_via:
+                    reached_via[z] = w
+                    queue.append(z)
+        if end < 0:
+            return False
+        free ^= 1 << end
+        w = end
+        while w >= 0:
+            y = placed[w] = slot_parent[w]
+            w = reached_via[y]
+    return True
+
+
+def move_feasible_counts(
+    g: Graph, c1: tuple[int, ...] | int, c2: tuple[int, ...] | int
+) -> bool:
+    """Can the guards at ``c1`` reach ``c2`` in one simultaneous step (each
+    guard staying or moving to a neighbour)?  Both are count vectors, or both
+    are vertex masks of one guard per vertex."""
+    if isinstance(c1, int):
+        return _match_masks(g, c1, c2)
     return _route(g, c1, c2) is not None
 
 

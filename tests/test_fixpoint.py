@@ -54,8 +54,10 @@ def _minus(counts, v):
 def test_game_matches_naive_rounds():
     for g in CORPUS:
         k0 = mvc_mask(g, g.full_mask)
-        for k in (k0, k0 + 1):
-            states = enumerate_states(g, k)
+        # at k0 every covering multiset has one guard per vertex, so the
+        # one-per-vertex game is a new input only above it
+        for k, one_per_vertex in ((k0, False), (k0 + 1, False), (k0 + 1, True)):
+            states = enumerate_states(g, k, one_per_vertex=one_per_vertex)
 
             def first_responder(i, threat, alive):
                 u, v = threat
@@ -75,7 +77,8 @@ def test_game_matches_naive_rounds():
                 lambda i: _threats(g, lambda v: states[i][v] > 0),
                 first_responder,
             )
-            out = solve_guard_game(g, k)
+            out = solve_guard_game(g, k, one_per_vertex=one_per_vertex)
+            assert out.states == states
             assert out.survivors == [states[i] for i in alive], (g.edges, k)
             assert out.ranks == {states[i]: r for i, _, r in removals}
             assert out.removal_trace == [(states[i], t) for i, t, _ in removals]
@@ -130,6 +133,7 @@ def test_no_answer_asked_twice(monkeypatch):
         for run in (
             lambda: solve_guard_game(g, k0),
             lambda: solve_guard_game(g, k0 + 1),
+            lambda: solve_guard_game(g, k0 + 1, one_per_vertex=True),
             lambda: spartan_fixpoint(g),
         ):
             asked.clear()

@@ -387,7 +387,10 @@ def _clique(n: int) -> Graph:
 _CLOSED_FORMS = (
     [
         pytest.param(_seeded_tree(n, s), "tree", id=f"tree{n}/{s}")
-        for n, s in [(7, 1), (9, 2), (10, 5), (11, 3), (12, 7), (14, 2), (16, 3)]
+        for n, s in [
+            (7, 1), (9, 2), (10, 5), (11, 3), (12, 7), (14, 2), (16, 3),
+            (17, 1), (18, 1), (19, 1), (20, 1), (20, 5),
+        ]
     ]
     + [pytest.param(_cycle(n), "cycle", id=f"C{n}") for n in range(15, 21)]
     + [pytest.param(_clique(n), "clique", id=f"K{n}") for n in range(3, 9)]
@@ -409,16 +412,29 @@ def test_evc_closed_forms(g, family):
 
 def test_support_filter_rejects_only_unroutable_pairs():
     # the move check's prefilter: a pair it rejects never routes, and the
-    # masks are the residual's support and that support's closed neighbourhood
-    from evckit.game import _minus
+    # masks are the residual's support and that support's closed
+    # neighbourhood; the solver's residuals carry the same masks, and a
+    # count vector exactly when some vertex keeps two guards
+    from evckit.game import _minus, _residual
+    from evckit.graph import mask_of
     from evckit.reachability import _support_masks, move_feasible_counts
 
     rng = random.Random(241)
-    rejected = kept = 0
+    rejected = kept = stacked = 0
     for g in random_graph_corpus(60, 4, 7, seed=251):
         k = mvc_mask(g, g.full_mask) + rng.randint(0, 1)
+        states = enumerate_states(g, k)
+        for c in states:
+            support = mask_of(v for v in range(g.n) if c[v])
+            for v in range(g.n):
+                if c[v]:
+                    counts, *masks = _residual(g, c, support, v)
+                    want = _minus(c, v)
+                    assert tuple(masks) == _support_masks(g, want), (g.edges, c, v)
+                    assert counts == (want if max(want) > 1 else None)
+                    stacked += counts is not None
         residuals = sorted(
-            {_minus(c, v) for c in enumerate_states(g, k) for v in range(g.n) if c[v]}
+            {_minus(c, v) for c in states for v in range(g.n) if c[v]}
         )
         masks = {c: _support_masks(g, c) for c in residuals}
         for c in residuals:
@@ -434,4 +450,4 @@ def test_support_filter_rejects_only_unroutable_pairs():
                 rejected += 1
             else:
                 kept += 1
-    assert rejected > 2000 and kept > 10000
+    assert rejected > 2000 and kept > 10000 and stacked > 100

@@ -190,9 +190,15 @@ def _random_step(rng, g, counts):
     return tuple(out)
 
 
+def _random_mask(rng, n, size):
+    return sum(1 << v for v in rng.sample(range(n), size))
+
+
 def test_route_matches_gale_and_moves_replay():
+    # count vectors, then one guard per vertex as masks: the mask form
+    # answers as the count form and Gale's condition do
     rng = random.Random(83)
-    feasible = 0
+    feasible = masked = masked_feasible = 0
     for g in random_graph_corpus(60, 2, 8, seed=89):
         for trial in range(40):
             c1 = _random_counts(rng, g.n, rng.randint(1, g.n + 2))
@@ -209,7 +215,22 @@ def test_route_matches_gale_and_moves_replay():
                 assert moves == tuple(sorted(moves))
                 assert all(x != w for x, w in moves)
                 assert replay_moves(g, c1, moves) == c2
+        for trial in range(40):
+            s1 = _random_mask(rng, g.n, rng.randint(0, g.n))
+            c1 = tuple(s1 >> v & 1 for v in range(g.n))
+            c2 = _random_step(rng, g, c1)
+            if not (trial % 2 and max(c2, default=0) <= 1):
+                # a draw of the same size, or now and then of another size
+                size = s1.bit_count() if trial % 8 else rng.randint(0, g.n)
+                c2 = tuple(_random_mask(rng, g.n, size) >> v & 1 for v in range(g.n))
+            s2 = sum(1 << v for v in range(g.n) if c2[v])
+            ok = move_feasible_counts(g, s1, s2)
+            assert ok == gale_feasible(g, c1, c2), (g.edges, c1, c2)
+            assert ok == move_feasible_counts(g, c1, c2), (g.edges, c1, c2)
+            masked += 1
+            masked_feasible += ok
     assert feasible > 1200  # every one-step image plus some random draws
+    assert masked_feasible > 1200 and masked - masked_feasible > 600
 
 
 def test_crossing_constraint(named):
