@@ -3,12 +3,12 @@
 The defense family is the greatest fixpoint (the shared ``fixpoint`` engine)
 over the complete set of minimum covers: a cover survives while every attack
 on it is defended by some surviving cover.  The fixpoint is decided on the
-matchable classes of each cover pair's auxiliary graph
+alternating trees of each cover pair's auxiliary graph
 (``DefenseContext.defends``), a yes/no answer with no witness; afterwards
-``check_defense`` witnesses each exported transition once.  A non-empty
-fixpoint *is* a defender strategy; an empty one yields a deletion
-trace naming each cover's indefensible edge.  Component verdicts speak the
-whole graph's vertices.
+``check_defense`` witnesses each exported transition once, from the same
+cached tree.  A non-empty fixpoint *is* a defender strategy; an empty one
+yields a deletion trace naming each cover's indefensible edge.  Component
+verdicts speak the whole graph's vertices.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def spartan_fixpoint(
         defense = check_defense(g, covers[i], attack, (covers[j],), ctx)
         if defense is None:
             raise IntegrityError(
-                "the witness search misses a defense the matchable classes allow"
+                "the witness search misses a defense the yes/no answer allows"
             )
         transitions[(index[i], attack)] = (index[j], defense.paths)
     return DefenseFamily(covers=tuple(covers[i] for i in alive), transitions=transitions)

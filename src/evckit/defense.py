@@ -21,23 +21,24 @@ shared component: the partners are the left vertices touching that
 component, and the tag is its color.  So all guards of one shared component
 ask the same question.
 
-The witness is the all-real perfect matching flipped along a shortest
-alternating cycle through v, found by one breadth-first search
-(``rainbow_pm_with_edge``): a shortest cycle repeats no helper color, since
-a repeated color would be a shortcut.
-
-Whether the question has an answer at all needs no witness: the all-real
-matching is a perfect matching of the pair adjacency, and one
-strong-component pass over it (``matching.matchable_classes``) tells every
-pair that lies in some perfect matching.  ``DefenseContext.defends`` answers
-from those classes; the search returns a witness exactly when they say yes.
-The decider decides its fixpoint on that answer and runs ``check_defense``
-(the search) only for the transitions it exports; ``check_defense`` itself,
-and so the certificate check, never consults the classes.
+The all-real matching is a perfect matching of the pair adjacency, and one
+breadth-first search over it answers the question and witnesses it: the
+alternating tree from the all-real partner of v
+(``AuxiliaryGraph.alternating_tree``, over ``matching.alternating_tree``)
+holds exactly the left vertices that some perfect matching pairs with v.
+The decision (``DefenseContext.defends``) asks whether a partner is in that
+tree; the witness (``rainbow_pm_with_edge``) flips the all-real matching
+along the tree path to the first partner discovered, which closes a
+shortest alternating cycle through v.  A shortest cycle repeats no helper
+color, since a repeated color would be a shortcut.  The decider decides its
+fixpoint on the yes/no answer and builds witnesses (``check_defense``) only
+for the transitions it exports.  So the decision and the witness share one
+search; brute-force enumeration (``rainbow_pm_bruteforce``) and the game
+oracle are the independent checks.
 
 The decider asks about one cover pair (S, T) many times.  Everything the
-search and the classes derive from the auxiliary graph alone (the all-real
-matching and its reverse, the pair adjacency, the matchable classes, the
+search derives from the auxiliary graph alone (the all-real matching and
+its reverse, the pair adjacency, the alternating tree per right vertex, the
 helper colors per pair, the color masks and each shared component's
 partners) is cached on the auxiliary graph, and ``DefenseContext`` keeps one
 auxiliary graph per (S, T) and one witness per (S, T, question).  Each is a
@@ -51,7 +52,7 @@ from functools import cached_property
 
 from .errors import IntegrityError, PreconditionError
 from .graph import Graph, bits, mask_components, mask_of
-from .matching import hopcroft_karp, matchable_classes
+from .matching import alternating_tree, hopcroft_karp
 
 REAL = -1  # tag for real edges; helper tags are color indices >= 0
 # vertex-disjoint guard chains, each from a vacated vertex of S - T to a
@@ -116,14 +117,23 @@ class AuxiliaryGraph:
         return {v: u for u, v in self.real_pm.items()}
 
     @cached_property
-    def matchable(self) -> dict[int, int]:
-        """``matchable_classes`` of the pair adjacency over ``real_pm``."""
-        return matchable_classes(self.pair_adjacency, self.real_pm)
+    def _trees(self) -> dict[int, dict[int, int | None]]:
+        return {}
+
+    def alternating_tree(self, v: int) -> dict[int, int | None]:
+        """``matching.alternating_tree`` of the pair adjacency over
+        ``real_pm`` from v's partner, kept per right vertex v: the left
+        vertices some perfect matching pairs with v, in discovery order."""
+        tree = self._trees.get(v)
+        if tree is None:
+            rev = self.real_pm_reverse
+            tree = self._trees[v] = alternating_tree(self.pair_adjacency, rev, rev[v])
+        return tree
 
     def in_some_pm(self, u: int, v: int) -> bool:
         """Whether the pair (u, v) of the pair adjacency lies in some perfect
         matching of it."""
-        return self.matchable[u] == self.matchable[self.real_pm_reverse[v]]
+        return u in self.alternating_tree(v)
 
     @cached_property
     def shared_partners(self) -> dict[int, tuple[tuple[int, ...], int]]:
@@ -260,8 +270,8 @@ def _checked_question(aux: AuxiliaryGraph, u: int, v: int) -> tuple:
 
 
 def _satisfiable(aux: AuxiliaryGraph, question: tuple) -> bool:
-    """Whether some perfect matching answers the question: whether v is
-    matchable to one of the partners (no partner, no classes computed)."""
+    """Whether some perfect matching answers the question: whether one of
+    the partners is in v's alternating tree (no partner, no tree built)."""
     partners, v, _ = question
     return any(aux.in_some_pm(w, v) for w in partners)
 
@@ -269,7 +279,7 @@ def _satisfiable(aux: AuxiliaryGraph, question: tuple) -> bool:
 def mode_satisfiable(aux: AuxiliaryGraph, u: int, v: int) -> bool:
     """Whether some perfect matching answers the attack (u, v), that is,
     whether ``rainbow_pm_with_edge(aux, u, v)`` returns a witness; answered
-    from the auxiliary graph's matchable classes."""
+    from the auxiliary graph's alternating tree of v."""
     return _satisfiable(aux, _checked_question(aux, u, v))
 
 
@@ -281,12 +291,13 @@ def rainbow_pm_with_edge(aux: AuxiliaryGraph, u: int, v: int) -> RainbowMatching
     carried as that color's helper edge.  ``forced`` names the pair at v.
 
     The witness is the all-real matching mp flipped along a shortest
-    alternating cycle through v.  A breadth-first search over left vertices
-    starts at a0, mp's partner of v, steps from a to mp's partner of each
-    other right neighbour of a (neighbours ascending), and stops at the
-    nearest partner w.  Each left vertex of the path takes mp's partner of
-    the next one, w takes v, and every other pair stays in mp.  A path pair
-    is tagged REAL when it is a real edge, else with its first helper color.
+    alternating cycle through v.  The alternating tree of v (a breadth-first
+    search over left vertices from a0, mp's partner of v, stepping from a to
+    mp's partner of each other right neighbour of a, neighbours ascending)
+    gives the nearest partner w, the first one discovered, and the path from
+    a0 to it.  Each left vertex of the path takes mp's partner of the next
+    one, w takes v, and every other pair stays in mp.  A path pair is tagged
+    REAL when it is a real edge, else with its first helper color.
 
     The witness is rainbow.  If two path pairs shared a color, the helper
     edge from the earlier left vertex to the later right vertex would be a
@@ -298,22 +309,14 @@ def rainbow_pm_with_edge(aux: AuxiliaryGraph, u: int, v: int) -> RainbowMatching
     """
     question = _checked_question(aux, u, v)
     partners, _, tag = question
-    mp, mp_rev = aux.real_pm, aux.real_pm_reverse
-    parent = {mp_rev[v]: -1}
-    queue = [mp_rev[v]]
-    for w in queue:
-        if w in partners:
-            break
-        for x in aux.pair_adjacency[w]:
-            b = mp_rev[x]  # mp's own pair leads back to w, already seen
-            if b not in parent:
-                parent[b] = w
-                queue.append(b)
-    else:
+    parent = aux.alternating_tree(v)
+    w = next((w for w in parent if w in partners), None)
+    if w is None:
         return None
+    mp = aux.real_pm
     forced = (w, v, tag)
     flipped = {w: forced}
-    while parent[w] >= 0:
+    while parent[w] is not None:
         a, x = parent[w], mp[w]
         color = REAL if (a, x) in aux.real_pairs else aux.helper_colors(a, x)[0]
         flipped[a] = (a, x, color)
@@ -464,9 +467,10 @@ VERIFY_SIDES_CAP = 10  # brute force enumerates every perfect matching
 
 @dataclass
 class DefenseStats:
-    """Optional instrumentation: the matchable classes and the witness
-    search cross-checked by brute force on pairs with at most
-    ``VERIFY_SIDES_CAP`` vertices per side."""
+    """Optional instrumentation: the yes/no answer, the witness search and
+    brute force compared on pairs with at most ``VERIFY_SIDES_CAP`` vertices
+    per side.  The answer and the witness read one alternating tree, so
+    brute force is the independent check."""
 
     instances: int = 0
     mismatches: int = 0
@@ -484,7 +488,7 @@ class DefenseContext:
     expanded and checked per defense, since they route through the guard.
 
     With ``stats``, each ask, by ``defends`` or by a ``check_defense``
-    candidate, compares the matchable classes, the search and brute force.
+    candidate, compares the yes/no answer, the search and brute force.
     """
 
     def __init__(self, g: Graph, stats: DefenseStats | None = None):
@@ -510,7 +514,7 @@ class DefenseContext:
 
     def defends(self, s, attack: tuple[int, int], t) -> bool:
         """Whether cover ``t`` answers the attack ``(u, v)`` on cover ``s``
-        (u in s, v not), decided on the matchable classes without a witness:
+        (u in s, v not), decided on the alternating tree without a witness:
         ``check_defense(g, s, attack, (t,), self)`` returns a Defense exactly
         when this is True."""
         if attack[1] not in t:

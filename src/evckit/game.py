@@ -246,8 +246,12 @@ def _component_evc(sub: Graph, k0: int, budget: int | None) -> int:
 
     The one-per-vertex game climbs from ``k0`` to its first win k*, an upper
     bound; one multiset loss at k* - 1 then proves evc = k*, and a multiset
-    win there sends the multiset loop over ``k0``..k* - 1.  A refused solve
-    raises with the bracket [lo, hi] known for this graph at that point.
+    win there sends the multiset loop over ``k0``..k* - 1.  When k* - 1 is
+    ``k0`` that loss is already known: a ``k0``-guard multiset covering the
+    graph has ``k0`` support vertices, one guard on each, so the multiset
+    game at ``k0`` is the one-per-vertex game the climb lost.  A refused
+    solve raises with the bracket [lo, hi] known for this graph at that
+    point.
     """
     lo, hi = k0, 2 * k0
 
@@ -267,7 +271,7 @@ def _component_evc(sub: Graph, k0: int, budget: int | None) -> int:
     top = next((k for k in range(k0, min(hi, sub.n) + 1) if wins(k, True)), None)
     if top is not None:
         hi = top
-        if hi == lo or not wins(hi - 1):
+        if hi - 1 <= lo or not wins(hi - 1):
             return hi
         hi -= 1
     for k in range(lo, hi):

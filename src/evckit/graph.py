@@ -199,6 +199,9 @@ def parse_edge_list(text: str) -> Graph:
 def parse_json_graph(obj) -> Graph:
     """Accept ``{"vertices": [...], "edges": [["u","v"], ...]}``.
 
+    ``vertices`` (optional), ``edges`` and each edge must be lists (or
+    tuples, from Python), and every label a string or an integer (read as
+    its decimal string); anything else is a :class:`GraphFormatError`.
     Unlike the edge-list format this can carry isolated vertices; they are
     accepted here (with a warning) and rejected by analysis entry points.
     """
@@ -209,12 +212,15 @@ def parse_json_graph(obj) -> Graph:
             raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "edges" not in obj:
         raise GraphFormatError('JSON graph needs "vertices" and "edges" keys')
-    vertices = [str(x) for x in obj.get("vertices", [])]
+    for key in ("vertices", "edges"):
+        if not isinstance(obj.get(key, []), (list, tuple)):
+            raise GraphFormatError(f'"{key}" must be a list')
+    vertices = [_json_label(x) for x in obj.get("vertices", [])]
     pairs = []
     for e in obj["edges"]:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphFormatError(f"bad edge entry: {e!r}")
-        pairs.append((str(e[0]), str(e[1])))
+        pairs.append((_json_label(e[0]), _json_label(e[1])))
     known = set(vertices)
     for a, b in pairs:
         for lab in (a, b):
@@ -239,6 +245,13 @@ def parse_json_graph(obj) -> Graph:
             stacklevel=2,
         )
     return g
+
+
+def _json_label(x) -> str:
+    # bool is an int subclass, but true/false are not vertex names
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        return str(x)
+    raise GraphFormatError(f"vertex label must be a string or an integer: {x!r}")
 
 
 def load_graph_text(text: str) -> Graph:

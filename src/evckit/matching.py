@@ -4,9 +4,10 @@ Hall-condition machinery.
 Matching sizes come from augmenting-path search with blossom contraction,
 on every graph; the bipartite questions (Hall's condition, the elementary
 test, the defense scan's pair matchings) use layered (Hopcroft-Karp)
-augmentation.  Given one perfect matching, ``matchable_classes`` tells
-every pair that lies in some perfect matching with one strong-component
-pass; the elementary test and the defense scan's yes/no answers use it.
+augmentation.  Given one matching, ``alternating_tree`` is the one search
+behind every perfect-matching question: Hall's deficient set, the
+elementary test's edges and tight set, and the defense scan's yes/no
+answers and witnesses.
 """
 
 from __future__ import annotations
@@ -186,56 +187,33 @@ def hopcroft_karp(lefts, adjacency: dict[int, tuple[int, ...]]) -> dict[int, int
     return pair_l
 
 
-def matchable_classes(
-    adjacency: dict[int, tuple[int, ...]], pm: dict[int, int]
-) -> dict[int, int]:
-    """Strong component of each left vertex in the digraph u -> pm^-1(v) over
-    the pairs (u, v) of ``adjacency`` with v != pm[u].
+def alternating_tree(
+    adjacency: dict[int, tuple[int, ...]], partner: dict[int, int], start: int
+) -> dict[int, int | None]:
+    """Breadth-first search over left vertices in the alternating digraph
+    u -> partner[w] for each right neighbour w of u (neighbours ascending).
 
-    ``pm`` must be a perfect matching of ``adjacency`` (left -> right).  A
-    pair (u, v) lies in some perfect matching iff it is in ``pm`` or u and
-    pm^-1(v) share a component, since then and only then the arc closes an
-    alternating cycle (the Dulmage-Mendelsohn decomposition; Tassa, "Finding
-    all maximally-matchable edges in a bipartite graph", TCS 2012).
-    Components are numbered by the Tarjan index of their root.
+    Returns each left vertex reachable from ``start`` mapped to the vertex it
+    was first reached from (``start`` to None), in discovery order.
+    ``partner`` maps right vertices to their matched left vertices; every
+    right vertex met must be matched, as it is under a perfect matching, or
+    under a maximum one when ``start`` is free.
+
+    Under a perfect matching pm of ``adjacency``, the tree from a is the
+    least X containing a with |N(X)| = |X| (N(X) is pm(X)), and a pair (u, w)
+    lies in some perfect matching iff u is in the tree from partner[w]: pm
+    holds it (u is the root) or the arc u -> partner[w] closes an alternating
+    cycle (Lovasz and Plummer, *Matching Theory*, 1986).
     """
-    if pm.keys() != adjacency.keys():
-        raise PreconditionError("pm must match every left vertex")
-    back = {v: u for u, v in pm.items()}
-    succ = {u: [back[v] for v in vs if v != pm[u]] for u, vs in adjacency.items()}
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    comp: dict[int, int] = {}
-    stack: list[int] = []
-    for root in sorted(succ):
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, 0)]
-        while work:
-            u, i = work[-1]
-            if i < len(succ[u]):
-                work[-1] = (u, i + 1)
-                w = succ[u][i]
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, 0))
-                elif w not in comp:  # still on the stack
-                    low[u] = min(low[u], index[w])
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[u])
-            if low[u] == index[u]:
-                while True:
-                    w = stack.pop()
-                    comp[w] = index[u]
-                    if w == u:
-                        break
-    return comp
+    parent: dict[int, int | None] = {start: None}
+    queue = [start]
+    for u in queue:
+        for w in adjacency[u]:
+            b = partner[w]
+            if b not in parent:
+                parent[b] = u
+                queue.append(b)
+    return parent
 
 
 def _crossing_adjacency(g: Graph, side_a, side_b) -> dict[int, tuple[int, ...]]:
@@ -303,24 +281,11 @@ def hall_check(g: Graph, sources, targets):
     pair = hopcroft_karp(sources, adj)
     if len(pair) == len(sources):
         return canonical_matching(pair.items())
-    pair_r = {w: u for u, w in pair.items()}
     free = next(u for u in sources if u not in pair)
-    # vertices reachable from a free source along alternating paths form a
-    # deficient set (its whole neighborhood is matched back into it)
-    reach_s = {free}
-    reach_t: set[int] = set()
-    queue = [free]
-    while queue:
-        u = queue.pop(0)
-        for w in adj[u]:
-            if w in reach_t:
-                continue
-            reach_t.add(w)
-            back = pair_r.get(w)
-            if back is not None and back not in reach_s:
-                reach_s.add(back)
-                queue.append(back)
-    violator = set(reach_s)
+    # the tree of a free source is deficient: its whole neighborhood is
+    # matched back into it, and the source itself is unmatched
+    back = {w: u for u, w in pair.items()}
+    violator = set(alternating_tree(adj, back, free))
 
     def nbhd(xs) -> set[int]:
         out: set[int] = set()
@@ -343,50 +308,6 @@ def hall_check(g: Graph, sources, targets):
         neighborhood=tuple(sorted(nbhd(violator))),
         kind="deficient",
     )
-
-
-def proper_tight_set(g: Graph, sources, targets) -> HallWitness | None:
-    """A non-empty proper subset X of ``sources`` with |N(X)| = |X|, or None.
-
-    Requires that a matching saturating ``sources`` exists (tight-set mode of
-    the Hall machinery).
-    """
-    sources = tuple(sorted(sources))
-    targets = tuple(sorted(targets))
-    _check_hall_preconditions(g, sources, targets)
-    adj = _crossing_adjacency(g, sources, targets)
-    pair = hopcroft_karp(sources, adj)
-    if len(pair) != len(sources):
-        raise PreconditionError("tight-set mode requires a saturating matching")
-    pair_r = {w: u for u, w in pair.items()}
-    src_set = set(sources)
-    for a in sources:
-        # close {a} under "neighbor's matched partner"; the closure is the
-        # minimal tight set containing a unless it escapes via a free target
-        closure = {a}
-        queue = [a]
-        dead = False
-        while queue and not dead:
-            u = queue.pop(0)
-            for w in adj[u]:
-                back = pair_r.get(w)
-                if back is None:
-                    dead = True
-                    break
-                if back not in closure:
-                    closure.add(back)
-                    queue.append(back)
-        if dead or closure == src_set:
-            continue
-        nb: set[int] = set()
-        for x in closure:
-            nb.update(adj[x])
-        return HallWitness(
-            violator=tuple(sorted(closure)),
-            neighborhood=tuple(sorted(nb)),
-            kind="tight",
-        )
-    return None
 
 
 @dataclass(frozen=True)
@@ -420,14 +341,29 @@ def is_elementary(g: Graph) -> tuple[bool, ElementaryWitness | None]:
     if isinstance(saturating, HallWitness):
         return False, ElementaryWitness(edge=g.edges[0], deficiency=saturating)
     in_a = set(side_a)
+    adj = _crossing_adjacency(g, side_a, side_b)
     pm = dict((x, y) if x in in_a else (y, x) for x, y in saturating)
     back = {y: x for x, y in pm.items()}
-    classes = matchable_classes(_crossing_adjacency(g, side_a, side_b), pm)
+    trees: dict[int, dict[int, int | None]] = {}
+
+    def tree(a: int) -> dict[int, int | None]:
+        if a not in trees:
+            trees[a] = alternating_tree(adj, back, a)
+        return trees[a]
+
     for e in g.edges:
         x, y = e if e[0] in in_a else e[::-1]
-        if classes[x] != classes[back[y]]:
-            tight = proper_tight_set(g, side_a, side_b)
-            return False, ElementaryWitness(edge=e, tight_set=tight)
+        if x not in tree(back[y]):
+            # that tree is proper; the first proper tree is the tight set
+            tight = tree(next(a for a in side_a if len(tree(a)) < len(side_a)))
+            return False, ElementaryWitness(
+                edge=e,
+                tight_set=HallWitness(
+                    violator=tuple(sorted(tight)),
+                    neighborhood=tuple(sorted(pm[a] for a in tight)),
+                    kind="tight",
+                ),
+            )
     return True, None
 
 

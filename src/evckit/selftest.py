@@ -4,9 +4,9 @@ The sweep walks a corpus (exhaustive small graphs plus seeded random ones)
 and, per graph, compares the fixpoint decider against the game oracle,
 checks the Koenig characterization against an independent cover-counting
 route, verifies pairwise cover compatibility, replays every emitted defense,
-cross-checks the rainbow witness search and the matchable classes the decider
-decides on against brute-force matching enumeration (once per fixpoint ask),
-and runs the goodness implications.  Results aggregate into one pass/fail
+cross-checks the decider's yes/no defense answers and rainbow witnesses
+(both read one alternating tree) against brute-force matching enumeration
+(once per fixpoint ask), and runs the goodness implications.  Results aggregate into one pass/fail
 line per criterion.
 """
 

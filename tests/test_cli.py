@@ -1,13 +1,14 @@
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from evckit.cli import main
 from evckit.corpus import exhaustive_connected, fixtures, random_connected
 from evckit.errors import PreconditionError, ValidationError
-from evckit.graph import parse_edge_list, serialize_edge_list
+from evckit.graph import Graph, is_connected, parse_edge_list, serialize_edge_list
 from evckit.report import delabelize, revalidate_certificate
 
 
@@ -114,6 +115,9 @@ def test_exit_codes(graph_file, capsys):
     assert code == 2 and "self-loop" in err
     code, _, _ = run_cli(capsys, ["spartan", "/definitely/not/here"])
     assert code == 2
+    f = graph_file("bad.json", '{"vertices": 5, "edges": [["a", "b"]]}')
+    code, out, err = run_cli(capsys, ["mvc", f, "--json"])
+    assert code == 2 and out == "" and '"vertices" must be a list' in err
 
 
 def test_budget_refusal_exit_code(graph_file, capsys, monkeypatch):
@@ -613,6 +617,121 @@ def test_fixture_json_outputs_are_pinned(graph_file, capsys):
             digests.append(hashlib.sha256(out.encode()).hexdigest()[:10])
         got[name] = " ".join(digests)
     assert got == FIXTURE_DIGESTS
+
+
+def _random_bipartite_union(rng):
+    # one or two components, each a connected bipartite graph with 2-4
+    # vertices on one side and as many or one more on the other, mostly
+    # with a planted matching of the smaller side, plus random crossing
+    # pairs; sparse ones are often not elementary
+    pairs = []
+    for comp in "pq"[: rng.randint(1, 2)]:
+        h = rng.randint(2, 4)
+        left = [f"{comp}a{i}" for i in range(h)]
+        right = [f"{comp}b{i}" for i in range(h + (rng.random() < 0.3))]
+        planted = list(zip(left, right)) if rng.random() < 0.8 else []
+        p = rng.uniform(0.2, 0.8)
+        while True:
+            drawn = set(planted)
+            drawn.update((a, b) for a in left for b in right if rng.random() < p)
+            if drawn:
+                g = Graph.from_pairs(sorted(drawn))
+                if g.n == len(left) + len(right) and is_connected(g):
+                    break
+        pairs += sorted(drawn)
+    return Graph.from_pairs(pairs)
+
+
+def _pinned_corpus():
+    # 24 seeded connected graphs on 8 vertices and 8 on 10 (among those, one
+    # whose witnesses tell breadth-first discovery from a stack's order), 15
+    # seeded bipartite graphs (several with a component that is not
+    # elementary) and the windmill W4 (4 triangles on one hub, 16 minimum
+    # covers, Spartan)
+    out = {f"rand8/{i}": g for i, g in enumerate(random_connected(8, 0.4, 24, 1811))}
+    out.update(
+        (f"rand10/{i}", g)
+        for i, g in enumerate(random_connected(10, 0.35, 8, 1814))
+    )
+    rng = random.Random(1812)
+    out.update((f"bip/{i}", _random_bipartite_union(rng)) for i in range(15))
+    blades = [(f"a{i}", f"b{i}") for i in range(4)]
+    out["W4"] = Graph.from_pairs(
+        pair for a, b in blades for pair in (("c", a), ("c", b), (a, b))
+    )
+    return out
+
+
+# the first 10 hex digits of the sha256 of the spartan and konig --json
+# outputs on each graph of _pinned_corpus: the exported moves of every
+# defense witness and the tight and deficient sets of the Koenig route
+CORPUS_DIGESTS = {
+    "rand8/0": "9c55894017 1ae586940e",
+    "rand8/1": "df3e5cc4a9 45d56ab30c",
+    "rand8/2": "4231cca32e 5ce1c52abf",
+    "rand8/3": "eeb212f3bc 3b3c1c944c",
+    "rand8/4": "c8aaabd420 ee137b4ff0",
+    "rand8/5": "d2c0caee91 fae6ef0fdc",
+    "rand8/6": "e7cccb78c9 2eae352968",
+    "rand8/7": "9458a84d89 25499fcf54",
+    "rand8/8": "39a450f2bf 5da69afcd0",
+    "rand8/9": "e0a10d033a e92ea1f4d0",
+    "rand8/10": "e07a700d30 5bfc230f71",
+    "rand8/11": "a3cfed7e51 8c0f0d1b78",
+    "rand8/12": "9a6959fb4e 5bcaec50ca",
+    "rand8/13": "fcea5f6d88 93eb174f21",
+    "rand8/14": "3450cad66a 7a9ce47217",
+    "rand8/15": "1268bef578 f0d31ee1b2",
+    "rand8/16": "0b1a1b1440 d1bc34f709",
+    "rand8/17": "e08c972000 de11593840",
+    "rand8/18": "5bbb696baa a76e2fc225",
+    "rand8/19": "1bcbe95f2f a04199a89a",
+    "rand8/20": "ecc3287600 f2499c4444",
+    "rand8/21": "6d6cb1cc22 1abd27804b",
+    "rand8/22": "bd67cfbcae fb019d5b5c",
+    "rand8/23": "6c326bb7ed 7e4b2514f0",
+    "rand10/0": "f1bc852aaa c24cacc596",
+    "rand10/1": "d83e3992ff 80986c4b58",
+    "rand10/2": "883a4757eb f82dce07c9",
+    "rand10/3": "35fccb2eb1 fd853f28e7",
+    "rand10/4": "5828068a92 7a68350e3f",
+    "rand10/5": "4e0c28342e 2d9df2e3e7",
+    "rand10/6": "326bb8cef0 db579b8d4f",
+    "rand10/7": "e04f9dbfc3 b18feb57fd",
+    "bip/0": "36ad258411 de28798f2f",
+    "bip/1": "b7b48a0ef1 49c0b474e7",
+    "bip/2": "9e9181f779 494d0aa64f",
+    "bip/3": "2dff997f9b dc9175a5d0",
+    "bip/4": "b14206dcab a056a4eac0",
+    "bip/5": "4c5be9f3aa dab29ce3f6",
+    "bip/6": "fff5ceaffa f8de71850d",
+    "bip/7": "4750f1b77f 799deb4edf",
+    "bip/8": "7222c729dc 0556f5f131",
+    "bip/9": "3d3e01d545 ab9f32b853",
+    "bip/10": "bc6bbab722 6b38ff6f31",
+    "bip/11": "ed274935c1 2122a65fb8",
+    "bip/12": "28141aa147 c45724a90b",
+    "bip/13": "170b3f071e 3ac66f7785",
+    "bip/14": "0dc12f7b6a c0b0ea6ad4",
+    "W4": "b3cef3a412 dd4f4a06f9",
+}
+
+
+def test_corpus_spartan_and_konig_outputs_are_pinned(graph_file, capsys):
+    got = {}
+    not_elementary = 0
+    for name, g in _pinned_corpus().items():
+        f = graph_file("corpus.edges", serialize_edge_list(g))
+        digests = []
+        for command in ("spartan", "konig"):
+            code, out, _ = run_cli(capsys, [command, f, "--json"])
+            assert code == 0, (name, command)
+            digests.append(hashlib.sha256(out.encode()).hexdigest()[:10])
+        got[name] = " ".join(digests)
+        result = json.loads(out)["result"]
+        not_elementary += result["bipartite"] and not result["essentially_elementary"]
+    assert got == CORPUS_DIGESTS
+    assert not_elementary >= 5
 
 
 # the selftest's report on every connected graph up to 5 vertices plus 20

@@ -282,7 +282,7 @@ def test_helper_edges_match_their_definition():
 
 def test_shortest_cycle_witness_on_larger_cover_pairs():
     # seeded cover pairs with helper pairs, large enough for long alternating
-    # cycles: a witness exactly when the classes say yes, and its chains
+    # cycles: a witness exactly when the yes/no answer says yes, and its chains
     # move the guard on u onto v
     from evckit.graph import is_connected
 
@@ -504,7 +504,7 @@ def test_mode_satisfiable_matches_reducer_and_brute_force():
 
 
 def test_mode_satisfiable_checks_the_mode(named):
-    # the classes and brute force refuse the same attacks as the reducer
+    # the yes/no answer and brute force refuse the same attacks as the reducer
     for aux, u, v, error, message in _invalid_attacks(named):
         with pytest.raises(error, match=message):
             mode_satisfiable(aux, u, v)

@@ -318,8 +318,12 @@ def test_two_game_evc_matches_multiset_loop():
 
 @pytest.mark.parametrize("late", [1, None], ids=["wins_above_evc", "never_wins"])
 def test_fallback_multiset_loop_is_exact(monkeypatch, late):
-    """The one-per-vertex game first wins at evc + 1, or never: the multiset
-    game must then decide every k from mvc to evc itself."""
+    """The one-per-vertex game first wins at evc + 1, or never, above the
+    cover number: the multiset game must then decide every k from mvc to evc
+    itself.  At the cover number the fake plays the real game, since there
+    the two games are one (an mvc-guard multiset whose support covers the
+    graph has one guard on each vertex), and a win there needs no multiset
+    solve."""
     graphs = list(exhaustive_connected(4)) + random_graph_corpus(12, 5, 6, seed=173)
     expected = [_multiset_evc(g) for g in graphs]
     real = game.solve_guard_game
@@ -328,19 +332,38 @@ def test_fallback_multiset_loop_is_exact(monkeypatch, late):
 
     def fake(g, k, *, budget=None, one_per_vertex=False):
         calls.append((k, one_per_vertex))
-        if one_per_vertex:
+        if one_per_vertex and k > truth["mvc"]:
             wins = late is not None and k >= truth["evc"] + late
             return GameOutcome(k, wins, [], [], {}, [])
-        return real(g, k, budget=budget)
+        return real(g, k, budget=budget, one_per_vertex=one_per_vertex)
 
     monkeypatch.setattr(game, "solve_guard_game", fake)
+    fallbacks = 0
     for g, (value, outcomes) in zip(graphs, expected):
-        truth["evc"] = value
+        k0 = mvc_mask(g, g.full_mask)
+        truth.update(evc=value, mvc=k0)
         calls.clear()
         result = evc(g)
         assert (result.value, result.outcomes) == (value, outcomes), g.edges
-        k0 = mvc_mask(g, g.full_mask)
-        assert sorted(k for k, one in calls if not one) == list(range(k0, value + 1))
+        multiset = sorted(k for k, one in calls if not one)
+        assert multiset == ([] if value == k0 else list(range(k0, value + 1)))
+        fallbacks += value > k0
+    assert fallbacks > 20
+
+
+def test_evc_reuses_the_climb_loss_at_the_cover_number(monkeypatch):
+    # P4 has mvc 2 and evc 3: the climb loses at 2 and wins at 3, and the
+    # multiset game at 2 is the one-per-vertex game it just lost
+    real = game.solve_guard_game
+    calls = []
+
+    def spy(g, k, **kwargs):
+        calls.append((k, kwargs.get("one_per_vertex", False)))
+        return real(g, k, **kwargs)
+
+    monkeypatch.setattr(game, "solve_guard_game", spy)
+    assert evc(parse_edge_list("a b\nb c\nc d")).value == 3
+    assert calls == [(2, True), (3, True)]
 
 
 def test_refusal_of_the_multiset_check_brackets_evc():

@@ -71,6 +71,34 @@ def test_json_graph_isolated_vertex_warns():
     assert g.isolated_vertices() == (2,)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": 5, "edges": [["a", "b"]]}',
+        '{"vertices": null, "edges": [["a", "b"]]}',
+        '{"vertices": "ab", "edges": [["a", "b"]]}',
+        '{"edges": 7}',
+        '{"edges": null}',
+        '{"edges": "ab"}',
+        '{"edges": [["a", ["b"]]]}',
+        '{"edges": [["a", null]]}',
+        '{"edges": [["a", true]]}',
+        '{"edges": [["a", 1.5]]}',
+        '{"vertices": ["a", false], "edges": [["a", "b"]]}',
+        '{"edges": [{"a": "b"}]}',
+    ],
+)
+def test_json_graph_rejects_malformed_containers_and_labels(text):
+    with pytest.raises(GraphFormatError):
+        load_graph_text(text)
+
+
+def test_json_graph_reads_integer_labels_as_strings():
+    g = load_graph_text('{"vertices": [1, "b", 30], "edges": [[1, "b"], ["b", 30]]}')
+    assert g.labels == ("1", "b", "30")
+    assert g == load_graph_text('{"edges": [["1", "b"], ["b", "30"]]}')
+
+
 def test_load_graph_text_dispatch():
     g1 = load_graph_text('{"vertices": ["a", "b"], "edges": [["a", "b"]]}')
     g2 = load_graph_text("a b")

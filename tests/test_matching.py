@@ -14,10 +14,9 @@ from evckit.matching import (
     hopcroft_karp,
     is_elementary,
     is_essentially_elementary,
+    alternating_tree,
     max_matching,
-    matchable_classes,
     max_matching_size,
-    proper_tight_set,
 )
 
 from conftest import (
@@ -183,14 +182,15 @@ def test_hall_violator_minimality():
 
 
 def test_tight_set_c6_none(named):
-    assert proper_tight_set(named["C6"], (0, 2, 4), (1, 3, 5)) is None
+    assert is_elementary(named["C6"]) == (True, None)
 
 
 def test_tight_set_p4(named):
-    p4 = named["P4"]
-    res = proper_tight_set(p4, (0, 2), (1, 3))
-    assert res is not None and res.kind == "tight"
-    assert len(res.violator) == len(res.neighborhood)
+    ok, witness = is_elementary(named["P4"])
+    res = witness.tight_set
+    assert not ok and res is not None and res.kind == "tight"
+    # a (index 0) alone has the neighborhood {b}
+    assert (res.violator, res.neighborhood) == ((0,), (1,))
 
 
 def test_elementary_examples(named):
@@ -250,7 +250,7 @@ def _random_balanced_bipartite(rng, h):
     return Graph(tuple(f"v{i}" for i in range(2 * h)), edges)
 
 
-def test_matchable_classes_tell_pairs_in_some_perfect_matching():
+def test_alternating_tree_tells_pairs_in_some_perfect_matching():
     rng = random.Random(61)
     pairs = in_pm = 0
     for _ in range(400):
@@ -259,18 +259,23 @@ def test_matchable_classes_tell_pairs_in_some_perfect_matching():
         pm = hopcroft_karp(range(h), adj)
         if len(pm) < h:
             continue
-        classes = matchable_classes(adj, pm)
         back = {v: u for u, v in pm.items()}
         for u, vs in adj.items():
             for v in vs:
                 rest = {x: tuple(y for y in adj[x] if y != v) for x in adj if x != u}
                 want = len(hopcroft_karp(rest, rest)) == h - 1
-                assert (classes[u] == classes[back[v]]) == want, (adj, u, v)
+                tree = alternating_tree(adj, back, back[v])
+                assert (u in tree) == want, (adj, u, v)
+                # each tree vertex hangs from one reached before it, through
+                # a right neighbour that vertex is matched to
+                order = list(tree)
+                assert tree[back[v]] is None and order[0] == back[v]
+                for x in order[1:]:
+                    p = tree[x]
+                    assert order.index(p) < order.index(x) and pm[x] in adj[p]
                 pairs += 1
                 in_pm += want
     assert 0 < in_pm < pairs and pairs > 1000
-    with pytest.raises(PreconditionError):
-        matchable_classes({0: (0,), 1: (0,)}, {0: 0})
 
 
 def _elementary_by_edge(g):
@@ -284,9 +289,35 @@ def _elementary_by_edge(g):
         return None
     for e in g.edges:
         if perfect_matching_through_edge(g, side_a, side_b, e) is None:
-            tight = proper_tight_set(g, side_a, side_b)
+            tight = _tight_by_subsets(g, side_a)
             return False, ElementaryWitness(edge=e, tight_set=tight)
     return True, None
+
+
+def _tight_by_subsets(g, side):
+    # the least X with |N(X)| = |X| containing each source in turn, by
+    # subset enumeration; the first one that is a proper subset of the side
+    def nbhd(xs):
+        return {w for x in xs for w in g.adjacency[x]}
+
+    for a in side:
+        rest = [x for x in side if x != a]
+        for size in range(len(side)):
+            tight = [
+                (a, *xs)
+                for xs in itertools.combinations(rest, size)
+                if len(nbhd((a, *xs))) == size + 1
+            ]
+            if tight:
+                break
+        (least,) = tight  # tight sets through a are closed under intersection
+        if len(least) < len(side):
+            return HallWitness(
+                violator=tuple(sorted(least)),
+                neighborhood=tuple(sorted(nbhd(least))),
+                kind="tight",
+            )
+    return None
 
 
 def test_is_elementary_matches_per_edge_route():
