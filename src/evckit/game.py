@@ -10,12 +10,13 @@ engine (``fixpoint``) removes states that lose some attack in synchronous
 rounds until the set stabilizes.
 
 A response is checked on residuals, the two states less the guard that
-crosses: the remaining guards must reach the responder's in one step.  A
-residual with one guard per vertex (every residual of the one-per-vertex
-game, and each multiset residual whose support has k - 1 vertices, so every
-one at k = mvc) is kept as its support mask and the mask of that support's
-closed neighbourhood, and two such residuals go to the move check as masks;
-any other pair goes as count vectors.
+crosses: the remaining guards must reach the responder's in one step.  The
+solver keeps every state as a slot mask (``reachability.layered``) with L
+slots per vertex, L the most guards any state stacks on one vertex (1 in the
+one-per-vertex game and in the multiset game at k = mvc).  A residual is the
+state's slot mask less its top slot on the crossing vertex, with the closed
+neighbourhood of its support spread over the slots; the support test on
+those masks rejects most pairs before the move check routes the rest.
 
 ``evc`` proves its answer with two games.  The one-per-vertex game keeps
 only the 0/1 states (the vertex covers of size exactly k); its strategies
@@ -39,8 +40,9 @@ from .errors import IntegrityError, PreconditionError, ResourceLimitError
 from .fixpoint import greatest_fixpoint, oriented_attacks
 from .graph import Graph, connected_components, is_connected, mask_of
 from .reachability import (
-    _closed_masks,
+    _closed_slots,
     compatible_configs,
+    layered,
     move_feasible_counts,
     replay_moves,
 )
@@ -105,24 +107,21 @@ def _minus(counts: Counts, v: int) -> Counts:
 
 
 def _residual(
-    g: Graph, counts: Counts, support: int, v: int
-) -> tuple[Counts | None, int, int]:
-    """``counts`` (whose support mask is ``support``) less one guard on v,
-    as ``(count vector, support, near)``: the masks of
-    ``reachability._support_masks``, and the count vector only where some
-    vertex keeps two guards.  With one guard per vertex the support mask is
-    the configuration, and the count vector is None."""
-    if counts[v] == 1:
-        support &= ~(1 << v)
-    closed = _closed_masks(g)
+    closed: tuple[int, ...], mask: int, slots: int, v: int
+) -> tuple[int, int]:
+    """Slot mask ``mask`` (``slots`` per vertex) less its top guard on v, and
+    the closed neighbourhood of what is left's support with every slot of
+    each vertex in it: ``reachability._support_masks``' second mask, spread
+    over the slots.  ``closed`` is ``reachability._closed_slots``."""
+    group = (1 << slots) - 1
+    mask ^= 1 << v * slots + (mask >> v * slots & group).bit_length() - 1
     near = 0
-    rest = support
+    rest = mask
     while rest:
-        near |= closed[(rest & -rest).bit_length() - 1]
-        rest &= rest - 1
-    if support.bit_count() == sum(counts) - 1:
-        return None, support, near
-    return _minus(counts, v), support, near
+        y = (rest & -rest).bit_length() - 1  # the lowest slot of its vertex
+        near |= closed[y]
+        rest &= ~(group << y)
+    return mask, near
 
 
 def solve_guard_game(
@@ -135,30 +134,30 @@ def solve_guard_game(
     if k < 1:
         raise PreconditionError("at least one guard is required")
     states = enumerate_states(g, k, budget, one_per_vertex=one_per_vertex)
-    supports = [mask_of(v for v in range(g.n) if c[v]) for c in states]
+    slots = max((max(c) for c in states), default=1)
+    masks = [layered(c, slots) for c in states]
+    # at one slot per vertex a state's slot mask is its support
+    supports = masks if slots == 1 else [
+        mask_of(v for v in range(g.n) if c[v]) for c in states
+    ]
+    closed = _closed_slots(g, slots)
     # candidate responders per vertex: states with a guard on v
     holders = [[j for j, c in enumerate(states) if c[v]] for v in range(g.n)]
     # (state, vertex) -> _residual of the state less a guard on vertex
-    residuals: dict[tuple[int, int], tuple[Counts | None, int, int]] = {}
+    residuals: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def residual(i: int, v: int) -> tuple[Counts | None, int, int]:
+    def residual(i: int, v: int) -> tuple[int, int]:
         got = residuals.get((i, v))
         if got is None:
-            got = residuals[(i, v)] = _residual(g, states[i], supports[i], v)
+            got = residuals[(i, v)] = _residual(closed, masks[i], slots, v)
         return got
 
     def answer(i: int, threat: tuple[int, int], j: int) -> bool:
-        c1, support1, near1 = residual(i, threat[0])
-        c2, support2, near2 = residual(j, threat[1])
-        if support2 & ~near1 or support1 & ~near2:
+        s1, near1 = residual(i, threat[0])
+        s2, near2 = residual(j, threat[1])
+        if s2 & ~near1 or s1 & ~near2:
             return False
-        if c1 is None and c2 is None:
-            return move_feasible_counts(g, support1, support2)
-        return move_feasible_counts(
-            g,
-            _minus(states[i], threat[0]) if c1 is None else c1,
-            _minus(states[j], threat[1]) if c2 is None else c2,
-        )
+        return move_feasible_counts(g, s1, s2, slots)
 
     alive, removals, _ = greatest_fixpoint(
         [oriented_attacks(g, support) for support in supports],

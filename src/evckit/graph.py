@@ -221,7 +221,11 @@ def parse_json_graph(obj) -> Graph:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphFormatError(f"bad edge entry: {e!r}")
         pairs.append((_json_label(e[0]), _json_label(e[1])))
-    known = set(vertices)
+    known: set[str] = set()
+    for lab in vertices:
+        if lab in known:
+            raise GraphFormatError(f"repeated vertex label {lab!r}")
+        known.add(lab)
     for a, b in pairs:
         for lab in (a, b):
             if vertices and lab not in known:

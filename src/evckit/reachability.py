@@ -4,26 +4,22 @@ A guard configuration is a count vector: a tuple with one whole number of at
 least 0 per vertex, the guards standing there (:func:`counts_of` builds one
 from a list of vertices).  Configuration c1 can become c2 in one step when
 every guard of c1 stays or moves to a neighbour and the guards land exactly
-on c2.  That is a transport question on closed neighbourhoods, answered by
-one guard-to-slot matching (:func:`_route`); the matching doubles as the
-move list.  A move list is the sorted tuple of ``(x, w)`` pairs, one per
-guard moving from x to its neighbour w, with stationary guards left out:
-:func:`compatible_configs` returns one and :func:`replay_moves` applies
-one.
+on c2.  That is a transport question on closed neighbourhoods (Gale, 1957),
+and one router answers it (:func:`_assign`).  The router works on slot
+masks: with L slots per vertex, vertex v owns bits v*L .. v*L + L - 1, and
+c guards on v fill its lowest c slots (:func:`layered`); at L = 1 a slot
+mask is a vertex mask.  It sends every guard to a slot inside its closed
+neighbourhood and returns where each moved guard came from.
 
-:func:`move_feasible_counts` answers the same question as a bool for the
-loops that ask many pairs; they first compare supports
+:func:`compatible_configs` reads a move list off that assignment: the
+sorted tuple of ``(x, w)`` pairs, one per guard moving from x to its
+neighbour w, with stationary guards left out; :func:`replay_moves` applies
+one.  :func:`move_feasible_counts` answers the same question as a bool for
+the loops that ask many pairs; it takes two count vectors, or two slot
+masks with their L.  The game solver keeps every state as a slot mask, and
+goodness passes count vectors.  Both first compare supports
 (:func:`_support_masks`), a necessary condition that rejects a pair without
-routing.  It takes two count vectors, or two vertex masks when both
-configurations hold at most one guard per vertex: the game solver passes
-masks for such residuals (every one of the one-per-vertex game, and those of
-the multiset game whose support has k - 1 vertices), and goodness passes
-count vectors.  A mask pair is matched on closed-neighbourhood masks
-(:func:`_match_masks`) in the order :func:`_route` searches, without building
-a count vector or a flow table.  :func:`compatible_configs` keeps
-:func:`_route`: its flow table is the move list, and the ``play`` session
-prints that list, so the routing order is part of the output.  A defense's
-witness, its guard paths, is ``defense.GuardPaths``.
+routing.  A defense's witness, its guard paths, is ``defense.GuardPaths``.
 """
 
 from __future__ import annotations
@@ -43,86 +39,102 @@ def counts_of(g: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _closed_neighbourhoods(g: Graph) -> tuple[tuple[int, ...], ...]:
-    got = g._memo.get("closed_neighbourhoods")
+def layered(counts: tuple[int, ...], slots: int) -> int:
+    """The slot mask of ``counts`` with ``slots`` slots per vertex: the c
+    guards on v fill bits v*slots .. v*slots + c - 1."""
+    mask = 0
+    for v, c in enumerate(counts):
+        if c:
+            mask |= ((1 << c) - 1) << v * slots
+    return mask
+
+
+def _closed_slots(g: Graph, slots: int) -> tuple[int, ...]:
+    """Per slot, the closed neighbourhood of its vertex with every slot of
+    each vertex in it, memoized per slot count."""
+    key = ("closed_slots", slots)
+    got = g._memo.get(key)
     if got is None:
-        got = tuple(
-            tuple(sorted((v,) + g.adjacency[v])) for v in range(g.n)
-        )
-        g._memo["closed_neighbourhoods"] = got
+        group = (1 << slots) - 1
+        spread = [
+            sum(group << w * slots for w in (v,) + g.adjacency[v])
+            for v in range(g.n)
+        ]
+        got = g._memo[key] = tuple(spread[y // slots] for y in range(g.n * slots))
     return got
 
 
-def _closed_masks(g: Graph) -> tuple[int, ...]:
-    """Each vertex's closed neighbourhood as a mask."""
-    got = g._memo.get("closed_masks")
-    if got is None:
-        got = g._memo["closed_masks"] = tuple(
-            1 << v | g.adj_mask[v] for v in range(g.n)
-        )
-    return got
+def _assign(g: Graph, s1: int, s2: int, slots: int) -> dict[int, int] | None:
+    """Send every guard of slot mask ``s1`` to a slot of ``s2`` inside its
+    closed neighbourhood; return ``{slot: origin slot}`` for the slots whose
+    guard came from another slot, or None when no such routing exists (as
+    when the guard counts differ).
 
-
-def _route(
-    g: Graph, c1: tuple[int, ...], c2: tuple[int, ...]
-) -> dict[tuple[int, int], int] | None:
-    """Send every guard of ``c1`` to a slot of ``c2`` inside its closed
-    neighbourhood; return ``{(x, w): guards moving x -> w}`` for x != w, or
-    None when no such routing exists (as when the totals differ).
-
-    Guards on a vertex both configurations occupy start in place.  Each
-    surplus guard then takes a BFS-shortest augmenting path (neighbours in
-    ascending order) that may push already-placed guards to other slots.  A
-    guard that finds no path proves that no complete routing exists, so the
-    answer is exact: it agrees with Hall's condition on the transport graph.
+    A guard on a slot of both starts in place.  Each surplus guard, lowest
+    slot first, then takes a BFS-shortest augmenting path (slots scanned in
+    ascending order) that may push placed guards to other slots.  A guard
+    that finds no path proves that no complete routing exists, so the answer
+    is exact: it agrees with Hall's condition on the transport graph.  The
+    guards on one vertex's slots join the search in ascending order of their
+    origins, so the vertices each guard moves between do not depend on which
+    slot of a vertex it holds.
     """
-    if sum(c1) != sum(c2):
+    if s1.bit_count() != s2.bit_count():
         return None
-    closed = _closed_neighbourhoods(g)
-    n = g.n
-    # flow[(x, w)]: guards from x assigned to slot w (stationary ones too)
-    flow: dict[tuple[int, int], int] = {}
-    free = [0] * n
-    surplus = []
-    for v in range(n):
-        a, b = c1[v], c2[v]
-        if a and b:
-            flow[(v, v)] = min(a, b)
-        if b > a:
-            free[v] = b - a
-        elif a > b:
-            surplus.extend([v] * (a - b))
-    for x in surplus:
-        # left side: guard origins; right side: slots
+    # the memo read inline, as this runs once per move check
+    closed = g._memo.get(("closed_slots", slots)) or _closed_slots(g, slots)
+    free = s2 & ~s1
+    surplus = s1 & ~s2
+    placed: dict[int, int] = {}  # slot -> origin of the guard there, if moved
+    while surplus:
+        x = (surplus & -surplus).bit_length() - 1
+        surplus &= surplus - 1
         reached_via = {x: -1}  # origin -> slot it can give up
         slot_parent: dict[int, int] = {}  # slot -> origin that can take it
+        seen = 0
         queue = [x]
         end = -1
         for y in queue:
-            for w in closed[y]:
-                if w in slot_parent:
-                    continue
-                slot_parent[w] = y
-                if free[w]:
-                    end = w
-                    break
-                for z in closed[w]:
-                    if z not in reached_via and flow.get((z, w)):
+            fresh = closed[y] & s2 & ~seen
+            hit = fresh & free
+            if hit:
+                end = (hit & -hit).bit_length() - 1
+                slot_parent[end] = y
+                break
+            seen |= fresh
+            if slots == 1:  # one guard per vertex, so no order to fix
+                while fresh:
+                    w = (fresh & -fresh).bit_length() - 1
+                    fresh &= fresh - 1
+                    slot_parent[w] = y
+                    z = placed.get(w, w)
+                    if z not in reached_via:
                         reached_via[z] = w
                         queue.append(z)
-            if end >= 0:
-                break
+                continue
+            group = (1 << slots) - 1
+            while fresh:
+                first = (fresh & -fresh).bit_length() - 1
+                mine = fresh & group << first - first % slots  # first's vertex
+                fresh ^= mine
+                held = []
+                while mine:
+                    w = (mine & -mine).bit_length() - 1
+                    mine &= mine - 1
+                    slot_parent[w] = y
+                    held.append((placed.get(w, w), w))
+                for z, w in sorted(held):
+                    if z not in reached_via:
+                        reached_via[z] = w
+                        queue.append(z)
         if end < 0:
             return None
-        free[end] -= 1
+        free ^= 1 << end
         w = end
         while w >= 0:
-            y = slot_parent[w]
-            flow[(y, w)] = flow.get((y, w), 0) + 1
+            y = placed[w] = slot_parent[w]
             w = reached_via[y]
-            if w >= 0:
-                flow[(y, w)] -= 1
-    return {(x, w): c for (x, w), c in flow.items() if x != w and c}
+    return placed
 
 
 def compatible_configs(
@@ -130,10 +142,12 @@ def compatible_configs(
 ) -> tuple[tuple[int, int], ...] | None:
     """The moves that take the guards at count vector ``c1`` to ``c2`` in
     one step, as a move list, or None when ``c2`` is out of reach."""
-    routed = _route(g, c1, c2)
-    if routed is None:
+    slots = max((*c1, *c2, 1))
+    placed = _assign(g, layered(c1, slots), layered(c2, slots), slots)
+    if placed is None:
         return None
-    return tuple(sorted(move for move, c in routed.items() for _ in range(c)))
+    moves = ((z // slots, w // slots) for w, z in placed.items())
+    return tuple(sorted(move for move in moves if move[0] != move[1]))
 
 
 def _support_masks(g: Graph, counts: tuple[int, ...]) -> tuple[int, int]:
@@ -150,63 +164,16 @@ def _support_masks(g: Graph, counts: tuple[int, ...]) -> tuple[int, int]:
     return support, near
 
 
-def _match_masks(g: Graph, support1: int, support2: int) -> bool:
-    """:func:`_route` for one guard per vertex: can the guards on
-    ``support1`` land one each on ``support2``?
-
-    A guard on a vertex of both starts in place; ``placed`` records the
-    origin of every other occupied slot.  Each surplus guard, lowest vertex
-    first, takes a BFS-shortest augmenting path whose slots are scanned in
-    ascending order, as in :func:`_route`."""
-    if support1.bit_count() != support2.bit_count():
-        return False
-    closed = _closed_masks(g)
-    free = support2 & ~support1
-    surplus = support1 & ~support2
-    placed: dict[int, int] = {}  # slot -> origin of the guard there, if moved
-    while surplus:
-        x = (surplus & -surplus).bit_length() - 1
-        surplus &= surplus - 1
-        reached_via = {x: -1}  # origin -> slot it can give up
-        slot_parent: dict[int, int] = {}  # slot -> origin that can take it
-        seen = 0
-        queue = [x]
-        end = -1
-        for y in queue:
-            fresh = closed[y] & support2 & ~seen
-            hit = fresh & free
-            if hit:
-                end = (hit & -hit).bit_length() - 1
-                slot_parent[end] = y
-                break
-            seen |= fresh
-            while fresh:
-                w = (fresh & -fresh).bit_length() - 1
-                fresh &= fresh - 1
-                slot_parent[w] = y
-                z = placed.get(w, w)
-                if z not in reached_via:
-                    reached_via[z] = w
-                    queue.append(z)
-        if end < 0:
-            return False
-        free ^= 1 << end
-        w = end
-        while w >= 0:
-            y = placed[w] = slot_parent[w]
-            w = reached_via[y]
-    return True
-
-
 def move_feasible_counts(
-    g: Graph, c1: tuple[int, ...] | int, c2: tuple[int, ...] | int
+    g: Graph, c1: tuple[int, ...] | int, c2: tuple[int, ...] | int, slots: int = 0
 ) -> bool:
     """Can the guards at ``c1`` reach ``c2`` in one simultaneous step (each
-    guard staying or moving to a neighbour)?  Both are count vectors, or both
-    are vertex masks of one guard per vertex."""
-    if isinstance(c1, int):
-        return _match_masks(g, c1, c2)
-    return _route(g, c1, c2) is not None
+    guard staying or moving to a neighbour)?  Both are count vectors (with
+    ``slots`` 0), or both are slot masks with ``slots`` slots per vertex."""
+    if not slots:
+        slots = max((*c1, *c2, 1))
+        c1, c2 = layered(c1, slots), layered(c2, slots)
+    return _assign(g, c1, c2, slots) is not None
 
 
 def replay_moves(

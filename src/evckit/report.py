@@ -162,13 +162,21 @@ def _revalidate(g: Graph, cert: dict) -> bool:
         full = g.full_mask
         return mvc_mask(g, full & ~(1 << data["vertex"])) == mvc_mask(g, full)
     if kind == "hall_violator":
-        x = set(data["violator"])
-        nb = neighbors_of_set(g, mask_of(x))
-        return set(bits(nb)) == set(data["neighborhood"]) and len(
-            data["neighborhood"]
-        ) < len(x)
+        # a non-empty X inside a maximum independent set I, |N(X)| < |X|
+        ind, x = data["independent_set"], data["violator"]
+        im, xm = mask_of(ind), mask_of(x)
+        if im.bit_count() != len(ind) or len(ind) != g.n - mvc_mask(g, g.full_mask):
+            return False
+        if any(g.adj_mask[v] & im for v in ind):
+            return False
+        if not x or xm.bit_count() != len(x) or xm & ~im:
+            return False
+        nb = neighbors_of_set(g, xm)
+        return set(bits(nb)) == set(data["neighborhood"]) and nb.bit_count() < len(x)
     if kind == "tight_independent_set":
         m = mask_of(data["independent_set"])
+        if not m or m.bit_count() != len(data["independent_set"]):
+            return False
         nb = neighbors_of_set(g, m)
         independent = all(not (g.adj_mask[v] & m) for v in data["independent_set"])
         non_maximal = bool(g.full_mask & ~m & ~nb)

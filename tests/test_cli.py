@@ -118,6 +118,9 @@ def test_exit_codes(graph_file, capsys):
     f = graph_file("bad.json", '{"vertices": 5, "edges": [["a", "b"]]}')
     code, out, err = run_cli(capsys, ["mvc", f, "--json"])
     assert code == 2 and out == "" and '"vertices" must be a list' in err
+    f = graph_file("twice.json", '{"vertices": ["1", 1], "edges": [[1, "1"]]}')
+    code, out, err = run_cli(capsys, ["mvc", f, "--json"])
+    assert code == 2 and out == "" and "repeated vertex label '1'" in err
 
 
 def test_budget_refusal_exit_code(graph_file, capsys, monkeypatch):
@@ -229,12 +232,32 @@ FORGED_ON_C4 = [
     {"kind": "non_elementary"},
     {"kind": "non_elementary", "edge_in_no_perfect_matching": ["a", "b"]},
     {"kind": "cover_enumeration_truncated", "cap": 1},
+    # N(V) is empty, but V is no subset of a maximum independent set
+    {"kind": "hall_violator", "violator": ["a", "b", "c", "d"], "neighborhood": []},
+    # the violator leaves the independent set
+    {
+        "kind": "hall_violator",
+        "independent_set": ["a", "c"],
+        "violator": ["a", "b", "c"],
+        "neighborhood": ["d"],
+    },
+    {"kind": "tight_independent_set", "independent_set": []},
+    {"kind": "tight_independent_set", "independent_set": ["a", "a"]},
 ]
 
 
-@pytest.mark.parametrize(
-    "cert", FORGED_ON_C4, ids=[f"{c['kind']}-{len(c)}" for c in FORGED_ON_C4]
-)
+def _forgery_ids(certs):
+    """``kind-fields``, numbered ``-2``, ``-3``, ... from the second of one."""
+    seen: dict[str, int] = {}
+    ids = []
+    for c in certs:
+        name = f"{c['kind']}-{len(c)}"
+        seen[name] = seen.get(name, 0) + 1
+        ids.append(name if seen[name] == 1 else f"{name}-{seen[name]}")
+    return ids
+
+
+@pytest.mark.parametrize("cert", FORGED_ON_C4, ids=_forgery_ids(FORGED_ON_C4))
 def test_forged_certificate_rejected(cert):
     assert not revalidate_certificate(parse_edge_list("a b\nb c\nc d\nd a\n"), cert)
 

@@ -436,26 +436,36 @@ def test_evc_closed_forms(g, family):
 def test_support_filter_rejects_only_unroutable_pairs():
     # the move check's prefilter: a pair it rejects never routes, and the
     # masks are the residual's support and that support's closed
-    # neighbourhood; the solver's residuals carry the same masks, and a
-    # count vector exactly when some vertex keeps two guards
+    # neighbourhood; the solver's residual is the state's slot mask less its
+    # top slot on v, with that closed neighbourhood spread over the slots
     from evckit.game import _minus, _residual
-    from evckit.graph import mask_of
-    from evckit.reachability import _support_masks, move_feasible_counts
+    from evckit.reachability import (
+        _closed_slots,
+        _support_masks,
+        layered,
+        move_feasible_counts,
+    )
+
+    def spread(mask, n, slots):
+        return layered([slots * (mask >> w & 1) for w in range(n)], slots)
 
     rng = random.Random(241)
     rejected = kept = stacked = 0
     for g in random_graph_corpus(60, 4, 7, seed=251):
         k = mvc_mask(g, g.full_mask) + rng.randint(0, 1)
         states = enumerate_states(g, k)
+        slots = max(max(c) for c in states)
+        closed = _closed_slots(g, slots)
         for c in states:
-            support = mask_of(v for v in range(g.n) if c[v])
             for v in range(g.n):
                 if c[v]:
-                    counts, *masks = _residual(g, c, support, v)
                     want = _minus(c, v)
-                    assert tuple(masks) == _support_masks(g, want), (g.edges, c, v)
-                    assert counts == (want if max(want) > 1 else None)
-                    stacked += counts is not None
+                    mask, near = _residual(closed, layered(c, slots), slots, v)
+                    assert mask == layered(want, slots), (g.edges, c, v)
+                    assert near == spread(
+                        _support_masks(g, want)[1], g.n, slots
+                    ), (g.edges, c, v)
+                    stacked += max(want) > 1
         residuals = sorted(
             {_minus(c, v) for c in states for v in range(g.n) if c[v]}
         )

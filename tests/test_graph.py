@@ -93,6 +93,16 @@ def test_json_graph_rejects_malformed_containers_and_labels(text):
         load_graph_text(text)
 
 
+@pytest.mark.parametrize(
+    "vertices,edges",
+    [(["a", "b", "a"], [["a", "b"]]), (["1", 1], [[1, "1"]])],
+)
+def test_json_graph_names_a_repeated_vertex_label(vertices, edges):
+    # 1 reads as "1", so ["1", 1] repeats a label before any edge is read
+    with pytest.raises(GraphFormatError, match="repeated vertex label"):
+        parse_json_graph({"vertices": vertices, "edges": edges})
+
+
 def test_json_graph_reads_integer_labels_as_strings():
     g = load_graph_text('{"vertices": [1, "b", 30], "edges": [[1, "b"], ["b", 30]]}')
     assert g.labels == ("1", "b", "30")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from evckit.graph import bits
 from evckit.reachability import (
     compatible_configs,
     counts_of,
+    layered,
     move_feasible_counts,
     replay_moves,
 )
@@ -175,10 +177,14 @@ def test_config_feasibility_matches_brute_force():
                 break  # one multiset per total keeps the oracle cheap
 
 
-def _random_counts(rng, n, total):
+def _random_counts(rng, n, total, cap=None):
+    """``total`` guards on random vertices, at most ``cap`` on each."""
     counts = [0] * n
     for _ in range(total):
-        counts[rng.randrange(n)] += 1
+        v = rng.randrange(n)
+        while counts[v] == cap:
+            v = rng.randrange(n)
+        counts[v] += 1
     return tuple(counts)
 
 
@@ -195,10 +201,12 @@ def _random_mask(rng, n, size):
 
 
 def test_route_matches_gale_and_moves_replay():
-    # count vectors, then one guard per vertex as masks: the mask form
-    # answers as the count form and Gale's condition do
+    # count vectors, then one guard per vertex as masks, then slot masks of
+    # 2 and 3 slots per vertex: each form answers as the count form and
+    # Gale's condition do
     rng = random.Random(83)
-    feasible = masked = masked_feasible = 0
+    slot_rng = random.Random(97)
+    feasible = masked = masked_feasible = layers = layers_feasible = 0
     for g in random_graph_corpus(60, 2, 8, seed=89):
         for trial in range(40):
             c1 = _random_counts(rng, g.n, rng.randint(1, g.n + 2))
@@ -224,13 +232,56 @@ def test_route_matches_gale_and_moves_replay():
                 size = s1.bit_count() if trial % 8 else rng.randint(0, g.n)
                 c2 = tuple(_random_mask(rng, g.n, size) >> v & 1 for v in range(g.n))
             s2 = sum(1 << v for v in range(g.n) if c2[v])
-            ok = move_feasible_counts(g, s1, s2)
+            ok = move_feasible_counts(g, s1, s2, 1)
             assert ok == gale_feasible(g, c1, c2), (g.edges, c1, c2)
             assert ok == move_feasible_counts(g, c1, c2), (g.edges, c1, c2)
             masked += 1
             masked_feasible += ok
+        for slots in (2, 3):
+            for trial in range(20):
+                total = slot_rng.randint(1, g.n + 2)
+                c1 = _random_counts(slot_rng, g.n, total, slots)
+                c2 = _random_step(slot_rng, g, c1)
+                if not (trial % 2 and max(c2) <= slots):
+                    c2 = _random_counts(slot_rng, g.n, total, slots)
+                s1, s2 = layered(c1, slots), layered(c2, slots)
+                ok = move_feasible_counts(g, s1, s2, slots)
+                assert ok == gale_feasible(g, c1, c2), (g.edges, slots, c1, c2)
+                assert ok == move_feasible_counts(g, c1, c2), (g.edges, c1, c2)
+                layers += 1
+                layers_feasible += ok
     assert feasible > 1200  # every one-step image plus some random draws
     assert masked_feasible > 1200 and masked - masked_feasible > 600
+    assert layers_feasible > 1500 and layers - layers_feasible > 200
+
+
+# sha256 of the move lists below, recorded with the count-vector router that
+# the slot-mask router replaced; ``play`` transcripts print these lists
+MOVE_LIST_DIGEST = "8024d307ed6f524850ab50ab8cef4d617d9722cb40d0a83a49c010ed23b4f3eb"
+
+
+def test_move_lists_are_pinned():
+    # 0/1 and stacked pairs, each to a one-step image or to a random draw of
+    # the same size; on the 0/1 pairs the draw holds one guard per vertex
+    rng = random.Random(307)
+    digest = hashlib.sha256()
+    routed = 0
+    for g in random_graph_corpus(100, 2, 9, seed=311):
+        for trial in range(60):
+            size = rng.randint(1, g.n)
+            if trial % 3:
+                c1 = _random_counts(rng, g.n, rng.randint(1, 2 * g.n))
+                c2 = _random_counts(rng, g.n, sum(c1))
+            else:
+                c1 = _random_counts(rng, g.n, size, 1)
+                c2 = _random_counts(rng, g.n, size, 1)
+            if trial % 2:
+                c2 = _random_step(rng, g, c1)
+            moves = compatible_configs(g, c1, c2)
+            routed += moves is not None
+            digest.update(repr((c1, c2, moves)).encode())
+    assert routed > 3000
+    assert digest.hexdigest() == MOVE_LIST_DIGEST
 
 
 def test_crossing_constraint(named):
