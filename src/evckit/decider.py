@@ -5,10 +5,13 @@ over the complete set of minimum covers: a cover survives while every attack
 on it is defended by some surviving cover.  The fixpoint is decided on the
 alternating trees of each cover pair's auxiliary graph
 (``DefenseContext.defends``), a yes/no answer with no witness; afterwards
-``check_defense`` witnesses each exported transition once, from the same
-cached tree.  A non-empty fixpoint *is* a defender strategy; an empty one
-yields a deletion trace naming each cover's indefensible edge.  Component
-verdicts speak the whole graph's vertices.
+each exported transition takes its guard paths from one
+``DefenseContext.witness`` call, which reads the same cached tree and the
+matching and chains cached per (cover pair, question), so only a chain
+through the attacked guard is expanded per transition.  A non-empty
+fixpoint *is* a defender strategy; an empty one yields a deletion trace
+naming each cover's indefensible edge.  Component verdicts speak the whole
+graph's vertices.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .covers import DEFAULT_COVER_CAP, enumerate_min_vcs, mvc_mask
-from .defense import DefenseContext, DefenseStats, GuardPaths, check_defense
+from .defense import DefenseContext, DefenseStats, GuardPaths
 from .errors import IntegrityError, PreconditionError, ResourceLimitError
 from .fixpoint import greatest_fixpoint, oriented_attacks
 from .graph import (
@@ -89,12 +92,12 @@ def spartan_fixpoint(
     ctx.stats = None  # every ask is recorded; the witnesses add nothing
     transitions = {}
     for (i, attack), j in answers.items():
-        defense = check_defense(g, covers[i], attack, (covers[j],), ctx)
-        if defense is None:
+        paths = ctx.witness(covers[i], attack, covers[j])
+        if paths is None:
             raise IntegrityError(
                 "the witness search misses a defense the yes/no answer allows"
             )
-        transitions[(index[i], attack)] = (index[j], defense.paths)
+        transitions[(index[i], attack)] = (index[j], paths)
     return DefenseFamily(covers=tuple(covers[i] for i in alive), transitions=transitions)
 
 
@@ -281,16 +284,17 @@ def strategy_export(family: DefenseFamily, g: Graph) -> dict:
     Attacks on edges inside a cover are defended by swapping the two guards;
     those transitions are implicit and listed once as a rule.
     """
-    covers = [list(g.labels_of(c)) for c in family.covers]
+    labels = g.labels
+    covers = [[labels[v] for v in c] for c in family.covers]
     initial = min(range(len(family.covers)), key=lambda i: family.covers[i])
     transitions = []
     for (ci, attack), (ti, paths) in sorted(family.transitions.items()):
         transitions.append(
             {
                 "from": ci,
-                "attack": [g.labels[attack[0]], g.labels[attack[1]]],
+                "attack": [labels[attack[0]], labels[attack[1]]],
                 "to": ti,
-                "moves": [list(g.labels_of(p)) for p in paths],
+                "moves": [[labels[v] for v in p] for p in paths],
             }
         )
     return {

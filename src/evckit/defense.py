@@ -31,8 +31,10 @@ tree; the witness (``rainbow_pm_with_edge``) flips the all-real matching
 along the tree path to the first partner discovered, which closes a
 shortest alternating cycle through v.  A shortest cycle repeats no helper
 color, since a repeated color would be a shortcut.  The decider decides its
-fixpoint on the yes/no answer and builds witnesses (``check_defense``) only
-for the transitions it exports.  So the decision and the witness share one
+fixpoint on the yes/no answer and builds guard paths only for the
+transitions it exports, each through one call of the witness entry
+(``DefenseContext.witness``); the defense scan ``check_defense`` calls the
+same entry per candidate.  So the decision and the witness share one
 search; brute-force enumeration (``rainbow_pm_bruteforce``) and the game
 oracle are the independent checks.
 
@@ -41,8 +43,11 @@ search derives from the auxiliary graph alone (the all-real matching and
 its reverse, the pair adjacency, the alternating tree per right vertex, the
 helper colors per pair, the color masks and each shared component's
 partners) is cached on the auxiliary graph, and ``DefenseContext`` keeps one
-auxiliary graph per (S, T) and one witness per (S, T, question).  Each is a
-pure function of its key, so cached and recomputed answers are identical.
+auxiliary graph per (S, T) and one witness per (S, T, question), with the
+guard chains expanded from it (``matching_to_paths``).  Only the forced
+pair's helper chain routes through the attacked guard, so it alone is
+expanded per transition.  Each is a pure function of its key, so cached
+and recomputed answers are identical.
 """
 
 from __future__ import annotations
@@ -375,9 +380,9 @@ def matching_to_paths(
     """Expand a rainbow matching into vertex-disjoint guard chains.
 
     Real edges become single steps; a helper edge of color i threads through
-    H_i (shortest interior, lexicographic ties).  ``through`` pins the last
-    interior vertex of the forced pair's helper chain, which the defense scan
-    sets to the attacked guard so that the chain crosses the attacked edge.
+    H_i (``_helper_chain``).  ``through`` pins the last interior vertex of
+    the forced pair's helper chain, which the defense scan sets to the
+    attacked guard so that the chain crosses the attacked edge.
     """
     g = aux.graph
     paths = []
@@ -385,17 +390,27 @@ def matching_to_paths(
         u, v, tag = edge
         if tag == REAL:
             paths.append((u, v))
-            continue
-        ends = g.adj_mask[v]
-        if through is not None and edge == rm.forced:
-            ends = 1 << through
-        interior = _bfs_inside(g, aux.color_masks[tag], g.adj_mask[u], ends)
-        if interior is None:
-            raise IntegrityError("color component fails to connect the helper edge")
-        paths.append((u, *interior, v))
+        elif through is not None and edge == rm.forced:
+            paths.append(_helper_chain(aux, edge, 1 << through))
+        else:
+            paths.append(_helper_chain(aux, edge, g.adj_mask[v]))
     paths = tuple(paths)
     _validate_defense_paths(g, aux, paths)
     return paths
+
+
+def _helper_chain(
+    aux: AuxiliaryGraph, edge: tuple[int, int, int], ends: int
+) -> tuple[int, ...]:
+    """The chain of the helper pair ``(u, v, color)``: u, the shortest
+    interior inside the color's component (lexicographic ties) from a
+    neighbour of u to a vertex of the mask ``ends``, then v."""
+    u, v, tag = edge
+    g = aux.graph
+    interior = _bfs_inside(g, aux.color_masks[tag], g.adj_mask[u], ends)
+    if interior is None:
+        raise IntegrityError("color component fails to connect the helper edge")
+    return (u, *interior, v)
 
 
 def _bfs_inside(g, cmask: int, sources_mask: int, targets_mask: int):
@@ -478,17 +493,20 @@ class DefenseStats:
 
 class DefenseContext:
     """Caches, for the scans of one graph, each cover pair's auxiliary graph
-    and the witness search's answer per (S, T, question).
+    and, per (S, T, question), the witness search's answer with the guard
+    chains expanded from it.
 
-    Both are exact: the auxiliary graph (with the views it caches) is a pure
-    function of (S, T), and ``rainbow_pm_with_edge`` a deterministic pure
-    function of the auxiliary graph and the question.  The question of a
-    guard of S n T names its shared component and not the guard, so all
-    guards of one shared component share its answer.  Guard chains are still
-    expanded and checked per defense, since they route through the guard.
+    All are exact: the auxiliary graph (with the views it caches) is a pure
+    function of (S, T), ``rainbow_pm_with_edge`` a deterministic pure
+    function of the auxiliary graph and the question, and the chains a pure
+    function of the matching.  The question of a guard of S n T names its
+    shared component and not the guard, so all guards of one shared
+    component share its answer and its chains; only the forced pair's helper
+    chain routes through the attacked guard, so ``witness`` expands that one
+    per call.
 
-    With ``stats``, each ask, by ``defends`` or by a ``check_defense``
-    candidate, compares the yes/no answer, the search and brute force.
+    With ``stats``, each ask, by ``defends`` or by ``witness``, compares the
+    yes/no answer, the search and brute force.
     """
 
     def __init__(self, g: Graph, stats: DefenseStats | None = None):
@@ -496,18 +514,24 @@ class DefenseContext:
         self.stats = stats
         self._aux: dict[tuple[tuple[int, ...], tuple[int, ...]], AuxiliaryGraph] = {}
         self._rainbow: dict[tuple, RainbowMatching | None] = {}
+        # (S, T, question) -> (its matching's chains, the forced pair's
+        # index among them, the forced pair), for answered questions only
+        self._chains: dict[tuple, tuple[GuardPaths, int, tuple[int, int, int]]] = {}
 
     def aux_for(self, s, t) -> AuxiliaryGraph:
-        key = (s, t)
-        if key not in self._aux:
-            self._aux[key] = build_aux(self.g, s, t)
-        return self._aux[key]
+        aux = self._aux.get((s, t))
+        if aux is None:
+            aux = self._aux[(s, t)] = build_aux(self.g, s, t)
+        return aux
 
     def rainbow_for(self, s, t, attack: tuple[int, int]) -> RainbowMatching | None:
         """``rainbow_pm_with_edge(aux_for(s, t), *attack)``, computed once per
         (s, t, question)."""
         aux = self.aux_for(s, t)
-        key = (s, t, _question(aux, *attack))
+        return self._rainbow_at((s, t, _question(aux, *attack)), aux, attack)
+
+    def _rainbow_at(self, key, aux, attack) -> RainbowMatching | None:
+        # ``witness`` passes its own key, so both caches hold one key object
         if key not in self._rainbow:
             self._rainbow[key] = rainbow_pm_with_edge(aux, *attack)
         return self._rainbow[key]
@@ -515,8 +539,8 @@ class DefenseContext:
     def defends(self, s, attack: tuple[int, int], t) -> bool:
         """Whether cover ``t`` answers the attack ``(u, v)`` on cover ``s``
         (u in s, v not), decided on the alternating tree without a witness:
-        ``check_defense(g, s, attack, (t,), self)`` returns a Defense exactly
-        when this is True."""
+        ``witness(s, attack, t)`` returns guard paths exactly when this is
+        True."""
         if attack[1] not in t:
             return False
         aux = self.aux_for(s, t)
@@ -524,6 +548,43 @@ class DefenseContext:
         if self.stats is not None:
             self._record_stats(s, t, attack, answer)
         return answer
+
+    def witness(self, s, attack: tuple[int, int], t) -> GuardPaths | None:
+        """The guard paths by which cover ``t`` answers the attack ``(u, v)``
+        on cover ``s`` (u in s, v in t - s), or None when it does not.
+
+        The paths are ``matching_to_paths(aux, rm, through=u)`` for the
+        question's cached rainbow matching rm.  The chains that do not route
+        through u are expanded once per matching and kept; a helper-tagged
+        forced chain is expanded here, through u, and the whole system is
+        validated again.
+        """
+        aux = self.aux_for(s, t)
+        u, v = attack
+        question = _checked_question(aux, u, v)
+        if self.stats is not None:
+            self._record_stats(s, t, attack, _satisfiable(aux, question))
+        key = (s, t, question)
+        kept = self._chains.get(key)
+        if kept is None:
+            rm = self._rainbow_at(key, aux, attack)
+            if rm is None:
+                return None
+            kept = self._chains[key] = (
+                matching_to_paths(aux, rm),
+                rm.edges.index(rm.forced),
+                rm.forced,
+            )
+        paths, i, forced = kept
+        if forced[2] == REAL:
+            return paths
+        # a guard of S n T keeps its post: its color's chain ends ...-> u -> v
+        chain = _helper_chain(aux, forced, 1 << u)
+        if chain == paths[i]:  # the kept system, validated when expanded
+            return paths
+        paths = (*paths[:i], chain, *paths[i + 1:])
+        _validate_defense_paths(self.g, aux, paths)
+        return paths
 
     def _record_stats(self, s, t, attack, oracle: bool) -> None:
         aux = self.aux_for(s, t)
@@ -549,7 +610,7 @@ def check_defense(
     The attack names an edge with exactly one endpoint in ``s``; attacks
     inside the cover are answered upstream by swapping the two guards.
     Candidates are scanned in their given (canonical) order, each decided by
-    the witness search, so a defense always comes with its witness.
+    ``DefenseContext.witness``, so a defense always comes with its witness.
     """
     if ctx is None:
         ctx = DefenseContext(g)
@@ -566,20 +627,8 @@ def check_defense(
             "attacked edge must have exactly one endpoint in the cover"
         )
     for t in candidates:
-        if v not in t:
-            continue
-        defense = _try_candidate(s, t, u, v, ctx)
-        if defense is not None:
-            return defense
+        if v in t:
+            paths = ctx.witness(s, (u, v), t)
+            if paths is not None:
+                return Defense(target=t, paths=paths)
     return None
-
-
-def _try_candidate(s, t, u, v, ctx: DefenseContext) -> Defense | None:
-    aux = ctx.aux_for(s, t)
-    rm = ctx.rainbow_for(s, t, (u, v))
-    if ctx.stats is not None:
-        ctx._record_stats(s, t, (u, v), _satisfiable(aux, _question(aux, u, v)))
-    if rm is None:
-        return None
-    # a guard of S n T keeps its post: its color's chain ends ...-> u -> v
-    return Defense(target=t, paths=matching_to_paths(aux, rm, through=u))

@@ -178,6 +178,8 @@ def _revalidate(g: Graph, cert: dict) -> bool:
         if not m or m.bit_count() != len(data["independent_set"]):
             return False
         nb = neighbors_of_set(g, m)
+        if sorted(data["neighborhood"]) != list(bits(nb)):
+            return False
         independent = all(not (g.adj_mask[v] & m) for v in data["independent_set"])
         non_maximal = bool(g.full_mask & ~m & ~nb)
         return (

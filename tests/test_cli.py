@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -520,6 +523,16 @@ def test_forged_hall_sets_of_non_elementary_rejected(text, cert):
     assert not revalidate_certificate(parse_edge_list(text), cert)
 
 
+def test_tight_independent_set_needs_its_neighbourhood():
+    # on P4, N({a}) = {b}: the genuine certificate holds, one naming {d}
+    # as the neighbourhood is forged
+    p4 = parse_edge_list("a b\nb c\nc d\n")
+    cert = {"kind": "tight_independent_set", "independent_set": ["a"]}
+    assert revalidate_certificate(p4, {**cert, "neighborhood": ["b"]})
+    assert not revalidate_certificate(p4, {**cert, "neighborhood": ["d"]})
+    assert not revalidate_certificate(p4, {**cert, "neighborhood": ["b", "b"]})
+
+
 def test_object_in_a_vertex_field_is_rejected():
     # a vertex field holds labels, never a nested object
     cert = {"kind": "vertex_in_no_min_cover", "vertex": {"label": "a"}}
@@ -755,6 +768,65 @@ def test_corpus_spartan_and_konig_outputs_are_pinned(graph_file, capsys):
         not_elementary += result["bipartite"] and not result["essentially_elementary"]
     assert got == CORPUS_DIGESTS
     assert not_elementary >= 5
+
+
+def _witness_heavy_corpus():
+    # six seeded Spartan G(n, 0.8) graphs with n = 14-20 and the cycles C11,
+    # C13 and C15: most of their exported transitions move a guard of the
+    # shared part, so the forced chain is a helper chain through it
+    out = {}
+    for n, seed in ((14, 9), (15, 1), (16, 3), (17, 5), (18, 6), (20, 6)):
+        (out[f"dense{n}"],) = random_connected(n, 0.8, 1, seed)
+    for n in (11, 13, 15):
+        out[f"C{n}"] = parse_edge_list(
+            "".join(f"v{i} v{(i + 1) % n}\n" for i in range(n))
+        )
+    return out
+
+
+# the first 10 hex digits of the sha256 of the spartan --json output on each
+# graph of _witness_heavy_corpus
+WITNESS_HEAVY_DIGESTS = {
+    "dense14": "b1f80d60cc",
+    "dense15": "3e6792a760",
+    "dense16": "6ee058ee29",
+    "dense17": "777e396758",
+    "dense18": "767a0aca19",
+    "dense20": "68dd580af7",
+    "C11": "3d9cf85241",
+    "C13": "b8cec0154a",
+    "C15": "e0d32a59fc",
+}
+
+
+def test_witness_heavy_spartan_outputs_are_pinned(graph_file, capsys):
+    got = {}
+    for name, g in _witness_heavy_corpus().items():
+        f = graph_file("witness.edges", serialize_edge_list(g))
+        code, out, _ = run_cli(capsys, ["spartan", f, "--json"])
+        assert code == 0 and json.loads(out)["result"]["spartan"], name
+        got[name] = hashlib.sha256(out.encode()).hexdigest()[:10]
+    assert got == WITNESS_HEAVY_DIGESTS
+
+
+def test_python_dash_m_runs_the_cli(graph_file):
+    import evckit
+
+    f = graph_file("c4.edges", "a b\nb c\nc d\nd a\n")
+    # run from the source tree, with no installed script
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evckit.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "evckit", "mvc", f, "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["result"]["size"] == 2
+    bad = subprocess.run(
+        [sys.executable, "-m", "evckit", "mvc", f + ".missing"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert bad.returncode == 2 and "input error" in bad.stderr
 
 
 # the selftest's report on every connected graph up to 5 vertices plus 20

@@ -176,17 +176,17 @@ def test_fixpoint_lane_agrees_on_konig_graphs():
     assert seen > 20
 
 
-def test_check_defense_runs_once_per_exported_transition(monkeypatch):
-    import evckit.decider as decider_mod
+def test_witness_runs_once_per_exported_transition(monkeypatch):
+    from evckit.defense import DefenseContext
 
     calls = []
-    original = decider_mod.check_defense
+    original = DefenseContext.witness
 
-    def counting(g, s, attack, candidates, ctx=None):
-        calls.append((s, attack, tuple(candidates)))
-        return original(g, s, attack, candidates, ctx)
+    def counting(self, s, attack, t):
+        calls.append((s, attack, t))
+        return original(self, s, attack, t)
 
-    monkeypatch.setattr(decider_mod, "check_defense", counting)
+    monkeypatch.setattr(DefenseContext, "witness", counting)
     families = traces = 0
     for g in random_graph_corpus(80, 3, 9, seed=233):
         calls.clear()
@@ -196,9 +196,43 @@ def test_check_defense_runs_once_per_exported_transition(monkeypatch):
             traces += 1
             continue
         assert len(calls) == len(set(calls)) == len(result.transitions), g.edges
-        assert all(len(candidates) == 1 for _, _, candidates in calls)
+        # each call names the transition's source and its one target
+        assert sorted((s, attack, t) for s, attack, t in calls) == sorted(
+            (result.covers[ci], attack, result.covers[ti])
+            for (ci, attack), (ti, _) in result.transitions.items()
+        )
         families += 1
     assert families > 10 and traces > 10
+
+
+def test_exported_witnesses_equal_fresh_check_defense():
+    # the witnesses cached per matching change nothing: every exported path
+    # system equals a fresh scan's and the unsplit expansion through the
+    # attacked guard, and the family replays
+    from evckit.defense import (
+        DefenseContext,
+        build_aux,
+        check_defense,
+        matching_to_paths,
+        rainbow_pm_with_edge,
+    )
+
+    transitions = shared = 0
+    for g in random_graph_corpus(60, 5, 10, seed=241):
+        result = spartan_fixpoint(g)
+        if isinstance(result, FixpointTrace):
+            continue
+        for (ci, attack), (ti, paths) in result.transitions.items():
+            s, t = result.covers[ci], result.covers[ti]
+            fresh = check_defense(g, s, attack, (t,), DefenseContext(g))
+            assert fresh is not None and fresh.paths == paths, (g.edges, s, attack)
+            aux = build_aux(g, s, t)
+            rm = rainbow_pm_with_edge(aux, *attack)
+            assert matching_to_paths(aux, rm, through=attack[0]) == paths
+            transitions += 1
+            shared += attack[0] in t
+        assert validate_defense_family(g, result) == [], g.edges
+    assert transitions > 600 and shared > 300, (transitions, shared)
 
 
 def test_stats_record_each_fixpoint_ask_once(monkeypatch):
