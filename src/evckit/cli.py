@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 import time
 from pathlib import Path
 
 from . import report as rpt
-from .covers import enumerate_min_vcs, mvc_mask
+from .covers import DEFAULT_COVER_CAP, enumerate_min_vcs, mvc_mask
 from .decider import is_spartan, strategy_export
 from .defense import build_aux
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .game import evc, play_session
 from .goodness import necessary_conditions_report
-from .graph import Graph, OddCycle, bipartition, load_graph_text
+from .graph import Graph, OddCycle, bipartition, connected_components, load_graph_text
 from .matching import is_essentially_elementary, max_matching_size
 
 
@@ -49,11 +50,27 @@ def _phase(timings_ms: dict[str, float], name: str):
 
 def _emit(report_obj: dict, timings_ms: dict, json_mode: bool) -> None:
     if json_mode:
-        print(rpt.canonical_json(report_obj))
+        text = rpt.canonical_json(report_obj)
     else:
         report_obj = dict(report_obj)
         report_obj["timings_ms"] = timings_ms
-        print(rpt.pretty_json(report_obj))
+        text = rpt.pretty_json(report_obj)
+    with _reader_may_leave():
+        print(text, flush=True)
+
+
+@contextlib.contextmanager
+def _reader_may_leave():
+    """Drop the rest of the block's standard output quietly when the reader
+    closes the pipe (``| head``); the block must flush what it prints."""
+    try:
+        yield
+    except BrokenPipeError:
+        # point stdout at the null device so that the flush at exit cannot
+        # fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cover_labels(g: Graph, covers) -> list[list[str]]:
@@ -145,15 +162,14 @@ def cmd_konig(args) -> int:
         mm = max_matching_size(g)
         k = mvc_mask(g, g.full_mask)
         konig = mm == k
-        from .graph import connected_components
-
         bip_ok = True
         odd = None
         for comp in connected_components(g):
-            res = bipartition(g.induced(comp))
+            sub = g.induced(comp)
+            res = bipartition(sub)
             if isinstance(res, OddCycle):
                 bip_ok = False
-                odd = [g.induced(comp).labels[i] for i in res.vertices]
+                odd = list(sub.labels_of(res.vertices))
                 break
         elem = bip_ok and is_essentially_elementary(g)
     out = rpt.base_report(g, "konig")
@@ -221,7 +237,9 @@ def cmd_aux(args) -> int:
 
 def cmd_play(args) -> int:
     g = _load(args.file)
-    play_session(g, args.guards, sys.stdin, sys.stdout)
+    with _reader_may_leave():
+        play_session(g, args.guards, sys.stdin, sys.stdout)
+        sys.stdout.flush()
     return 0
 
 
@@ -244,8 +262,8 @@ def cmd_selftest(args) -> int:
         if args.verbose
         else None,
     )
-    for line in report.lines():
-        print(line)
+    with _reader_may_leave():
+        print("\n".join(report.lines()), flush=True)
     return 0 if report.passed else 1
 
 
@@ -265,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mvc", help="minimum vertex cover size and all optima")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=10_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_COVER_CAP)
     _add_common(p)
     p.set_defaults(fn=cmd_mvc)
 
@@ -279,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--method", choices=["auto", "fixpoint", "game"], default="auto")
     p.add_argument("--cross-check", action="store_true")
-    p.add_argument("--cap", type=int, default=10_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_COVER_CAP)
     _add_common(p)
     p.set_defaults(fn=cmd_spartan)
 

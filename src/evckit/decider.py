@@ -7,11 +7,16 @@ alternating trees of each cover pair's auxiliary graph
 (``DefenseContext.defends``), a yes/no answer with no witness; afterwards
 each exported transition takes its guard paths from one
 ``DefenseContext.witness`` call, which reads the same cached tree and the
-matching and chains cached per (cover pair, question), so only a chain
-through the attacked guard is expanded per transition.  A non-empty
-fixpoint *is* a defender strategy; an empty one yields a deletion trace
-naming each cover's indefensible edge.  Component verdicts speak the whole
-graph's vertices.
+one entry per (cover pair, question) that keeps the matching and its
+chains, so only a chain through the attacked guard is expanded per
+transition.  A non-empty fixpoint *is* a defender strategy; an empty one
+yields a deletion trace naming each cover's indefensible edge.  Component
+verdicts speak the whole graph's vertices.
+
+Optional ``DefenseStats`` are recorded by ``DefenseContext.defends`` alone,
+once per fixpoint ask; the witnesses of the export record nothing.  The
+game solver is the independent route: ``method="game"`` decides each
+component with it, and ``cross_check`` asks that route of each component.
 """
 
 from __future__ import annotations
@@ -89,7 +94,6 @@ def spartan_fixpoint(
             deletions=tuple((covers[i], attack, r) for i, attack, r in removals)
         )
     index = {i: pos for pos, i in enumerate(alive)}
-    ctx.stats = None  # every ask is recorded; the witnesses add nothing
     transitions = {}
     for (i, attack), j in answers.items():
         paths = ctx.witness(covers[i], attack, covers[j])
@@ -258,10 +262,10 @@ def is_spartan(
         )
     decide_ms = (time.perf_counter() - t0) * 1000.0
     if cross_check:
-        from .game import is_spartan_by_game
-
         t1 = time.perf_counter()
-        oracle = is_spartan_by_game(g)
+        # component by component, stopping at the first loss, so that a
+        # component the game refuses is not asked once the answer is known
+        oracle = all(is_spartan(g.induced(c), method="game").spartan for c in comps)
         oracle_ms = (time.perf_counter() - t1) * 1000.0
         # both routes are timed so the two paths can be compared empirically;
         # no structural conclusion is drawn from the numbers

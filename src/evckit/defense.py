@@ -36,18 +36,19 @@ transitions it exports, each through one call of the witness entry
 (``DefenseContext.witness``); the defense scan ``check_defense`` calls the
 same entry per candidate.  So the decision and the witness share one
 search; brute-force enumeration (``rainbow_pm_bruteforce``) and the game
-oracle are the independent checks.
+solver (``is_spartan(g, method="game")``) are the independent checks.
 
 The decider asks about one cover pair (S, T) many times.  Everything the
 search derives from the auxiliary graph alone (the all-real matching and
 its reverse, the pair adjacency, the alternating tree per right vertex, the
 helper colors per pair, the color masks and each shared component's
 partners) is cached on the auxiliary graph, and ``DefenseContext`` keeps one
-auxiliary graph per (S, T) and one witness per (S, T, question), with the
-guard chains expanded from it (``matching_to_paths``).  Only the forced
-pair's helper chain routes through the attacked guard, so it alone is
-expanded per transition.  Each is a pure function of its key, so cached
-and recomputed answers are identical.
+auxiliary graph per (S, T) and one entry per (S, T, question): the witness
+and the guard chains expanded from it (``matching_to_paths``).  Only the
+forced pair's helper chain routes through the attacked guard, so it alone
+is expanded per transition.  Each is a pure function of its key, so cached
+and recomputed answers are identical.  Optional ``DefenseStats`` are taken
+at one ask, ``defends``, and read the witness from the same entry.
 """
 
 from __future__ import annotations
@@ -281,13 +282,6 @@ def _satisfiable(aux: AuxiliaryGraph, question: tuple) -> bool:
     return any(aux.in_some_pm(w, v) for w in partners)
 
 
-def mode_satisfiable(aux: AuxiliaryGraph, u: int, v: int) -> bool:
-    """Whether some perfect matching answers the attack (u, v), that is,
-    whether ``rainbow_pm_with_edge(aux, u, v)`` returns a witness; answered
-    from the auxiliary graph's alternating tree of v."""
-    return _satisfiable(aux, _checked_question(aux, u, v))
-
-
 def rainbow_pm_with_edge(aux: AuxiliaryGraph, u: int, v: int) -> RainbowMatching | None:
     """Rainbow perfect matching answering the attack (u, v) on S.
 
@@ -482,10 +476,11 @@ VERIFY_SIDES_CAP = 10  # brute force enumerates every perfect matching
 
 @dataclass
 class DefenseStats:
-    """Optional instrumentation: the yes/no answer, the witness search and
-    brute force compared on pairs with at most ``VERIFY_SIDES_CAP`` vertices
-    per side.  The answer and the witness read one alternating tree, so
-    brute force is the independent check."""
+    """Optional instrumentation, taken at each ``DefenseContext.defends``
+    ask: the yes/no answer, the witness search and brute force compared on
+    pairs with at most ``VERIFY_SIDES_CAP`` vertices per side.  The answer
+    and the witness read one alternating tree, so brute force is the
+    independent check."""
 
     instances: int = 0
     mismatches: int = 0
@@ -493,30 +488,30 @@ class DefenseStats:
 
 class DefenseContext:
     """Caches, for the scans of one graph, each cover pair's auxiliary graph
-    and, per (S, T, question), the witness search's answer with the guard
-    chains expanded from it.
+    and one entry per (S, T, question): ``[rainbow matching or None,
+    chains]``, the chains filled on the first ``witness`` of an answered
+    question.
 
     All are exact: the auxiliary graph (with the views it caches) is a pure
     function of (S, T), ``rainbow_pm_with_edge`` a deterministic pure
     function of the auxiliary graph and the question, and the chains a pure
     function of the matching.  The question of a guard of S n T names its
     shared component and not the guard, so all guards of one shared
-    component share its answer and its chains; only the forced pair's helper
-    chain routes through the attacked guard, so ``witness`` expands that one
-    per call.
+    component share its entry; only the forced pair's helper chain routes
+    through the attacked guard, so ``witness`` expands that one per call.
 
-    With ``stats``, each ask, by ``defends`` or by ``witness``, compares the
-    yes/no answer, the search and brute force.
+    With ``stats``, each ``defends`` ask compares the yes/no answer, the
+    entry's matching and brute force; ``witness`` records nothing.
     """
 
     def __init__(self, g: Graph, stats: DefenseStats | None = None):
         self.g = g
         self.stats = stats
         self._aux: dict[tuple[tuple[int, ...], tuple[int, ...]], AuxiliaryGraph] = {}
-        self._rainbow: dict[tuple, RainbowMatching | None] = {}
-        # (S, T, question) -> (its matching's chains, the forced pair's
-        # index among them, the forced pair), for answered questions only
-        self._chains: dict[tuple, tuple[GuardPaths, int, tuple[int, int, int]]] = {}
+        # (S, T, question) -> [its rainbow matching or None, its matching's
+        # chains with the forced pair's index among them and the forced
+        # pair, or None until the first witness]
+        self._entries: dict[tuple, list] = {}
 
     def aux_for(self, s, t) -> AuxiliaryGraph:
         aux = self._aux.get((s, t))
@@ -524,17 +519,13 @@ class DefenseContext:
             aux = self._aux[(s, t)] = build_aux(self.g, s, t)
         return aux
 
-    def rainbow_for(self, s, t, attack: tuple[int, int]) -> RainbowMatching | None:
-        """``rainbow_pm_with_edge(aux_for(s, t), *attack)``, computed once per
-        (s, t, question)."""
-        aux = self.aux_for(s, t)
-        return self._rainbow_at((s, t, _question(aux, *attack)), aux, attack)
-
-    def _rainbow_at(self, key, aux, attack) -> RainbowMatching | None:
-        # ``witness`` passes its own key, so both caches hold one key object
-        if key not in self._rainbow:
-            self._rainbow[key] = rainbow_pm_with_edge(aux, *attack)
-        return self._rainbow[key]
+    def _entry(self, key, aux, attack) -> list:
+        """The entry of ``key``, the attack's (S, T, question), its matching
+        ``rainbow_pm_with_edge(aux, *attack)`` computed on first use."""
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = [rainbow_pm_with_edge(aux, *attack), None]
+        return entry
 
     def defends(self, s, attack: tuple[int, int], t) -> bool:
         """Whether cover ``t`` answers the attack ``(u, v)`` on cover ``s``
@@ -544,9 +535,14 @@ class DefenseContext:
         if attack[1] not in t:
             return False
         aux = self.aux_for(s, t)
-        answer = _satisfiable(aux, _question(aux, *attack))
-        if self.stats is not None:
-            self._record_stats(s, t, attack, answer)
+        question = _question(aux, *attack)
+        answer = _satisfiable(aux, question)
+        if self.stats is not None and aux.side_size <= VERIFY_SIDES_CAP:
+            self.stats.instances += 1
+            search = self._entry((s, t, question), aux, attack)[0] is not None
+            any_match, _ = rainbow_pm_bruteforce(aux, *attack)
+            if not answer == search == any_match:
+                self.stats.mismatches += 1
         return answer
 
     def witness(self, s, attack: tuple[int, int], t) -> GuardPaths | None:
@@ -554,23 +550,19 @@ class DefenseContext:
         on cover ``s`` (u in s, v in t - s), or None when it does not.
 
         The paths are ``matching_to_paths(aux, rm, through=u)`` for the
-        question's cached rainbow matching rm.  The chains that do not route
-        through u are expanded once per matching and kept; a helper-tagged
-        forced chain is expanded here, through u, and the whole system is
-        validated again.
+        matching rm of the question's entry.  The chains that do not route
+        through u are expanded once per entry and kept in it; a
+        helper-tagged forced chain is expanded here, through u, and the
+        whole system is validated again.
         """
         aux = self.aux_for(s, t)
         u, v = attack
-        question = _checked_question(aux, u, v)
-        if self.stats is not None:
-            self._record_stats(s, t, attack, _satisfiable(aux, question))
-        key = (s, t, question)
-        kept = self._chains.get(key)
+        entry = self._entry((s, t, _checked_question(aux, u, v)), aux, attack)
+        rm, kept = entry
+        if rm is None:
+            return None
         if kept is None:
-            rm = self._rainbow_at(key, aux, attack)
-            if rm is None:
-                return None
-            kept = self._chains[key] = (
+            kept = entry[1] = (
                 matching_to_paths(aux, rm),
                 rm.edges.index(rm.forced),
                 rm.forced,
@@ -585,16 +577,6 @@ class DefenseContext:
         paths = (*paths[:i], chain, *paths[i + 1:])
         _validate_defense_paths(self.g, aux, paths)
         return paths
-
-    def _record_stats(self, s, t, attack, oracle: bool) -> None:
-        aux = self.aux_for(s, t)
-        if aux.side_size > VERIFY_SIDES_CAP:
-            return
-        self.stats.instances += 1
-        search = self.rainbow_for(s, t, attack) is not None
-        any_match, _ = rainbow_pm_bruteforce(aux, *attack)
-        if not oracle == search == any_match:
-            self.stats.mismatches += 1
 
 
 def check_defense(

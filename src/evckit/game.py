@@ -329,18 +329,6 @@ def evc(g: Graph, *, budget: int | None = None) -> EvcResult:
     )
 
 
-def is_spartan_by_game(g: Graph) -> bool:
-    """Defender holds with mvc guards on every component (the oracle route)."""
-    for comp in connected_components(g):
-        sub = g.induced(comp)
-        if sub.m == 0:
-            continue
-        k = mvc_mask(sub, sub.full_mask)
-        if not solve_guard_game(sub, k).defender_wins:
-            return False
-    return True
-
-
 # -- interactive session -----------------------------------------------------
 
 

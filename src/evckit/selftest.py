@@ -23,7 +23,7 @@ from .corpus import exhaustive_connected, fixtures, random_connected
 from .covers import enumerate_min_vcs, mvc_mask
 from .decider import is_spartan, validate_defense_family
 from .defense import DefenseStats
-from .game import evc, is_spartan_by_game, play_session
+from .game import evc, play_session
 from .goodness import is_strongly_good, is_weakly_good, necessary_conditions_report
 from .graph import Graph, OddCycle, bipartition, bits, cut_vertices, mask_of
 from .matching import hopcroft_karp, max_matching_size
@@ -92,7 +92,7 @@ def _examine_graph(payload) -> dict:
 
     stats = DefenseStats()
     verdict = is_spartan(g, stats=stats)
-    oracle = is_spartan_by_game(g)
+    oracle = is_spartan(g, method="game").spartan
     out["rainbow_instances"] = stats.instances
     out["rainbow_mismatches"] = stats.mismatches
     if verdict.spartan != oracle:

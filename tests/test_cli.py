@@ -829,6 +829,28 @@ def test_python_dash_m_runs_the_cli(graph_file):
     assert bad.returncode == 2 and "input error" in bad.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["mvc", "c4.edges", "--json"],
+    ["selftest", "--max-n", "2", "--samples", "0", "--jobs", "1"],
+    ["play", "c4.edges", "--guards", "2"],
+])
+def test_closed_stdout_ends_quietly(graph_file, command):
+    import evckit
+
+    text = "a b\nb c\nc d\nd a\n"
+    argv = [graph_file(a, text) if a.endswith(".edges") else a for a in command]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evckit.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evckit", *argv],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    # the reader leaves before the first write
+    proc.stdout.close()
+    _, err = proc.communicate(b"attack a b\nquit\n", timeout=60)
+    assert proc.returncode == 0 and err == b""
+
+
 # the selftest's report on every connected graph up to 5 vertices plus 20
 # seeded samples; criterion 6 counts the fixpoint's questions that are
 # cross-checked, so an unchanged count shows the same questions are asked

@@ -9,7 +9,6 @@ from evckit.decider import (
     strategy_export,
 )
 from evckit.errors import PreconditionError, ResourceLimitError
-from evckit.game import is_spartan_by_game
 from evckit.graph import Graph, parse_edge_list
 
 from conftest import random_graph_corpus
@@ -114,10 +113,11 @@ def test_rejects_single_vertex():
 
 
 def test_method_game(named):
-    v = is_spartan(named["C5"], method="game")
-    assert v.spartan and v.method == "gameOracle"
-    v = is_spartan(named["footnote"], method="game")
-    assert not v.spartan
+    for name, spartan in (
+        ("C4", True), ("C5", True), ("P5", False), ("footnote", False)
+    ):
+        v = is_spartan(named[name], method="game")
+        assert v.spartan == spartan and v.method == "gameOracle", name
 
 
 def test_method_fixpoint_forced(named):
@@ -132,6 +132,23 @@ def test_cross_check_agrees(named):
     for name in ("C4", "C5", "P5", "footnote", "bowtie"):
         v = is_spartan(named[name], cross_check=True)
         assert v.cross_check["agrees"]
+
+
+def test_cross_check_of_a_disconnected_graph():
+    # C4 is Spartan and P5 is not, so the game lane answers False and the
+    # decider agrees
+    g = parse_edge_list("a b\nb c\nc d\nd a\np q\nq r\nr s\ns t\n")
+    v = is_spartan(g, cross_check=True)
+    assert v.method == "perComponent" and not v.spartan
+    assert v.cross_check["agrees"] and v.cross_check["game_oracle"] is False
+    # the game refuses C21 (above 20 vertices), but P5 comes first and
+    # already loses, so the cross-check stops there
+    ring = " ".join(f"v{i} v{(i + 1) % 21}" for i in range(21))
+    g = parse_edge_list("p q\nq r\nr s\ns t\n" + ring + "\n")
+    with pytest.raises(PreconditionError, match="capped at 20 vertices"):
+        is_spartan(g, method="game")
+    v = is_spartan(g, cross_check=True)
+    assert v.cross_check["agrees"] and v.cross_check["game_oracle"] is False
 
 
 def test_truncated_enumeration_is_refused(named):
@@ -155,7 +172,7 @@ def test_fixpoint_refuses_a_truncated_cover_list(named, monkeypatch):
 
 def test_decider_matches_oracle_random():
     for g in random_graph_corpus(120, 2, 7, seed=139):
-        assert is_spartan(g).spartan == is_spartan_by_game(g), g.edges
+        assert is_spartan(g).spartan == is_spartan(g, method="game").spartan, g.edges
 
 
 def test_fixpoint_lane_agrees_on_konig_graphs():
@@ -257,3 +274,26 @@ def test_stats_record_each_fixpoint_ask_once(monkeypatch):
         assert stats.mismatches == 0
         total += stats.instances
     assert total > 1000
+
+
+def test_stats_skip_sides_past_the_brute_force_cap(monkeypatch):
+    # C22 u C4: the covers that differ on C22 differ in 11 vertices per
+    # side, past the cap, and those that differ on C4 alone in 2, so only
+    # the asks within the cap are instances, and the export adds none
+    from evckit.defense import VERIFY_SIDES_CAP, DefenseContext, DefenseStats
+
+    asks = []
+    original = DefenseContext.defends
+
+    def recording(self, s, attack, t):
+        asks.append(len(set(s) - set(t)))
+        return original(self, s, attack, t)
+
+    monkeypatch.setattr(DefenseContext, "defends", recording)
+    ring = " ".join(f"v{i} v{(i + 1) % 22}" for i in range(22))
+    g = parse_edge_list(ring + "\na b\nb c\nc d\nd a\n")
+    stats = DefenseStats()
+    assert isinstance(spartan_fixpoint(g, stats=stats), DefenseFamily)
+    within = sum(side <= VERIFY_SIDES_CAP for side in asks)
+    assert 0 < within < len(asks) and max(asks) > VERIFY_SIDES_CAP
+    assert stats.instances == within and stats.mismatches == 0

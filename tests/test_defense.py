@@ -16,7 +16,6 @@ from evckit.defense import (
     check_defense,
     enumerate_tagged_pms,
     matching_to_paths,
-    mode_satisfiable,
     rainbow_pm_bruteforce,
     rainbow_pm_with_edge,
 )
@@ -133,10 +132,13 @@ def _invalid_attacks(named):
 
 def test_rainbow_mode_arguments(named):
     # a guard off S, a target off T - S, a non-edge, empty sides (S = T) and
-    # covers that are not both minimum are each refused
+    # covers that are not both minimum are each refused, by the reducer and
+    # by brute force alike
     for aux, u, v, error, message in _invalid_attacks(named):
         with pytest.raises(error, match=message):
             rainbow_pm_with_edge(aux, u, v)
+        with pytest.raises(error, match=message):
+            rainbow_pm_bruteforce(aux, u, v)
 
 
 def test_rainbow_against_bruteforce_on_cover_pairs():
@@ -222,11 +224,15 @@ def test_check_defense_validates_attack(named):
 
 
 def test_defense_stats_instrumentation(named):
+    # stats are taken at the yes/no ask; the witness records nothing
     stats = DefenseStats()
     ctx = DefenseContext(named["C4"], stats=stats)
     cs = enumerate_min_vcs(named["C4"])
+    asked = [t for t in cs.covers if ctx.defends((0, 2), (0, 1), t)]
+    assert stats.instances >= 1 and stats.mismatches == 0 and asked
+    before = stats.instances
     check_defense(named["C4"], (0, 2), (0, 1), cs.covers, ctx)
-    assert stats.instances >= 1 and stats.mismatches == 0
+    assert stats.instances == before
 
 
 def test_paths_never_touch_dead_zone():
@@ -306,6 +312,7 @@ def test_shortest_cycle_witness_on_larger_cover_pairs():
     for _ in range(120):
         g = rand_graph(rng.choice([9, 10, 11, 12]), rng.uniform(0.18, 0.4))
         cs = enumerate_min_vcs(g, cap=300)
+        ctx = DefenseContext(g)
         for i, j in itertools.islice(
             itertools.combinations(range(len(cs.covers)), 2), 6
         ):
@@ -315,7 +322,9 @@ def test_shortest_cycle_witness_on_larger_cover_pairs():
             for u, v in _all_attacks(aux):
                 rm = rainbow_pm_with_edge(aux, u, v)
                 where = (g.edges, aux.cover_s, aux.cover_t, u, v)
-                assert (rm is not None) == mode_satisfiable(aux, u, v), where
+                assert (rm is not None) == ctx.defends(
+                    aux.cover_s, (u, v), aux.cover_t
+                ), where
                 asked += 1
                 if rm is None:
                     continue
@@ -417,10 +426,18 @@ def test_reducer_instance_computed_once_per_context(monkeypatch):
     for g, covers, _ in _min_cover_pairs(80, 193):
         ctx = DefenseContext(g, stats=DefenseStats())
         calls.clear()
+        questions = set()
         for s, attack, t in _oriented_checks(g, covers):
-            check_defense(g, s, attack, (t,), ctx)
+            # the stats of the ask and the witness read one entry
+            answer = ctx.defends(s, attack, t)
+            found = check_defense(g, s, attack, (t,), ctx)
+            assert answer == (found is not None), (g.edges, s, attack, t)
+            if attack[1] in t:
+                aux = ctx.aux_for(s, t)
+                questions.add((s, t, defense_mod._question(aux, *attack)))
         assert len(calls) == len(set(calls)), g.edges
-        # every candidate check still reaches the stats, memo hit or not
+        assert set(calls) == questions, g.edges
+        # every ask that poses a question reaches the stats, memo hit or not
         assert ctx.stats.mismatches == 0
         asked += ctx.stats.instances
         computed += len(calls)
@@ -484,16 +501,17 @@ def _all_attacks(aux):
     yield from _shared_attacks(aux)
 
 
-def test_mode_satisfiable_matches_reducer_and_brute_force():
+def test_defends_matches_reducer_and_brute_force():
     asked = satisfiable = partner = 0
     for n in range(4, 10):
         for g, _, cover_pairs in _min_cover_pairs(30, 300 + n, n, n):
+            ctx = DefenseContext(g)
             for s, t in cover_pairs:
                 aux = build_aux(g, s, t)
                 if aux.side_size == 0:
                     continue
                 for u, v in _all_attacks(aux):
-                    got = mode_satisfiable(aux, u, v)
+                    got = ctx.defends(s, (u, v), t)
                     where = (g.edges, s, t, u, v)
                     assert got == rainbow_pm_bruteforce(aux, u, v)[0], where
                     assert got == (rainbow_pm_with_edge(aux, u, v) is not None), where
@@ -501,15 +519,6 @@ def test_mode_satisfiable_matches_reducer_and_brute_force():
                     satisfiable += got
                     partner += u not in aux.left
     assert 0 < satisfiable < asked and asked > 5000 and partner > 1000
-
-
-def test_mode_satisfiable_checks_the_mode(named):
-    # the yes/no answer and brute force refuse the same attacks as the reducer
-    for aux, u, v, error, message in _invalid_attacks(named):
-        with pytest.raises(error, match=message):
-            mode_satisfiable(aux, u, v)
-        with pytest.raises(error, match=message):
-            rainbow_pm_bruteforce(aux, u, v)
 
 
 def test_stats_flag_a_wrong_matching_answer(monkeypatch):

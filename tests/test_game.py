@@ -14,7 +14,6 @@ from evckit.game import (
     GameOutcome,
     enumerate_states,
     evc,
-    is_spartan_by_game,
     play_session,
     solve_guard_game,
     transition_moves,
@@ -144,13 +143,6 @@ def test_replay_rejects_illegal_moves(named):
         replay_moves(c4, (1, 0, 1, 0), ((0, 2),))  # not an edge
     with pytest.raises(IntegrityError):
         replay_moves(c4, (1, 0, 1, 0), ((1, 2),))  # no guard on b
-
-
-def test_is_spartan_by_game(named):
-    assert is_spartan_by_game(named["C4"])
-    assert is_spartan_by_game(named["C5"])
-    assert not is_spartan_by_game(named["P5"])
-    assert not is_spartan_by_game(named["footnote"])
 
 
 def test_play_session_c4_defense(named):
