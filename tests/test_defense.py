@@ -521,6 +521,17 @@ def test_defends_matches_reducer_and_brute_force():
     assert 0 < satisfiable < asked and asked > 5000 and partner > 1000
 
 
+def test_mode_satisfiable_checks_the_mode(named):
+    # the witness entry of a defense context and brute force refuse the same
+    # attacks as the reducer
+    for aux, u, v, error, message in _invalid_attacks(named):
+        ctx = DefenseContext(aux.graph)
+        with pytest.raises(error, match=message):
+            ctx.witness(aux.cover_s, (u, v), aux.cover_t)
+        with pytest.raises(error, match=message):
+            rainbow_pm_bruteforce(aux, u, v)
+
+
 def test_stats_flag_a_wrong_matching_answer(monkeypatch):
     import evckit.defense as defense_mod
 

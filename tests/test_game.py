@@ -9,6 +9,7 @@ import pytest
 from evckit import game
 from evckit.corpus import exhaustive_connected
 from evckit.covers import mvc_mask
+from evckit.decider import is_spartan
 from evckit.errors import PreconditionError, ResourceLimitError
 from evckit.game import (
     GameOutcome,
@@ -143,6 +144,18 @@ def test_replay_rejects_illegal_moves(named):
         replay_moves(c4, (1, 0, 1, 0), ((0, 2),))  # not an edge
     with pytest.raises(IntegrityError):
         replay_moves(c4, (1, 0, 1, 0), ((1, 2),))  # no guard on b
+
+
+def test_is_spartan_by_game(named):
+    # the defender wins the game with as many guards as a minimum cover
+    # exactly on the Spartan graphs, and is_spartan's game method says so
+    for name, spartan in (
+        ("C4", True), ("C5", True), ("P5", False), ("footnote", False)
+    ):
+        g = named[name]
+        k = mvc_mask(g, (1 << g.n) - 1)
+        assert solve_guard_game(g, k).defender_wins == spartan, name
+        assert is_spartan(g, method="game").spartan == spartan, name
 
 
 def test_play_session_c4_defense(named):
