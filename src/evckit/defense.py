@@ -14,8 +14,8 @@ V - (S u T).
 
 T answers the attack (u, v) on S (u in S, v in T - S, uv an edge) when a
 rainbow perfect matching answers one question: v is matched to one of a
-tuple of left partners, and the pair carries one tag.  A guard u of S - T
-must step onto v itself, so the partners are (u,) and the tag is REAL.  A
+mask of left partners, and the pair carries one tag.  A guard u of S - T
+must step onto v itself, so the partners are {u} and the tag is REAL.  A
 guard u of S n T keeps its post, and the chain into v threads through u's
 shared component: the partners are the left vertices touching that
 component, and the tag is its color.  So all guards of one shared component
@@ -38,17 +38,29 @@ same entry per candidate.  So the decision and the witness share one
 search; brute-force enumeration (``rainbow_pm_bruteforce``) and the game
 solver (``is_spartan(g, method="game")``) are the independent checks.
 
-The decider asks about one cover pair (S, T) many times.  Everything the
-search derives from the auxiliary graph alone (the all-real matching and
-its reverse, the pair adjacency, the alternating tree per right vertex, the
-helper colors per pair, the color masks and each shared component's
-partners) is cached on the auxiliary graph, and ``DefenseContext`` keeps one
-auxiliary graph per (S, T) and one entry per (S, T, question): the witness
-and the guard chains expanded from it (``matching_to_paths``).  Only the
-forced pair's helper chain routes through the attacked guard, so it alone
-is expanded per transition.  Each is a pure function of its key, so cached
-and recomputed answers are identical.  Optional ``DefenseStats`` are taken
-at one ask, ``defends``, and read the witness from the same entry.
+The decider asks about one cover pair (S, T) many times.  ``build_aux``
+makes one record of vertex masks per pair, in one pass: S, T, the sides
+L = S - T and R = T - S, the components of G[S n T] as
+``graph.mask_components`` returns them (the colors), and per component the
+masks of the L and R vertices touching it.  A left vertex u's pair
+neighbours are ``adj_mask[u] & R`` together with the R-mask of every
+component that u touches.  The rest is derived on first use and kept on
+the record: the all-real matching and its reverse, the pair adjacency,
+each right vertex's alternating tree (a mask of its left vertices for the
+yes/no answer, and its discovery order for the witness), and one
+breadth-first tree per (color, left end) inside the color's component, off
+which every helper chain from that left end is read (``_read_chain``).
+The tuple and set views (``left``, ``right``, ``colors``, ``dead_zone``,
+``real_pairs``, ``helper_pairs``, ``helper_colors``) are built from the
+masks when ``evckit aux``, the tests or brute force read them.
+``DefenseContext`` keeps one record per (S, T) and one entry per (S, T,
+question): the witness and the guard chains expanded from it
+(``matching_to_paths``).  Only the forced pair's helper chain routes
+through the attacked guard, so it alone is read per transition and checked
+against the mask of the other kept chains.  Each is a pure function of its
+key, so cached and recomputed answers are identical.  Optional
+``DefenseStats`` are taken at one ask, ``defends``, and read the witness
+from the same entry.
 """
 
 from __future__ import annotations
@@ -57,7 +69,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IntegrityError, PreconditionError
-from .graph import Graph, bits, mask_components, mask_of
+from .graph import Graph, bits, mask_components, mask_of, neighbors_of_set
 from .matching import alternating_tree, hopcroft_karp
 
 REAL = -1  # tag for real edges; helper tags are color indices >= 0
@@ -68,50 +80,104 @@ GuardPaths = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class AuxiliaryGraph:
-    graph: Graph
-    cover_s: tuple[int, ...]
-    cover_t: tuple[int, ...]
-    left: tuple[int, ...]  # S - T
-    right: tuple[int, ...]  # T - S
-    colors: tuple[tuple[int, ...], ...]  # components of G[S n T]
-    real_pairs: frozenset[tuple[int, int]]
-    helper_pairs: tuple[tuple[int, int, int], ...]  # (u, v, color)
-    dead_zone: tuple[int, ...]
+    """The auxiliary graph of two covers S and T, as one record of vertex
+    masks."""
 
-    # The views below are pure functions of the fields; the cached ones are
-    # computed on first use (the instance is frozen, like ``Graph``).
+    graph: Graph
+    s_mask: int
+    t_mask: int
+    left_mask: int  # L = S - T
+    right_mask: int  # R = T - S
+    color_masks: tuple[int, ...]  # components of G[S n T], by least vertex
+    color_left: tuple[int, ...]  # per component, the L vertices touching it
+    color_right: tuple[int, ...]  # per component, the R vertices touching it
+
+    # Everything below is a pure function of the masks; the cached views are
+    # computed on first use (the instance is frozen, like ``Graph``).  The
+    # searches keep their trees per right vertex and per (color, left end).
 
     @property
     def side_size(self) -> int:
-        return len(self.left)
+        return self.left_mask.bit_count()
 
-    @cached_property
-    def color_masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(c) for c in self.colors)
-
-    @cached_property
+    @property
     def dead_mask(self) -> int:
-        return mask_of(self.dead_zone)
+        return self.graph.full_mask & ~(self.s_mask | self.t_mask)
 
     @cached_property
-    def _helper_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        index: dict[tuple[int, int], tuple[int, ...]] = {}
-        for u, v, c in self.helper_pairs:  # sorted, so colors ascend
-            index[(u, v)] = index.get((u, v), ()) + (c,)
-        return index
+    def cover_s(self) -> tuple[int, ...]:
+        return tuple(bits(self.s_mask))
+
+    @cached_property
+    def cover_t(self) -> tuple[int, ...]:
+        return tuple(bits(self.t_mask))
+
+    @cached_property
+    def left(self) -> tuple[int, ...]:
+        return tuple(bits(self.left_mask))
+
+    @cached_property
+    def right(self) -> tuple[int, ...]:
+        return tuple(bits(self.right_mask))
+
+    @cached_property
+    def colors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(bits(c)) for c in self.color_masks)
+
+    @cached_property
+    def dead_zone(self) -> tuple[int, ...]:
+        return tuple(bits(self.dead_mask))
+
+    @cached_property
+    def real_pairs(self) -> frozenset[tuple[int, int]]:
+        adj, rm = self.graph.adj_mask, self.right_mask
+        return frozenset((u, v) for u in self.left for v in bits(adj[u] & rm))
+
+    @cached_property
+    def helper_pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """Every (u, v, color) with u and v touching the color, ascending."""
+        return tuple(
+            (u, v, c)
+            for u in self.left
+            for v in self.right
+            for c in self.helper_colors(u, v)
+        )
 
     def helper_colors(self, u: int, v: int) -> tuple[int, ...]:
-        return self._helper_index.get((u, v), ())
+        return tuple(
+            c
+            for c, (cl, cr) in enumerate(zip(self.color_left, self.color_right))
+            if cl >> u & 1 and cr >> v & 1
+        )
 
     @cached_property
     def pair_adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Left -> rights connected by at least one (real or helper) edge."""
-        nbrs: dict[int, set[int]] = {u: set() for u in self.left}
-        for u, v in self.real_pairs:
-            nbrs[u].add(v)
-        for u, v, _ in self.helper_pairs:
-            nbrs[u].add(v)
-        return {u: tuple(sorted(vs)) for u, vs in nbrs.items()}
+        """Left -> rights joined by at least one (real or helper) edge:
+        its real neighbours in R and the R vertices of each component it
+        touches, ascending."""
+        adj, rm = self.graph.adj_mask, self.right_mask
+        out = {}
+        for u in self.left:
+            nb = adj[u] & rm
+            for cl, cr in zip(self.color_left, self.color_right):
+                if cl >> u & 1:
+                    nb |= cr
+            out[u] = tuple(bits(nb))
+        return out
+
+    @cached_property
+    def tagged_rows(self) -> tuple:
+        """Per left vertex u, ascending, ``(u, ((v, tags), ...))`` over its
+        pair neighbours v: REAL first when uv is a real edge, then the
+        pair's helper colors."""
+        adj = self.graph.adj_mask
+        return tuple(
+            (u, tuple(
+                (v, ((REAL,) if adj[u] >> v & 1 else ()) + self.helper_colors(u, v))
+                for v in vs
+            ))
+            for u, vs in self.pair_adjacency.items()
+        )
 
     @cached_property
     def real_pm(self) -> dict[int, int]:
@@ -123,34 +189,36 @@ class AuxiliaryGraph:
         return {v: u for u, v in self.real_pm.items()}
 
     @cached_property
-    def _trees(self) -> dict[int, dict[int, int | None]]:
+    def _trees(self) -> dict:
         return {}
 
-    def alternating_tree(self, v: int) -> dict[int, int | None]:
+    def alternating_tree(self, v: int) -> tuple[int, dict[int, int | None]]:
         """``matching.alternating_tree`` of the pair adjacency over
-        ``real_pm`` from v's partner, kept per right vertex v: the left
-        vertices some perfect matching pairs with v, in discovery order."""
+        ``real_pm`` from v's partner, kept per right vertex v: the mask of
+        the left vertices some perfect matching pairs with v, and the tree
+        itself in discovery order."""
         tree = self._trees.get(v)
         if tree is None:
             rev = self.real_pm_reverse
-            tree = self._trees[v] = alternating_tree(self.pair_adjacency, rev, rev[v])
+            parent = alternating_tree(self.pair_adjacency, rev, rev[v])
+            tree = self._trees[v] = (mask_of(parent), parent)
         return tree
 
-    def in_some_pm(self, u: int, v: int) -> bool:
-        """Whether the pair (u, v) of the pair adjacency lies in some perfect
-        matching of it."""
-        return u in self.alternating_tree(v)
+    def pairs_with(self, v: int, partners: int) -> bool:
+        """Whether some perfect matching of the pair adjacency pairs the
+        right vertex v with a vertex of the mask ``partners``: whether v's
+        alternating tree meets it (no partner, no tree built)."""
+        return bool(partners) and bool(self.alternating_tree(v)[0] & partners)
 
-    @cached_property
-    def shared_partners(self) -> dict[int, tuple[tuple[int, ...], int]]:
-        """Vertex of S n T -> (left vertices touching its component, the
-        component's color)."""
-        adj = self.graph.adj_mask
-        out = {}
-        for color, (comp, cmask) in enumerate(zip(self.colors, self.color_masks)):
-            entry = (tuple(w for w in self.left if adj[w] & cmask), color)
-            out.update(dict.fromkeys(comp, entry))
-        return out
+    def chain_tree(self, color: int, w: int) -> tuple[list[int], dict[int, int]]:
+        """``_chain_tree`` inside the color's component from the neighbours
+        of the left vertex w, kept per (color, w)."""
+        key = (color, w)
+        tree = self._trees.get(key)
+        if tree is None:
+            g = self.graph
+            tree = self._trees[key] = _chain_tree(g, self.color_masks[color], g.adj_mask[w])
+        return tree
 
 
 @dataclass(frozen=True)
@@ -163,12 +231,11 @@ class RainbowMatching:
 
 
 def build_aux(g: Graph, s, t) -> AuxiliaryGraph:
-    """Construct the auxiliary graph for covers ``s`` and ``t``."""
-    s = tuple(sorted(s))
-    t = tuple(sorted(t))
-    if len(s) != len(t):
-        raise PreconditionError("covers must have equal size")
+    """The auxiliary graph of the covers ``s`` and ``t``, built in one pass
+    over their masks."""
     sm, tm = mask_of(s), mask_of(t)
+    if sm.bit_count() != tm.bit_count():
+        raise PreconditionError("covers must have equal size")
     # g._memo keeps the masks already checked, so each cover is checked once
     checked = g._memo.setdefault("aux_covers", set())
     for name, cm in (("s", sm), ("t", tm)):
@@ -179,48 +246,33 @@ def build_aux(g: Graph, s, t) -> AuxiliaryGraph:
                 raise PreconditionError(f"cover {name} misses edge "
                                         f"{g.labels[u]} {g.labels[v]}")
         checked.add(cm)
-    left = tuple(bits(sm & ~tm))
-    right = tuple(bits(tm & ~sm))
-    shared = sm & tm
-    colors = tuple(tuple(bits(c)) for c in mask_components(g, shared))
-    color_masks = [mask_of(c) for c in colors]
+    adj = g.adj_mask
+    lm, rm = sm & ~tm, tm & ~sm
     # the sides live inside independent sets, so no edge joins two left or
     # two right vertices; assert that two-colorability here
-    lm, rm = mask_of(left), mask_of(right)
     for side_mask in (lm, rm):
         for v in bits(side_mask):
-            if g.adj_mask[v] & side_mask:
+            if adj[v] & side_mask:
                 raise IntegrityError("auxiliary graph sides are not independent")
-    real = frozenset(
-        (u, v) for u in left for v in bits(g.adj_mask[u] & rm)
-    )
-    helpers = []
-    for ci, cmask in enumerate(color_masks):
-        touch_left = [u for u in left if g.adj_mask[u] & cmask]
-        touch_right = [v for v in right if g.adj_mask[v] & cmask]
-        for u in touch_left:
-            for v in touch_right:
-                helpers.append((u, v, ci))
+    comps = mask_components(g, sm & tm)
+    touched = [neighbors_of_set(g, c) for c in comps]
     return AuxiliaryGraph(
         graph=g,
-        cover_s=s,
-        cover_t=t,
-        left=left,
-        right=right,
-        colors=colors,
-        real_pairs=real,
-        helper_pairs=tuple(sorted(helpers)),
-        dead_zone=tuple(bits(g.full_mask & ~(sm | tm))),
+        s_mask=sm,
+        t_mask=tm,
+        left_mask=lm,
+        right_mask=rm,
+        color_masks=comps,
+        color_left=tuple(nb & lm for nb in touched),
+        color_right=tuple(nb & rm for nb in touched),
     )
 
 
 def all_real_pm(aux: AuxiliaryGraph) -> dict[int, int]:
     """Perfect matching using real edges only (guaranteed for minimum covers)."""
-    adj: dict[int, list[int]] = {u: [] for u in aux.left}
-    for u, v in sorted(aux.real_pairs):
-        adj[u].append(v)
-    pair = hopcroft_karp(list(aux.left), {u: tuple(vs) for u, vs in adj.items()})
-    if len(pair) != len(aux.left):
+    adj, rm = aux.graph.adj_mask, aux.right_mask
+    pair = hopcroft_karp(aux.left, {u: tuple(bits(adj[u] & rm)) for u in aux.left})
+    if len(pair) != aux.side_size:
         raise IntegrityError(
             "no all-real perfect matching; the covers are not both minimum"
         )
@@ -228,58 +280,59 @@ def all_real_pm(aux: AuxiliaryGraph) -> dict[int, int]:
 
 
 def _validate_rainbow(aux: AuxiliaryGraph, rm: RainbowMatching, question: tuple) -> None:
-    lefts = {e[0] for e in rm.edges}
-    rights = {e[1] for e in rm.edges}
-    if lefts != set(aux.left) or rights != set(aux.right):
+    lefts = rights = 0
+    for u, v, _ in rm.edges:
+        lefts |= 1 << u
+        rights |= 1 << v
+    if lefts != aux.left_mask or rights != aux.right_mask:
         raise IntegrityError("rainbow matching is not perfect")
     if len(rm.edges) != aux.side_size:
         raise IntegrityError("rainbow matching has repeated endpoints")
-    used_colors: set[int] = set()
+    adj = aux.graph.adj_mask
+    used_colors = 0
     for u, v, tag in rm.edges:
         if tag == REAL:
-            if (u, v) not in aux.real_pairs:
+            if not adj[u] >> v & 1:
                 raise IntegrityError("real-tagged pair is not a real edge")
         else:
-            if tag not in aux.helper_colors(u, v):
+            if not (0 <= tag < len(aux.color_masks)
+                    and aux.color_left[tag] >> u & 1
+                    and aux.color_right[tag] >> v & 1):
                 raise IntegrityError("helper-tagged pair lacks that color")
-            if tag in used_colors:
+            if used_colors >> tag & 1:
                 raise IntegrityError("two helper edges share a color")
-            used_colors.add(tag)
+            used_colors |= 1 << tag
     partners, v, tag = question
     fu, fv, ftag = rm.forced
-    if fu not in partners or (fv, ftag) != (v, tag) or rm.forced not in rm.edges:
+    if not partners >> fu & 1 or (fv, ftag) != (v, tag) or rm.forced not in rm.edges:
         raise IntegrityError("the forced pair does not answer the question")
 
 
 def _question(aux: AuxiliaryGraph, u: int, v: int) -> tuple:
     """The matching question of the attack (u, v): ``(partners, v, tag)``,
-    asking that v be matched to one of ``partners`` by a pair tagged ``tag``."""
-    if u in aux.left:
-        return (u,), v, REAL
+    asking that v be matched to one of the mask ``partners`` by a pair
+    tagged ``tag``.  The attack must be an edge from S to T - S, so both
+    sides are non-empty."""
+    if not aux.s_mask >> u & 1:
+        raise PreconditionError("the attacked guard must stand on S")
+    if not aux.right_mask >> v & 1:
+        raise PreconditionError("the attacked vertex must lie in T - S")
+    if not aux.graph.adj_mask[u] >> v & 1:
+        raise PreconditionError("the attack must be an edge")
+    if aux.left_mask >> u & 1:
+        return 1 << u, v, REAL
     # the attacked guard keeps its post: thread the chain through u's
     # component of the shared part
-    partners, color = aux.shared_partners[u]
-    return partners, v, color
+    for color, cm in enumerate(aux.color_masks):
+        if cm >> u & 1:
+            return aux.color_left[color], v, color
 
 
 def _checked_question(aux: AuxiliaryGraph, u: int, v: int) -> tuple:
-    """``_question`` of the attack (u, v), which must be an edge from S to
-    T - S (so both sides are non-empty) between two minimum covers."""
-    if u not in aux.cover_s:
-        raise PreconditionError("the attacked guard must stand on S")
-    if v not in aux.right:
-        raise PreconditionError("the attacked vertex must lie in T - S")
-    if not aux.graph.has_edge(u, v):
-        raise PreconditionError("the attack must be an edge")
+    """``_question`` of the attack (u, v), between two minimum covers."""
+    question = _question(aux, u, v)
     aux.real_pm  # raises when the covers are not both minimum
-    return _question(aux, u, v)
-
-
-def _satisfiable(aux: AuxiliaryGraph, question: tuple) -> bool:
-    """Whether some perfect matching answers the question: whether one of
-    the partners is in v's alternating tree (no partner, no tree built)."""
-    partners, v, _ = question
-    return any(aux.in_some_pm(w, v) for w in partners)
+    return question
 
 
 def rainbow_pm_with_edge(aux: AuxiliaryGraph, u: int, v: int) -> RainbowMatching | None:
@@ -308,16 +361,19 @@ def rainbow_pm_with_edge(aux: AuxiliaryGraph, u: int, v: int) -> RainbowMatching
     """
     question = _checked_question(aux, u, v)
     partners, _, tag = question
-    parent = aux.alternating_tree(v)
-    w = next((w for w in parent if w in partners), None)
+    if not partners:
+        return None
+    parent = aux.alternating_tree(v)[1]
+    w = next((w for w in parent if partners >> w & 1), None)
     if w is None:
         return None
     mp = aux.real_pm
+    adj = aux.graph.adj_mask
     forced = (w, v, tag)
     flipped = {w: forced}
     while parent[w] is not None:
         a, x = parent[w], mp[w]
-        color = REAL if (a, x) in aux.real_pairs else aux.helper_colors(a, x)[0]
+        color = REAL if adj[a] >> x & 1 else aux.helper_colors(a, x)[0]
         flipped[a] = (a, x, color)
         w = a
     edges = tuple(sorted(flipped.get(a, (a, x, REAL)) for a, x in mp.items()))
@@ -329,28 +385,22 @@ def rainbow_pm_with_edge(aux: AuxiliaryGraph, u: int, v: int) -> RainbowMatching
 def enumerate_tagged_pms(aux: AuxiliaryGraph):
     """Every perfect matching of the auxiliary multigraph with every tag
     assignment; brute-force oracle for small sides."""
-    lefts = list(aux.left)
+    rows = aux.tagged_rows
 
-    def rec(i: int, used: set[int], acc: list[tuple[int, int, int]]):
-        if i == len(lefts):
+    def rec(i: int, used: int, acc: list[tuple[int, int, int]]):
+        if i == len(rows):
             yield tuple(acc)
             return
-        u = lefts[i]
-        for v in aux.right:
-            if v in used:
+        u, row = rows[i]
+        for v, tags in row:
+            if used >> v & 1:
                 continue
-            options = []
-            if (u, v) in aux.real_pairs:
-                options.append(REAL)
-            options.extend(aux.helper_colors(u, v))
-            for tag in options:
-                used.add(v)
+            for tag in tags:
                 acc.append((u, v, tag))
-                yield from rec(i + 1, used, acc)
+                yield from rec(i + 1, used | 1 << v, acc)
                 acc.pop()
-                used.remove(v)
 
-    yield from rec(0, set(), [])
+    yield from rec(0, 0, [])
 
 
 def rainbow_pm_bruteforce(aux: AuxiliaryGraph, u: int, v: int) -> tuple[bool, bool]:
@@ -359,7 +409,7 @@ def rainbow_pm_bruteforce(aux: AuxiliaryGraph, u: int, v: int) -> tuple[bool, bo
     partners, _, _ = _checked_question(aux, u, v)
     any_match = False
     for pm in enumerate_tagged_pms(aux):
-        if not any(e[1] == v and e[0] in partners for e in pm):
+        if not any(e[1] == v and partners >> e[0] & 1 for e in pm):
             continue
         any_match = True
         colors_used = [e[2] for e in pm if e[2] != REAL]
@@ -398,36 +448,26 @@ def _helper_chain(
 ) -> tuple[int, ...]:
     """The chain of the helper pair ``(u, v, color)``: u, the shortest
     interior inside the color's component (lexicographic ties) from a
-    neighbour of u to a vertex of the mask ``ends``, then v."""
+    neighbour of u to a vertex of the mask ``ends``, then v; read off the
+    pair's chain tree of (color, u)."""
     u, v, tag = edge
-    g = aux.graph
-    interior = _bfs_inside(g, aux.color_masks[tag], g.adj_mask[u], ends)
+    interior = _read_chain(aux.chain_tree(tag, u), ends)
     if interior is None:
         raise IntegrityError("color component fails to connect the helper edge")
     return (u, *interior, v)
 
 
-def _bfs_inside(g, cmask: int, sources_mask: int, targets_mask: int):
-    """Shortest path inside ``cmask`` from any source to any target, both
-    given as masks of component vertices; lexicographic tie-breaks: the
-    smallest target of the first layer that holds one, each vertex reached
-    from the smallest vertex of the layer before."""
+def _chain_tree(g: Graph, cmask: int, sources_mask: int) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first tree inside ``cmask`` from the sources in it: its
+    layers as masks, and for each vertex past the first layer the vertex it
+    is reached from, the smallest neighbour in the layer before."""
     frontier = sources_mask & cmask
-    targets_mask &= cmask
-    if not frontier or not targets_mask:
-        return None
     adj = g.adj_mask
+    layers = []
     prev: dict[int, int] = {}
     seen = frontier
     while frontier:
-        hit = frontier & targets_mask
-        if hit:
-            cur = (hit & -hit).bit_length() - 1
-            path = [cur]
-            while cur in prev:
-                cur = prev[cur]
-                path.append(cur)
-            return tuple(reversed(path))
+        layers.append(frontier)
         nxt = 0
         rest = frontier
         while rest:
@@ -442,24 +482,47 @@ def _bfs_inside(g, cmask: int, sources_mask: int, targets_mask: int):
                 new ^= w
                 prev[w.bit_length() - 1] = v
         frontier = nxt
+    return layers, prev
+
+
+def _read_chain(tree: tuple[list[int], dict[int, int]], targets_mask: int):
+    """Shortest path of ``tree`` from a source to a target of the mask:
+    the smallest target of the first layer that holds one, back along the
+    tree; None when no layer does."""
+    layers, prev = tree
+    for layer in layers:
+        hit = layer & targets_mask
+        if hit:
+            cur = (hit & -hit).bit_length() - 1
+            path = [cur]
+            while cur in prev:
+                cur = prev[cur]
+                path.append(cur)
+            return tuple(reversed(path))
     return None
 
 
+def _check_chain(adj, dead: int, used: int, chain: tuple[int, ...]) -> int:
+    """Check one chain against the mask ``used`` of the vertices of the
+    chains before it; returns the mask with the chain's vertices added."""
+    for a, b in zip(chain, chain[1:]):
+        if not adj[a] >> b & 1:
+            raise IntegrityError("defense path uses a non-edge")
+    for x in chain:
+        bit = 1 << x
+        if used & bit:
+            raise IntegrityError("defense paths are not vertex-disjoint")
+        used |= bit
+        if dead & bit:
+            raise IntegrityError("defense path enters the dead zone")
+    return used
+
+
 def _validate_defense_paths(g: Graph, aux: AuxiliaryGraph, paths: GuardPaths) -> None:
-    adj = g.adj_mask
-    dead = aux.dead_mask
+    adj, dead = g.adj_mask, aux.dead_mask
     used = 0
     for p in paths:
-        for a, b in zip(p, p[1:]):
-            if not adj[a] >> b & 1:
-                raise IntegrityError("defense path uses a non-edge")
-        for x in p:
-            bit = 1 << x
-            if used & bit:
-                raise IntegrityError("defense paths are not vertex-disjoint")
-            used |= bit
-            if dead & bit:
-                raise IntegrityError("defense path enters the dead zone")
+        used = _check_chain(adj, dead, used, p)
 
 
 # -- the defense scan --------------------------------------------------------
@@ -488,17 +551,20 @@ class DefenseStats:
 
 class DefenseContext:
     """Caches, for the scans of one graph, each cover pair's auxiliary graph
-    and one entry per (S, T, question): ``[rainbow matching or None,
-    chains]``, the chains filled on the first ``witness`` of an answered
-    question.
+    (the mask record of ``build_aux``, with the alternating trees and chain
+    trees it keeps) and one entry per (S, T, question): ``[rainbow matching
+    or None, chains]``, the chains filled on the first ``witness`` of an
+    answered question.
 
-    All are exact: the auxiliary graph (with the views it caches) is a pure
-    function of (S, T), ``rainbow_pm_with_edge`` a deterministic pure
-    function of the auxiliary graph and the question, and the chains a pure
-    function of the matching.  The question of a guard of S n T names its
-    shared component and not the guard, so all guards of one shared
+    All are exact: the auxiliary graph (with the views and trees it caches)
+    is a pure function of (S, T), ``rainbow_pm_with_edge`` a deterministic
+    pure function of the auxiliary graph and the question, and the chains a
+    pure function of the matching.  The question of a guard of S n T names
+    its shared component and not the guard, so all guards of one shared
     component share its entry; only the forced pair's helper chain routes
-    through the attacked guard, so ``witness`` expands that one per call.
+    through the attacked guard, so ``witness`` reads that one per call off
+    the pair's chain tree of (color, left end) and checks it against the
+    mask of the other kept chains.
 
     With ``stats``, each ``defends`` ask compares the yes/no answer, the
     entry's matching and brute force; ``witness`` records nothing.
@@ -509,8 +575,9 @@ class DefenseContext:
         self.stats = stats
         self._aux: dict[tuple[tuple[int, ...], tuple[int, ...]], AuxiliaryGraph] = {}
         # (S, T, question) -> [its rainbow matching or None, its matching's
-        # chains with the forced pair's index among them and the forced
-        # pair, or None until the first witness]
+        # chains with the forced pair's index among them, the forced pair
+        # and the mask of the other chains' vertices, or None until the
+        # first witness]
         self._entries: dict[tuple, list] = {}
 
     def aux_for(self, s, t) -> AuxiliaryGraph:
@@ -528,15 +595,16 @@ class DefenseContext:
         return entry
 
     def defends(self, s, attack: tuple[int, int], t) -> bool:
-        """Whether cover ``t`` answers the attack ``(u, v)`` on cover ``s``
-        (u in s, v not), decided on the alternating tree without a witness:
+        """Whether cover ``t`` answers the attack ``(u, v)`` on cover ``s``,
+        decided on v's alternating tree without a witness:
         ``witness(s, attack, t)`` returns guard paths exactly when this is
-        True."""
+        True.  False when v is not in t; otherwise the attack is refused
+        as ``witness`` refuses it (u off s, v in s, uv not an edge)."""
         if attack[1] not in t:
             return False
         aux = self.aux_for(s, t)
         question = _question(aux, *attack)
-        answer = _satisfiable(aux, question)
+        answer = aux.pairs_with(attack[1], question[0])
         if self.stats is not None and aux.side_size <= VERIFY_SIDES_CAP:
             self.stats.instances += 1
             search = self._entry((s, t, question), aux, attack)[0] is not None
@@ -552,8 +620,8 @@ class DefenseContext:
         The paths are ``matching_to_paths(aux, rm, through=u)`` for the
         matching rm of the question's entry.  The chains that do not route
         through u are expanded once per entry and kept in it; a
-        helper-tagged forced chain is expanded here, through u, and the
-        whole system is validated again.
+        helper-tagged forced chain is read here, through u, and checked
+        against the vertices of the other kept chains.
         """
         aux = self.aux_for(s, t)
         u, v = attack
@@ -562,21 +630,19 @@ class DefenseContext:
         if rm is None:
             return None
         if kept is None:
-            kept = entry[1] = (
-                matching_to_paths(aux, rm),
-                rm.edges.index(rm.forced),
-                rm.forced,
-            )
-        paths, i, forced = kept
+            paths = matching_to_paths(aux, rm)
+            i = rm.edges.index(rm.forced)
+            others = mask_of(x for j, p in enumerate(paths) if j != i for x in p)
+            kept = entry[1] = (paths, i, rm.forced, others)
+        paths, i, forced, others = kept
         if forced[2] == REAL:
             return paths
         # a guard of S n T keeps its post: its color's chain ends ...-> u -> v
         chain = _helper_chain(aux, forced, 1 << u)
         if chain == paths[i]:  # the kept system, validated when expanded
             return paths
-        paths = (*paths[:i], chain, *paths[i + 1:])
-        _validate_defense_paths(self.g, aux, paths)
-        return paths
+        _check_chain(self.g.adj_mask, aux.dead_mask, others, chain)
+        return (*paths[:i], chain, *paths[i + 1:])
 
 
 def check_defense(

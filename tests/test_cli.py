@@ -809,6 +809,65 @@ def test_witness_heavy_spartan_outputs_are_pinned(graph_file, capsys):
     assert got == WITNESS_HEAVY_DIGESTS
 
 
+def _aux_corpus():
+    # the fixtures, three seeded graphs on 8 vertices, two on 10, and the
+    # windmill W4 (16 minimum covers)
+    out = dict(fixtures())
+    out.update((f"rand8/{i}", g) for i, g in enumerate(random_connected(8, 0.4, 3, 1818)))
+    out.update(
+        (f"rand10/{i}", g) for i, g in enumerate(random_connected(10, 0.35, 2, 1822))
+    )
+    out["W4"] = _pinned_corpus()["W4"]
+    return out
+
+
+# the first 10 hex digits of the sha256 of the aux --json outputs on every
+# ordered pair of distinct minimum covers of each graph of _aux_corpus, in
+# cover order, joined
+AUX_DIGESTS = {
+    "K2": "aab602f228",
+    "P3": "e3b0c44298",
+    "P4": "2e380baedf",
+    "P5": "e3b0c44298",
+    "C4": "6b9e9d256a",
+    "C5": "66414cf365",
+    "C6": "94f702f8e8",
+    "K1,3": "e3b0c44298",
+    "bowtie": "2da4c6296e",
+    "footnote": "e3b0c44298",
+    "rand8/0": "ab6c4a19a3",
+    "rand8/1": "7ad64acbd0",
+    "rand8/2": "40f1adabcf",
+    "rand10/0": "13dd0ad239",
+    "rand10/1": "d53ab4b231",
+    "W4": "d205bd1740",
+}
+
+
+def _aux_digests(graph_file, capsys):
+    from evckit.covers import enumerate_min_vcs
+
+    got = {}
+    for name, g in _aux_corpus().items():
+        f = graph_file("aux.edges", serialize_edge_list(g))
+        covers = [",".join(g.labels_of(c)) for c in enumerate_min_vcs(g).covers]
+        outs = []
+        for s in covers:
+            for t in covers:
+                if s != t:
+                    code, out, _ = run_cli(
+                        capsys, ["aux", f, "--cover-s", s, "--cover-t", t, "--json"]
+                    )
+                    assert code == 0, (name, s, t)
+                    outs.append(out)
+        got[name] = hashlib.sha256("".join(outs).encode()).hexdigest()[:10]
+    return got
+
+
+def test_aux_json_outputs_are_pinned(graph_file, capsys):
+    assert _aux_digests(graph_file, capsys) == AUX_DIGESTS
+
+
 def test_python_dash_m_runs_the_cli(graph_file):
     import evckit
 

@@ -9,7 +9,8 @@ from evckit.defense import (
     Defense,
     DefenseContext,
     DefenseStats,
-    _bfs_inside,
+    _chain_tree,
+    _read_chain,
     _validate_defense_paths,
     all_real_pm,
     build_aux,
@@ -381,11 +382,11 @@ def test_cached_aux_views_match_their_definitions():
                         c for a, b, c in aux.helper_pairs if a == u and b == v
                     )
             assert aux.color_masks == tuple(mask_of(c) for c in aux.colors)
-            assert aux.shared_partners == {
-                x: (tuple(w for w in aux.left if g.adj_mask[w] & mask_of(c)), ci)
-                for ci, c in enumerate(aux.colors)
-                for x in c
-            }
+            for side, touching in ((aux.left, aux.color_left), (aux.right, aux.color_right)):
+                assert touching == tuple(
+                    mask_of(w for w in side if g.adj_mask[w] & mask_of(c))
+                    for c in aux.colors
+                )
             pairs += 1
     assert pairs > 1000
 
@@ -473,7 +474,7 @@ def test_bfs_inside_matches_list_search():
         for _ in range(20):
             cmask = rng.getrandbits(g.n) | 1
             a, b = rng.getrandbits(g.n), rng.getrandbits(g.n)
-            assert _bfs_inside(g, cmask, a, b) == _bfs_by_lists(g, cmask, a, b)
+            assert _read_chain(_chain_tree(g, cmask, a), b) == _bfs_by_lists(g, cmask, a, b)
 
 
 @pytest.mark.parametrize(
@@ -535,9 +536,13 @@ def test_mode_satisfiable_checks_the_mode(named):
 def test_stats_flag_a_wrong_matching_answer(monkeypatch):
     import evckit.defense as defense_mod
 
-    original = defense_mod._satisfiable
+    # every yes/no answer read off the alternating tree masks is flipped;
+    # the witness reads the tree's discovery order and brute force neither
+    original = defense_mod.AuxiliaryGraph.pairs_with
     monkeypatch.setattr(
-        defense_mod, "_satisfiable", lambda aux, question: not original(aux, question)
+        defense_mod.AuxiliaryGraph,
+        "pairs_with",
+        lambda aux, v, partners: not original(aux, v, partners),
     )
     stats = DefenseStats()
     for g, covers, _ in _min_cover_pairs(20, 199):
@@ -545,3 +550,115 @@ def test_stats_flag_a_wrong_matching_answer(monkeypatch):
         for s, attack, t in _oriented_checks(g, covers):
             ctx.defends(s, attack, t)
     assert stats.mismatches == stats.instances > 100
+
+
+def test_defends_refuses_what_witness_refuses(named):
+    # P4 a-b-c-d with S = {b, c} and T = {b, d}: a guard off S, a target in
+    # S and a non-edge are refused by both entries; a target off T is
+    # answered False by the yes/no ask alone
+    p4 = named["P4"]
+    a, b, c, d = (p4.index(lab) for lab in "abcd")
+    s, t = (b, c), (b, d)
+    for attack, t_, message in (
+        ((a, b), t, "guard must stand on S"),
+        ((c, b), t, "must lie in T - S"),
+        ((b, c), s, "must lie in T - S"),
+        ((b, d), t, "must be an edge"),
+    ):
+        for entry in (DefenseContext.defends, DefenseContext.witness):
+            with pytest.raises(PreconditionError, match=message):
+                entry(DefenseContext(p4), s, attack, t_)
+    assert DefenseContext(p4).defends(s, (b, a), t) is False
+    with pytest.raises(PreconditionError, match="must lie in T - S"):
+        DefenseContext(p4).witness(s, (b, a), t)
+    assert DefenseContext(p4).defends(s, (c, d), t) is True
+
+
+def test_no_tree_without_a_partner():
+    # a shared component that touches no left vertex answers no without a
+    # matching or an alternating tree
+    asked = 0
+    for g, _, cover_pairs in _min_cover_pairs(60, 211):
+        for s, t in cover_pairs:
+            aux = build_aux(g, s, t)
+            for color, cmask in enumerate(aux.color_masks):
+                if aux.color_left[color]:
+                    continue
+                for u, v in _shared_attacks(aux):
+                    if cmask >> u & 1:
+                        ctx = DefenseContext(g)
+                        assert ctx.defends(s, (u, v), t) is False
+                        assert not ctx.aux_for(s, t).__dict__.get("_trees")
+                        assert "real_pm" not in ctx.aux_for(s, t).__dict__
+                        asked += 1
+    assert asked > 20
+
+
+def test_chain_trees_match_list_search():
+    # every chain read off a (color, left end) tree is the list search's
+    # path from the left end's neighbours in the color, to one target or to
+    # the neighbours of a right vertex
+    reads = 0
+    for g, _, cover_pairs in _min_cover_pairs(80, 197):
+        for s, t in cover_pairs:
+            aux = build_aux(g, s, t)
+            for color, cmask in enumerate(aux.color_masks):
+                for w in aux.left:
+                    tree = aux.chain_tree(color, w)
+                    assert aux.chain_tree(color, w) is tree
+                    sources = g.adj_mask[w]
+                    targets = [1 << x for x in range(g.n)]
+                    targets += [g.adj_mask[v] for v in aux.right]
+                    for ends in targets:
+                        got = _read_chain(tree, ends)
+                        assert got == _bfs_by_lists(g, cmask, sources, ends), (
+                            g.edges, s, t, color, w, ends
+                        )
+                        reads += got is not None
+    assert reads > 4000
+
+
+def _forged_chains(g, aux, paths, i):
+    # one forged chain per check of a replaced chain, each failing that
+    # check first: two free vertices that are not adjacent, a free vertex
+    # next to the dead zone and the dead vertex, a vertex of a kept chain
+    adj, dead = g.adj_mask, aux.dead_mask
+    kept = [p for j, p in enumerate(paths) if j != i]
+    used = mask_of(x for p in kept for x in p)
+    free = [x for x in range(g.n) if not (used | dead) >> x & 1]
+    out = {}
+    out["non-edge"] = next(
+        ((x, y) for x in free for y in free if x != y and not adj[x] >> y & 1), None
+    )
+    out["dead zone"] = next(
+        ((x, d) for x in free for d in aux.dead_zone if adj[x] >> d & 1), None
+    )
+    out["vertex-disjoint"] = (kept[0][-1],) if kept else None
+    return {kind: chain for kind, chain in out.items() if chain is not None}
+
+
+def test_witness_rejects_a_forged_forced_chain(monkeypatch):
+    # once an entry keeps its chains, a transition of a shared guard reads
+    # only its forced chain; a forged one must fail the same three checks
+    # that the whole system passed
+    import evckit.defense as defense_mod
+
+    rejected = dict.fromkeys(("non-edge", "dead zone", "vertex-disjoint"), 0)
+    for g, covers, _ in _min_cover_pairs(80, 203, 5, 10):
+        ctx = DefenseContext(g)
+        for s, attack, t in _oriented_checks(g, covers):
+            if attack[0] not in t or attack[1] not in t:
+                continue
+            genuine = ctx.witness(s, attack, t)
+            if genuine is None:
+                continue
+            aux = ctx.aux_for(s, t)
+            paths, i, _, _ = ctx._entries[(s, t, defense_mod._question(aux, *attack))][1]
+            for kind, chain in _forged_chains(g, aux, paths, i).items():
+                monkeypatch.setattr(defense_mod, "_helper_chain", lambda *_: chain)
+                with pytest.raises(IntegrityError, match=kind):
+                    ctx.witness(s, attack, t)
+                monkeypatch.undo()
+                rejected[kind] += 1
+            assert ctx.witness(s, attack, t) == genuine
+    assert min(rejected.values()) > 1000, rejected
