@@ -246,14 +246,8 @@ def build_aux(g: Graph, s, t) -> AuxiliaryGraph:
                 raise PreconditionError(f"cover {name} misses edge "
                                         f"{g.labels[u]} {g.labels[v]}")
         checked.add(cm)
-    adj = g.adj_mask
     lm, rm = sm & ~tm, tm & ~sm
-    # the sides live inside independent sets, so no edge joins two left or
-    # two right vertices; assert that two-colorability here
-    for side_mask in (lm, rm):
-        for v in bits(side_mask):
-            if adj[v] & side_mask:
-                raise IntegrityError("auxiliary graph sides are not independent")
+    # no edge lies inside S - T (T misses it) or T - S (S misses it)
     comps = mask_components(g, sm & tm)
     touched = [neighbors_of_set(g, c) for c in comps]
     return AuxiliaryGraph(

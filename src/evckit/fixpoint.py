@@ -1,10 +1,20 @@
 """The greatest-fixpoint engine shared by the game solver and the decider.
 
-Both keep the largest set of states in which every threat on a state has a
-live responder.  Each (state, threat) watches its first live responder in
-canonical order and moves on only when that one is removed (the watched
-literals of Chaff, Moskewicz et al., DAC 2001), so no (state, threat,
-candidate) is asked twice.  Removals run in synchronous rounds.
+The fixpoint is the largest set of states in which every threat on a state
+has a responder in the set.  The module answers two questions about it.
+
+"Which states survive, and in which round does each other one leave?"
+(``greatest_fixpoint``) removes states in synchronous rounds.  Each (state,
+threat) watches its first live responder in canonical order and moves on
+only when that one is removed (the watched literals of Chaff, Moskewicz et
+al., DAC 2001), so no (state, threat, candidate) is asked twice.
+
+"Does any state survive?" (``some_state_survives``) explores only the states
+its answer needs, in the manner of the local fixpoint algorithms of Liu and
+Smolka (ICALP 1998).  It stops at the first non-empty closed set, a set in
+which every threat on a member has a responder that is also a member: such
+a set lies inside the greatest fixpoint.  It keeps the same watches, so it
+too asks no triple twice.
 """
 
 from __future__ import annotations
@@ -75,3 +85,64 @@ def greatest_fixpoint(threats, candidates, answer):
         for t, threat in enumerate(threats[i])
     }
     return alive, removals, answers
+
+
+def some_state_survives(n, threats_of, candidates, answer) -> bool:
+    """Is the greatest fixpoint over the states ``0 .. n - 1`` non-empty?
+
+    ``threats_of(i)`` lists the threats on state ``i`` and is called once,
+    when ``i`` is first explored; ``candidates`` and ``answer`` are as in
+    ``greatest_fixpoint``.  Each (state, threat) of an explored state
+    watches its first live candidate that answers, and a watched state that
+    is not yet explored becomes explored.  A state dies when one of its
+    threats runs out of candidates, and only the pairs watching it move on,
+    each from its next position.  When no work is left the explored states
+    still alive form a closed set; if it is empty, the search starts again
+    from the next unexplored state.
+
+    A state dies only when every candidate for one of its threats does not
+    answer or is dead, so by induction on the order of deaths no closed set
+    holds a dead state: a loss is exact.
+    """
+    threats: list = [None] * n  # set when the state is explored
+    watch: list = [None] * n  # per threat, the position of the watched responder
+    watchers: list = [None] * n  # the (state, threat index) pairs watching it
+    live = [True] * n
+    work: list[tuple[int, int]] = []
+
+    def explore(i: int) -> None:
+        ts = threats[i] = threats_of(i)
+        watch[i] = [-1] * len(ts)
+        watchers[i] = []
+        work.extend((i, t) for t in reversed(range(len(ts))))
+
+    for root in range(n):
+        if threats[root] is not None:
+            continue
+        explore(root)
+        held = 1  # explored states still alive; earlier roots left none
+        while work:
+            i, t = work.pop()
+            if not live[i]:
+                continue
+            threat = threats[i][t]
+            cands = candidates(threat)
+            p = watch[i][t] + 1
+            while p < len(cands) and not (
+                live[cands[p]] and answer(i, threat, cands[p])
+            ):
+                p += 1
+            if p == len(cands):
+                live[i] = False
+                held -= 1
+                work.extend(watchers[i])
+                continue
+            j = cands[p]
+            watch[i][t] = p
+            if threats[j] is None:
+                explore(j)
+                held += 1
+            watchers[j].append((i, t))
+        if held:
+            return True
+    return False

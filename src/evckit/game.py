@@ -5,9 +5,16 @@ vertex cover.  The attacker picks any edge; edges with both endpoints guarded
 are answered by swapping the two guards (the position is unchanged), so the
 solve iterates only over attacks with exactly one guarded endpoint.  A
 defender response is any state reachable by a simultaneous one-step movement
-in which some guard crosses the attacked edge; the shared greatest-fixpoint
-engine (``fixpoint``) removes states that lose some attack in synchronous
-rounds until the set stabilizes.
+in which some guard crosses the attacked edge.  The defender wins when the
+greatest fixpoint, the largest set of states that answer every attack
+within the set, is not empty.  ``solve_guard_game`` decides that with the
+search ``fixpoint.some_state_survives``: it explores states from the first
+one and stops at the first non-empty closed set, which lies inside the
+fixpoint, so a win need not verify every surviving state.  The fixpoint
+itself, with the round in which each other state leaves
+(``fixpoint.greatest_fixpoint``), is computed on the first read of the
+outcome's ``states``, ``survivors``, ``ranks`` or ``removal_trace``, over
+the same answer function; ``play`` and ``hint`` read it.
 
 A response is checked on residuals, the two states less the guard that
 crosses: the remaining guards must reach the responder's in one step.  The
@@ -23,7 +30,8 @@ only the 0/1 states (the vertex covers of size exactly k); its strategies
 are multiset strategies, so its first win k* is an upper bound.  The
 multiset game is monotone in k (an extra guard may stand still), so one
 multiset loss at k* - 1 proves evc = k*.  Should the multiset game win
-there, the multiset loop below k* finds the exact value.
+there, the multiset loop below k* finds the exact value.  Every solve on
+this path reads only the verdict, so none computes removal rounds.
 
 This solver is the package's independent ground truth: it shares the
 one-step-movement primitive and the fixpoint engine with the decider but
@@ -34,11 +42,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .covers import cover_configurations, enumerate_covers_up_to, mvc_mask
 from .errors import IntegrityError, PreconditionError, ResourceLimitError
-from .fixpoint import greatest_fixpoint, oriented_attacks
-from .graph import Graph, connected_components, is_connected, mask_of
+from .fixpoint import greatest_fixpoint, oriented_attacks, some_state_survives
+from .graph import Graph, connected_components, is_connected
 from .reachability import (
     _closed_slots,
     compatible_configs,
@@ -66,38 +75,77 @@ def _state_budget(budget: int | None) -> int:
     return int(env)
 
 
+def _state_masks(
+    g: Graph, k: int, budget: int | None, one_per_vertex: bool
+) -> tuple[list[int], int]:
+    """The k-guard states as slot masks in enumeration order (cover mask
+    order), and their slot count L: the most guards any state stacks on
+    one vertex, k - mvc + 1 in the multiset game."""
+    limit = _state_budget(budget)
+    if one_per_vertex:
+        slots = 1
+        configs = (m for m in enumerate_covers_up_to(g, k) if m.bit_count() == k)
+    else:
+        slots = max(1, k - mvc_mask(g, g.full_mask) + 1)
+        configs = (layered(c, slots) for c in cover_configurations(g, k))
+    masks: list[int] = []
+    for mask in configs:
+        masks.append(mask)
+        if len(masks) > limit:
+            raise ResourceLimitError(
+                f"state space exceeds the budget of {limit} states"
+            )
+    return masks, slots
+
+
+def _counts(mask: int, slots: int, n: int) -> Counts:
+    group = (1 << slots) - 1
+    return tuple((mask >> v * slots & group).bit_count() for v in range(n))
+
+
 def enumerate_states(
     g: Graph, k: int, budget: int | None = None, *, one_per_vertex: bool = False
 ) -> list[Counts]:
     """All k-guard configurations whose support covers the graph, canonical
     order; with ``one_per_vertex`` only the 0/1 ones (covers of size k)."""
-    limit = _state_budget(budget)
-    if one_per_vertex:
-        configs = (
-            tuple(mask >> v & 1 for v in range(g.n))
-            for mask in enumerate_covers_up_to(g, k)
-            if mask.bit_count() == k
-        )
-    else:
-        configs = cover_configurations(g, k)
-    states: list[Counts] = []
-    for counts in configs:
-        states.append(counts)
-        if len(states) > limit:
-            raise ResourceLimitError(
-                f"state space exceeds the budget of {limit} states"
-            )
-    return sorted(states)
+    masks, slots = _state_masks(g, k, budget, one_per_vertex)
+    return sorted(_counts(m, slots, g.n) for m in masks)
 
 
-@dataclass
 class GameOutcome:
-    k: int
-    defender_wins: bool
-    states: list[Counts]
-    survivors: list[Counts]
-    ranks: dict[Counts, int]  # removal round; survivors are absent
-    removal_trace: list[tuple[Counts, tuple[int, int]]]
+    """The verdict of the k-guard game, and its greatest fixpoint on demand.
+
+    ``defender_wins`` is known when the outcome is built.  ``states`` (in
+    canonical order), ``survivors``, ``ranks`` (the removal round of each
+    removed state) and ``removal_trace`` (each removed state with the
+    attack it lost to, in round then state order) come from one full solve,
+    ``rounds()``, run on first read.
+    """
+
+    def __init__(self, k: int, defender_wins: bool, rounds) -> None:
+        self.k = k
+        self.defender_wins = defender_wins
+        self._rounds = rounds
+
+    @cached_property
+    def _solved(self):
+        return self._rounds()
+
+    @property
+    def states(self) -> list[Counts]:
+        return self._solved[0]
+
+    @property
+    def survivors(self) -> list[Counts]:
+        return self._solved[1]
+
+    @property
+    def ranks(self) -> dict[Counts, int]:
+        return self._solved[2]
+
+    @property
+    def removal_trace(self) -> list[tuple[Counts, tuple[int, int]]]:
+        return self._solved[3]
 
 
 def _minus(counts: Counts, v: int) -> Counts:
@@ -133,46 +181,66 @@ def solve_guard_game(
         raise PreconditionError("the game solver expects a connected graph")
     if k < 1:
         raise PreconditionError("at least one guard is required")
-    states = enumerate_states(g, k, budget, one_per_vertex=one_per_vertex)
-    slots = max((max(c) for c in states), default=1)
-    masks = [layered(c, slots) for c in states]
-    # at one slot per vertex a state's slot mask is its support
+    masks, slots = _state_masks(g, k, budget, one_per_vertex)
+    n = g.n
+    # slot 0 of a vertex is filled exactly when the vertex holds a guard
     supports = masks if slots == 1 else [
-        mask_of(v for v in range(g.n) if c[v]) for c in states
+        sum((m >> v * slots & 1) << v for v in range(n)) for m in masks
     ]
     closed = _closed_slots(g, slots)
-    # candidate responders per vertex: states with a guard on v
-    holders = [[j for j, c in enumerate(states) if c[v]] for v in range(g.n)]
-    # (state, vertex) -> _residual of the state less a guard on vertex
-    residuals: dict[tuple[int, int], tuple[int, int]] = {}
+    threats: list = [None] * len(masks)
+    holders: list = [None] * n  # per vertex, the states with a guard on it
+    residuals: list = [None] * (len(masks) * n)  # _residual of state i less v
 
-    def residual(i: int, v: int) -> tuple[int, int]:
-        got = residuals.get((i, v))
+    def threats_of(i: int) -> list[tuple[int, int]]:
+        got = threats[i]
         if got is None:
-            got = residuals[(i, v)] = _residual(closed, masks[i], slots, v)
+            got = threats[i] = oriented_attacks(g, supports[i])
+        return got
+
+    def holding(threat: tuple[int, int]) -> list[int]:
+        v = threat[1]
+        got = holders[v]
+        if got is None:
+            shift = v * slots
+            got = holders[v] = [j for j, m in enumerate(masks) if m >> shift & 1]
         return got
 
     def answer(i: int, threat: tuple[int, int], j: int) -> bool:
-        s1, near1 = residual(i, threat[0])
-        s2, near2 = residual(j, threat[1])
+        u, v = threat
+        r1 = residuals[i * n + u]
+        if r1 is None:
+            r1 = residuals[i * n + u] = _residual(closed, masks[i], slots, u)
+        r2 = residuals[j * n + v]
+        if r2 is None:
+            r2 = residuals[j * n + v] = _residual(closed, masks[j], slots, v)
+        s1, near1 = r1
+        s2, near2 = r2
         if s2 & ~near1 or s1 & ~near2:
             return False
         return move_feasible_counts(g, s1, s2, slots)
 
-    alive, removals, _ = greatest_fixpoint(
-        [oriented_attacks(g, support) for support in supports],
-        lambda threat: holders[threat[1]],
-        answer,
-    )
-    survivors = [states[i] for i in alive]
-    return GameOutcome(
-        k=k,
-        defender_wins=bool(survivors),
-        states=states,
-        survivors=survivors,
-        ranks={states[i]: r for i, _, r in removals},
-        removal_trace=[(states[i], threat) for i, threat, _ in removals],
-    )
+    def rounds():
+        # the full solve over the states in canonical order, asking the
+        # search's answer function, whose residuals it shares
+        counts = [_counts(m, slots, n) for m in masks]
+        order = sorted(range(len(masks)), key=counts.__getitem__)
+        states = [counts[i] for i in order]
+        ordered = [[c for c, s in enumerate(states) if s[v]] for v in range(n)]
+        alive, removals, _ = greatest_fixpoint(
+            [threats_of(i) for i in order],
+            lambda threat: ordered[threat[1]],
+            lambda c, threat, d: answer(order[c], threat, order[d]),
+        )
+        return (
+            states,
+            [states[c] for c in alive],
+            {states[c]: r for c, _, r in removals},
+            [(states[c], threat) for c, threat, _ in removals],
+        )
+
+    wins = some_state_survives(len(masks), threats_of, holding, answer)
+    return GameOutcome(k, wins, rounds)
 
 
 def _best_response(

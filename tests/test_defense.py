@@ -22,7 +22,7 @@ from evckit.defense import (
 )
 from evckit.errors import IntegrityError, PreconditionError
 from evckit.fixpoint import oriented_attacks
-from evckit.graph import Graph, mask_of
+from evckit.graph import Graph, bits, mask_of
 
 from conftest import random_graph_corpus
 
@@ -72,6 +72,34 @@ def test_build_aux_validates(named):
             build_aux(c4, (0, 1), (1, 3))  # {a,b} misses edge cd
         with pytest.raises(PreconditionError, match="cover t misses edge c d"):
             build_aux(c4, (1, 3), (0, 1))
+
+
+def test_an_edge_inside_a_side_fails_a_cover_check(named):
+    # an edge inside S - T has neither end in T, and one inside T - S has
+    # neither end in S, so a cover check names it, also when the other
+    # cover passed an earlier call's check
+    p4 = named["P4"]  # a-b-c-d
+    bc, ad = p4.index_set("bc"), p4.index_set("ad")
+    build_aux(p4, bc, bc)
+    with pytest.raises(PreconditionError, match="cover t misses edge b c"):
+        build_aux(p4, bc, ad)  # b c inside S - T
+    with pytest.raises(PreconditionError, match="cover s misses edge b c"):
+        build_aux(p4, ad, bc)  # b c inside T - S
+    # every equal-size pair of vertex sets either fails a cover check or
+    # has independent sides
+    for g in random_graph_corpus(10, 4, 6, seed=263):
+        subsets = range(1 << g.n)
+        for sm in subsets:
+            for tm in subsets:
+                if sm.bit_count() != tm.bit_count():
+                    continue
+                try:
+                    aux = build_aux(g, tuple(bits(sm)), tuple(bits(tm)))
+                except PreconditionError as exc:
+                    assert "misses edge" in str(exc)
+                    continue
+                for side in (aux.left_mask, aux.right_mask):
+                    assert all(not g.adj_mask[v] & side for v in bits(side))
 
 
 def test_all_real_pm_examples(named):

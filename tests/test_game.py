@@ -339,7 +339,7 @@ def test_fallback_multiset_loop_is_exact(monkeypatch, late):
         calls.append((k, one_per_vertex))
         if one_per_vertex and k > truth["mvc"]:
             wins = late is not None and k >= truth["evc"] + late
-            return GameOutcome(k, wins, [], [], {}, [])
+            return GameOutcome(k, wins, lambda: ([], [], {}, []))
         return real(g, k, budget=budget, one_per_vertex=one_per_vertex)
 
     monkeypatch.setattr(game, "solve_guard_game", fake)
@@ -417,7 +417,7 @@ _CLOSED_FORMS = (
         pytest.param(_seeded_tree(n, s), "tree", id=f"tree{n}/{s}")
         for n, s in [
             (7, 1), (9, 2), (10, 5), (11, 3), (12, 7), (14, 2), (16, 3),
-            (17, 1), (18, 1), (19, 1), (20, 1), (20, 5),
+            (17, 1), (18, 1), (19, 1), (20, 1), (20, 5), (20, 6),
         ]
     ]
     + [pytest.param(_cycle(n), "cycle", id=f"C{n}") for n in range(15, 21)]
