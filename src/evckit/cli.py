@@ -264,6 +264,8 @@ def cmd_selftest(args) -> int:
     )
     with _reader_may_leave():
         print("\n".join(report.lines()), flush=True)
+    if args.verbose:
+        print("\n".join(report.cpu_lines()), file=sys.stderr)
     return 0 if report.passed else 1
 
 

@@ -8,7 +8,7 @@ independent sets and returns their complements in ascending mask order, so
 its cost follows the number of covers: all minimum covers (the fixpoint
 decider needs the full candidate universe), the first minimum cover that
 contains a given vertex, and the covers of every size up to k that the game
-solver's states and the strongly-good targets stand on.  A cap guards
+solver's states stand on and the strongly-good check fills.  A cap guards
 against exponential minimum-cover counts; a truncated list keeps the covers
 with the smallest masks.
 """

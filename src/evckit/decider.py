@@ -310,13 +310,14 @@ def strategy_export(family: DefenseFamily, g: Graph) -> dict:
 
 
 def validate_defense_family(g: Graph, family: DefenseFamily) -> list[str]:
-    """Replay-check every transition: a legal simultaneous movement that
-    crosses the attacked edge and lands exactly on the target cover.
+    """Replay-check every transition: a target index inside the family, and
+    a legal simultaneous movement that crosses the attacked edge and lands
+    exactly on the target cover.
 
     Returns the list of soundness violations (empty = fully valid).
     """
     problems = []
-    cover_set = set(family.covers)
+    counts = [counts_of(g, cover) for cover in family.covers]
     for ci, cover in enumerate(family.covers):
         # internal attacks swap; unguarded edges cannot exist
         for attack in oriented_attacks(g, mask_of(cover)):
@@ -325,23 +326,24 @@ def validate_defense_family(g: Graph, family: DefenseFamily) -> list[str]:
                 problems.append(f"missing transition for cover {cover} edge {attack}")
                 continue
             ti, paths = family.transitions[key]
-            target = family.covers[ti]
-            if target not in cover_set:
-                problems.append(f"transition target {target} left the family")
+            if not (isinstance(ti, int) and 0 <= ti < len(family.covers)):
+                problems.append(
+                    f"transition of {cover} {attack} targets index {ti!r}, "
+                    f"outside the family's {len(family.covers)} covers"
+                )
                 continue
             moves = tuple(step for p in paths for step in zip(p, p[1:]))
             if attack not in moves:
                 problems.append(f"no guard crosses {attack} in {moves}")
                 continue
-            counts = counts_of(g, cover)
             try:
-                result = replay_moves(g, counts, moves)
+                result = replay_moves(g, counts[ci], moves)
             except Exception as exc:  # illegal move shapes
                 problems.append(f"replay failed for {cover} {attack}: {exc}")
                 continue
-            want = counts_of(g, target)
-            if result != want:
+            if result != counts[ti]:
                 problems.append(
-                    f"replay of {cover} {attack} landed on {result}, wanted {want}"
+                    f"replay of {cover} {attack} landed on {result}, "
+                    f"wanted {counts[ti]}"
                 )
     return problems

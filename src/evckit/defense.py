@@ -35,8 +35,13 @@ fixpoint on the yes/no answer and builds guard paths only for the
 transitions it exports, each through one call of the witness entry
 (``DefenseContext.witness``); the defense scan ``check_defense`` calls the
 same entry per candidate.  So the decision and the witness share one
-search; brute-force enumeration (``rainbow_pm_bruteforce``) and the game
-solver (``is_spartan(g, method="game")``) are the independent checks.
+search.  Brute force (``rainbow_pm_bruteforce``) asks the question again by
+a depth-first search over the pair adjacency in which only a partner may
+take v: it tests each perfect matching it reaches once for a rainbow tag
+choice (real pairs take REAL, the helper-only pairs need distinct colors)
+and stops at the first rainbow one.  It reads no alternating tree and not
+the all-real matching, so it and the game solver
+(``is_spartan(g, method="game")``) are the independent checks.
 
 The decider asks about one cover pair (S, T) many times.  ``build_aux``
 makes one record of vertex masks per pair, in one pass: S, T, the sides
@@ -65,9 +70,11 @@ from the same entry.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
+from .covers import mvc_mask
 from .errors import IntegrityError, PreconditionError
 from .graph import Graph, bits, mask_components, mask_of, neighbors_of_set
 from .matching import alternating_tree, hopcroft_karp
@@ -164,20 +171,6 @@ class AuxiliaryGraph:
                     nb |= cr
             out[u] = tuple(bits(nb))
         return out
-
-    @cached_property
-    def tagged_rows(self) -> tuple:
-        """Per left vertex u, ascending, ``(u, ((v, tags), ...))`` over its
-        pair neighbours v: REAL first when uv is a real edge, then the
-        pair's helper colors."""
-        adj = self.graph.adj_mask
-        return tuple(
-            (u, tuple(
-                (v, ((REAL,) if adj[u] >> v & 1 else ()) + self.helper_colors(u, v))
-                for v in vs
-            ))
-            for u, vs in self.pair_adjacency.items()
-        )
 
     @cached_property
     def real_pm(self) -> dict[int, int]:
@@ -376,40 +369,63 @@ def rainbow_pm_with_edge(aux: AuxiliaryGraph, u: int, v: int) -> RainbowMatching
     return rm
 
 
-def enumerate_tagged_pms(aux: AuxiliaryGraph):
-    """Every perfect matching of the auxiliary multigraph with every tag
-    assignment; brute-force oracle for small sides."""
-    rows = aux.tagged_rows
-
-    def rec(i: int, used: int, acc: list[tuple[int, int, int]]):
-        if i == len(rows):
-            yield tuple(acc)
-            return
-        u, row = rows[i]
-        for v, tags in row:
-            if used >> v & 1:
-                continue
-            for tag in tags:
-                acc.append((u, v, tag))
-                yield from rec(i + 1, used | 1 << v, acc)
-                acc.pop()
-
-    yield from rec(0, 0, [])
-
-
 def rainbow_pm_bruteforce(aux: AuxiliaryGraph, u: int, v: int) -> tuple[bool, bool]:
-    """(some perfect matching pairs v with one of the attack's partners, some
-    rainbow tagged one does) by enumeration."""
-    partners, _, _ = _checked_question(aux, u, v)
+    """(some perfect matching of the pair adjacency pairs v with one of the
+    attack's partners, some rainbow tagged one does), by exhaustive search.
+
+    A depth-first search over ``pair_adjacency``: v takes each of its
+    partners in turn, ascending, and then every other left vertex, ascending,
+    takes each free right neighbour in turn, so it reaches every perfect
+    matching that pairs v with a partner exactly once.  Each matching is
+    tested once for a rainbow tag choice: a real pair takes REAL, which uses
+    no color, so the matching has one exactly when its helper-only pairs can
+    take distinct colors (``_distinct_colors``).  The search stops at the
+    first rainbow matching.  It reads no alternating tree and not the
+    all-real matching.  It refuses the attacks that ``_question`` refuses,
+    and covers larger than the cover number (not both minimum).
+    """
+    partners, _, _ = _question(aux, u, v)
+    g = aux.graph
+    if aux.s_mask.bit_count() != mvc_mask(g, g.full_mask):
+        raise IntegrityError("the covers are not both minimum")
+    adj = g.adj_mask
+    rows = {w: mask_of(vs) for w, vs in aux.pair_adjacency.items()}
+    helper_only: list[tuple[int, ...]] = []  # the color choices of each
     any_match = False
-    for pm in enumerate_tagged_pms(aux):
-        if not any(e[1] == v and partners >> e[0] & 1 for e in pm):
-            continue
-        any_match = True
-        colors_used = [e[2] for e in pm if e[2] != REAL]
-        if len(colors_used) == len(set(colors_used)):
-            return True, True
+
+    def search(order: list[int], i: int, used: int) -> bool:
+        nonlocal any_match
+        if i == len(order):
+            any_match = True
+            return _distinct_colors(helper_only)
+        w = order[i]
+        for x in bits(rows[w] & ~used):
+            real = adj[w] >> x & 1
+            if not real:
+                helper_only.append(aux.helper_colors(w, x))
+            if search(order, i + 1, used | 1 << x):
+                return True
+            if not real:
+                helper_only.pop()
+        return False
+
+    for w in aux.left:
+        if partners >> w & 1 and rows[w] >> v & 1:
+            if not adj[w] >> v & 1:
+                helper_only.append(aux.helper_colors(w, v))
+            if search([x for x in aux.left if x != w], 0, 1 << v):
+                return True, True
+            helper_only.clear()
     return any_match, False
+
+
+def _distinct_colors(choices: list[tuple[int, ...]]) -> bool:
+    """Whether each tuple of colors can give its own color, none shared: a
+    matching of the tuples to colors that saturates the tuples."""
+    if len(choices) < 2:
+        return True  # a helper-only pair has at least one color
+    pair = hopcroft_karp(range(len(choices)), dict(enumerate(choices)))
+    return len(pair) == len(choices)
 
 
 def matching_to_paths(
@@ -537,10 +553,12 @@ class DefenseStats:
     ask: the yes/no answer, the witness search and brute force compared on
     pairs with at most ``VERIFY_SIDES_CAP`` vertices per side.  The answer
     and the witness read one alternating tree, so brute force is the
-    independent check."""
+    independent check.  ``cpu_s`` is the CPU time (``time.process_time``)
+    that the comparisons took."""
 
     instances: int = 0
     mismatches: int = 0
+    cpu_s: float = 0.0
 
 
 class DefenseContext:
@@ -600,11 +618,13 @@ class DefenseContext:
         question = _question(aux, *attack)
         answer = aux.pairs_with(attack[1], question[0])
         if self.stats is not None and aux.side_size <= VERIFY_SIDES_CAP:
+            start = time.process_time()
             self.stats.instances += 1
             search = self._entry((s, t, question), aux, attack)[0] is not None
             any_match, _ = rainbow_pm_bruteforce(aux, *attack)
             if not answer == search == any_match:
                 self.stats.mismatches += 1
+            self.stats.cpu_s += time.process_time() - start
         return answer
 
     def witness(self, s, attack: tuple[int, int], t) -> GuardPaths | None:

@@ -7,14 +7,18 @@ solve iterates only over attacks with exactly one guarded endpoint.  A
 defender response is any state reachable by a simultaneous one-step movement
 in which some guard crosses the attacked edge.  The defender wins when the
 greatest fixpoint, the largest set of states that answer every attack
-within the set, is not empty.  ``solve_guard_game`` decides that with the
-search ``fixpoint.some_state_survives``: it explores states from the first
-one and stops at the first non-empty closed set, which lies inside the
-fixpoint, so a win need not verify every surviving state.  The fixpoint
-itself, with the round in which each other state leaves
-(``fixpoint.greatest_fixpoint``), is computed on the first read of the
-outcome's ``states``, ``survivors``, ``ranks`` or ``removal_trace``, over
-the same answer function; ``play`` and ``hint`` read it.
+within the set, is not empty.  ``solve_guard_game`` first looks for a dead
+vertex, one with a neighbour that no state holds: every state guards the
+other end of that edge and no state answers the attack on it, so every
+state loses without a search (at k = mvc, every vertex that lies in no
+minimum cover is dead).  Otherwise it decides with the search
+``fixpoint.some_state_survives``: it explores states from the first one and
+stops at the first non-empty closed set, which lies inside the fixpoint, so
+a win need not verify every surviving state.  The fixpoint itself, with
+the round in which each other state leaves (``fixpoint.greatest_fixpoint``),
+is computed on the first read of the outcome's ``states``, ``survivors``,
+``ranks`` or ``removal_trace``, over the same answer function; ``play`` and
+``hint`` read it.
 
 A response is checked on residuals, the two states less the guard that
 crosses: the remaining guards must reach the responder's in one step.  The
@@ -239,7 +243,14 @@ def solve_guard_game(
             [(states[c], threat) for c, threat, _ in removals],
         )
 
-    wins = some_state_survives(len(masks), threats_of, holding, answer)
+    held = 0
+    for support in supports:
+        held |= support
+    # on a connected graph with an edge, a vertex that no state holds has an
+    # edge whose attack no state answers, and every state guards its other
+    # end, so every state loses to it
+    dead = g.m > 0 and held != g.full_mask
+    wins = not dead and some_state_survives(len(masks), threats_of, holding, answer)
     return GameOutcome(k, wins, rounds)
 
 

@@ -23,20 +23,21 @@ so the weak question loses its meaning there.
 
 The replacement check answers True at once when the remaining guards
 already cover every edge of the component: they are then one of the
-targets, reached by every guard standing still.  Otherwise it tries the
-component's targets in order: configurations on the graph's own vertices,
-drawn from the cover enumerator restricted to the component mask, and only
-as far as the first reachable one.  ``g._memo`` keeps the targets drawn,
-with their support masks, keyed by the component mask and guard count, so
-each is drawn once per graph however many bad sets, covers and exits lead
-back to it.  ``revalidate_bad_set`` keeps nothing and recomputes every claim.
+targets, reached by every guard standing still.  Otherwise it reads the
+question on covers, not on target configurations: the guards can regroup
+exactly when some cover of the component with at most as many vertices as
+guards can take a distinct guard on each vertex from the vertex's closed
+neighbourhood, the other guards standing still (the proof is in
+``_replacement_reachable``).  The covers come from the cover enumerator
+restricted to the component mask, memoized per graph, and each is one
+augmenting-path check (``reachability.fills``), up to the first filled
+one.  ``revalidate_bad_set`` keeps no verdict and recomputes every claim.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .covers import (
     cover_configurations,
@@ -48,7 +49,7 @@ from .covers import (
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Graph, bits, is_connected, mask_components, mask_of, neighbors_of_set
 from .matching import HallWitness, hall_check
-from .reachability import _support_masks, counts_of, move_feasible_counts
+from .reachability import _support_masks, counts_of, fills, layered
 
 BAD_SET_SEARCH_CAP = 16  # max size of the unoccupied side we will enumerate
 INDEPENDENT_SET_CAP = 18  # exhaustive non-maximal independent set scans
@@ -206,58 +207,44 @@ def _residual(counts, comp_mask: int, exit_vertex: int) -> tuple[int, ...]:
     return tuple(residual)
 
 
-def _component_targets(
-    g: Graph, comp_mask: int, guards_left: int
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Every ``guards_left``-guard configuration whose support covers the
-    component, as count vectors over ``g`` with their ``_support_masks``, in
-    ``cover_configurations`` order, drawn only as far as the caller reads.
-
-    ``g._memo`` keeps, per component mask and ``guards_left``, the targets
-    drawn so far and the generator that draws the rest.  Each reader walks
-    the drawn list by index, so readers of one key that interleave each see
-    every target in order.
-    """
-    memo = g._memo.setdefault("component_targets", {})
-    key = (comp_mask, guards_left)
-    entry = memo.get(key)
-    if entry is None:
-        entry = memo[key] = ([], cover_configurations(g, guards_left, comp_mask))
-    drawn, pending = entry
-    i = 0
-    while True:
-        if i == len(drawn):
-            try:
-                target = next(pending, None)
-            except BaseException:
-                # a generator that raised is finished: forget it, so that a
-                # later reader draws afresh instead of seeing a short list
-                del memo[key]
-                raise
-            if target is None:
-                return
-            drawn.append((target, *_support_masks(g, target)))
-        yield drawn[i]
-        i += 1
-
-
 def _replacement_reachable(
     g: Graph, comp_mask: int, residual: tuple[int, ...], guards_left: int
 ) -> bool:
     """Can ``residual`` (guards inside the component, one already gone) reach
-    some configuration of ``guards_left`` guards whose support covers the
-    component?  Movement is confined to the component automatically because
-    every target guard sits inside it."""
+    in one step some configuration of ``guards_left`` guards whose support
+    covers the component?
+
+    It can exactly when some cover C of the component with at most
+    ``guards_left`` vertices is filled: each vertex of C takes its own
+    residual guard from its closed neighbourhood, while the other guards
+    stand still.  If C is filled, the guards land on C and on the posts of
+    those standing still, all inside the component, so the support holds C
+    and covers it.  Conversely, a reachable target's support C covers the
+    component with at most ``guards_left`` vertices, all inside it, and
+    each vertex of C receives a guard from its closed neighbourhood; one
+    such guard per vertex fills C.  Whether a cover is filled is a matching
+    question, decided by one augmenting-path check (``reachability.fills``;
+    P. Hall, 1935).
+
+    The answer is True at once when the residual already covers every edge
+    of the component (it is then a target, every guard standing still).
+    Otherwise the covers come in ascending mask order from
+    ``enumerate_covers_up_to`` and the check stops at the first filled one;
+    a cover holding a vertex that no guard can reach is skipped unrouted.
+    """
     support1, near1 = _support_masks(g, residual)
     bare = comp_mask & ~support1
     adj = g.adj_mask
     if not any(adj[v] & bare for v in bits(bare)):
         # the residual is itself a target: every guard stands still
         return True
-    for target, support2, near2 in _component_targets(g, comp_mask, guards_left):
-        if support2 & ~near1 or support1 & ~near2:
-            continue  # some guard would have to move two steps
-        if move_feasible_counts(g, residual, target):
+    slots = max((*residual, 1))
+    guards = layered(residual, slots)
+    for cover in enumerate_covers_up_to(g, guards_left, comp_mask):
+        if cover & ~near1:
+            continue  # some vertex of the cover is out of every guard's reach
+        need = cover if slots == 1 else sum(1 << v * slots for v in bits(cover))
+        if fills(g, need, guards, slots):
             return True
     return False
 

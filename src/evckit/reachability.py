@@ -16,10 +16,12 @@ sorted tuple of ``(x, w)`` pairs, one per guard moving from x to its
 neighbour w, with stationary guards left out; :func:`replay_moves` applies
 one.  :func:`move_feasible_counts` answers the same question as a bool for
 the loops that ask many pairs; it takes two count vectors, or two slot
-masks with their L.  The game solver keeps every state as a slot mask, and
-goodness passes count vectors.  Both first compare supports
-(:func:`_support_masks`), a necessary condition that rejects a pair without
-routing.  A defense's witness, its guard paths, is ``defense.GuardPaths``.
+masks with their L.  The game solver keeps every state as a slot mask and
+first compares supports (:func:`_support_masks`), a necessary condition
+that rejects a pair without routing.  Goodness asks the router a looser
+question (:func:`fills`): can every vertex of a cover take its own guard
+from its closed neighbourhood, the other guards standing still.  A
+defense's witness, its guard paths, is ``defense.GuardPaths``.
 """
 
 from __future__ import annotations
@@ -66,9 +68,10 @@ def _closed_slots(g: Graph, slots: int) -> tuple[int, ...]:
 
 def _assign(g: Graph, s1: int, s2: int, slots: int) -> dict[int, int] | None:
     """Send every guard of slot mask ``s1`` to a slot of ``s2`` inside its
-    closed neighbourhood; return ``{slot: origin slot}`` for the slots whose
-    guard came from another slot, or None when no such routing exists (as
-    when the guard counts differ).
+    closed neighbourhood, no two to one slot; return ``{slot: origin slot}``
+    for the slots whose guard came from another slot, or None when no such
+    routing exists.  A move check first compares the guard counts; with
+    more slots in ``s2`` than guards in ``s1`` some slots stay empty.
 
     A guard on a slot of both starts in place.  Each surplus guard, lowest
     slot first, then takes a BFS-shortest augmenting path (slots scanned in
@@ -79,8 +82,6 @@ def _assign(g: Graph, s1: int, s2: int, slots: int) -> dict[int, int] | None:
     origins, so the vertices each guard moves between do not depend on which
     slot of a vertex it holds.
     """
-    if s1.bit_count() != s2.bit_count():
-        return None
     # the memo read inline, as this runs once per move check
     closed = g._memo.get(("closed_slots", slots)) or _closed_slots(g, slots)
     free = s2 & ~s1
@@ -143,7 +144,10 @@ def compatible_configs(
     """The moves that take the guards at count vector ``c1`` to ``c2`` in
     one step, as a move list, or None when ``c2`` is out of reach."""
     slots = max((*c1, *c2, 1))
-    placed = _assign(g, layered(c1, slots), layered(c2, slots), slots)
+    s1, s2 = layered(c1, slots), layered(c2, slots)
+    if s1.bit_count() != s2.bit_count():
+        return None
+    placed = _assign(g, s1, s2, slots)
     if placed is None:
         return None
     moves = ((z // slots, w // slots) for w, z in placed.items())
@@ -173,7 +177,16 @@ def move_feasible_counts(
     if not slots:
         slots = max((*c1, *c2, 1))
         c1, c2 = layered(c1, slots), layered(c2, slots)
-    return _assign(g, c1, c2, slots) is not None
+    return c1.bit_count() == c2.bit_count() and _assign(g, c1, c2, slots) is not None
+
+
+def fills(g: Graph, need: int, have: int, slots: int) -> bool:
+    """Can every slot of ``need`` take its own guard of the slot mask
+    ``have`` from the closed neighbourhood of its vertex, the guards left
+    over standing still?  One augmenting-path check (``_assign`` from the
+    slots of ``need``, closed neighbourhoods being symmetric); both masks
+    have ``slots`` slots per vertex."""
+    return _assign(g, need, have, slots) is not None
 
 
 def replay_moves(

@@ -5,9 +5,16 @@ and, per graph, compares the fixpoint decider against the game oracle,
 checks the Koenig characterization against an independent cover-counting
 route, verifies pairwise cover compatibility, replays every emitted defense,
 cross-checks the decider's yes/no defense answers and rainbow witnesses
-(both read one alternating tree) against brute-force matching enumeration
-(once per fixpoint ask), and runs the goodness implications.  Results aggregate into one pass/fail
-line per criterion.
+(both read one alternating tree) against an exhaustive matching search
+(once per fixpoint ask), and runs the goodness implications.  Results
+aggregate into one pass/fail line per criterion.  The report also keeps the
+CPU seconds (``time.process_time``, summed over the workers) of each
+criterion's checks, which ``evckit selftest --verbose`` prints on stderr.
+A graph's checks run in a fixed order and share its memo, so a result that
+several criteria read is charged to the first that computes it: goodness
+verdicts to criterion 4 on the graphs it confirms, the minimum covers to
+criterion 1.  Criterion 6's seconds are those of the decider's
+cross-checks, taken out of criterion 1's.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ import io
 import itertools
 import math
 import os
+import time
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 from .corpus import exhaustive_connected, fixtures, random_connected
 from .covers import enumerate_min_vcs, mvc_mask
@@ -30,6 +37,7 @@ from .matching import hopcroft_karp, max_matching_size
 from .reachability import counts_of
 
 DEFAULT_SEED = 20240
+CRITERIA = range(1, 9)
 
 _WORK_KEYS = (
     "graphs",
@@ -89,6 +97,15 @@ def _examine_graph(payload) -> dict:
     out = {k: 0 for k in _WORK_KEYS}
     out["graphs"] = 1
     out["weak_not_strong"] = None
+    cpu = out["cpu_s"] = dict.fromkeys(CRITERIA, 0.0)
+    start = time.process_time()
+
+    def lap(number: int) -> None:
+        # charge the CPU time since the last lap to the criterion
+        nonlocal start
+        now = time.process_time()
+        cpu[number] += now - start
+        start = now
 
     stats = DefenseStats()
     verdict = is_spartan(g, stats=stats)
@@ -97,22 +114,28 @@ def _examine_graph(payload) -> dict:
     out["rainbow_mismatches"] = stats.mismatches
     if verdict.spartan != oracle:
         out["decider_oracle_mismatches"] = 1
+    lap(1)
+    cpu[1] -= stats.cpu_s
+    cpu[6] = stats.cpu_s
 
     k = mvc_mask(g, g.full_mask)
     if max_matching_size(g) == k:
         out["konig_graphs"] = 1
         if verdict.spartan != _elementary_by_cover_count(g):
             out["konig_mismatches"] = 1
+    lap(2)
 
     out["cover_pairs"], failures = min_covers_compatible_check(g)
     out["cover_pair_failures"] = len(failures)
     covers = enumerate_min_vcs(g).covers
+    lap(3)
 
     if oracle:
         out["oracle_spartan"] = 1
         battery = necessary_conditions_report(g, k)
         if battery["conclusive_failure"]:
             out["battery_failures"] = 1
+    lap(4)
 
     cut_set = set(cut_vertices(g))
     for cover in covers:
@@ -126,11 +149,13 @@ def _examine_graph(payload) -> dict:
             out["cut_violations"] += 1
         if weak and not strong and out["weak_not_strong"] is None:
             out["weak_not_strong"] = (labels, edges, cover)
+    lap(5)
 
     if verdict.spartan and verdict.family is not None:
         out["families_emitted"] = 1
         if validate_defense_family(g, verdict.family):
             out["replay_failures"] = 1
+    lap(8)
     return out
 
 
@@ -152,6 +177,8 @@ class SelftestReport:
     corpus_size: int = 0
     seed: int = DEFAULT_SEED
     weak_not_strong_instance: tuple | None = None
+    # criterion number -> CPU seconds of its checks
+    cpu_s: dict[int, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -164,6 +191,13 @@ class SelftestReport:
             f"({self.corpus_size} corpus graphs, seed {self.seed})"
         )
         return out
+
+    def cpu_lines(self) -> list[str]:
+        """The CPU seconds of each criterion's checks, one line each."""
+        return [
+            f"criterion {number}: {seconds:.3f} s CPU"
+            for number, seconds in sorted(self.cpu_s.items())
+        ]
 
 
 def build_corpus(max_n: int, samples: int, seed: int):
@@ -188,18 +222,20 @@ def run_selftest(
 ) -> SelftestReport:
     payloads = build_corpus(max_n, samples, seed)
     totals = {k: 0 for k in _WORK_KEYS}
-    weak_not_strong = None
+    cpu = dict.fromkeys(CRITERIA, 0.0)
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     if jobs > 1:
+        from multiprocessing import Pool
+
         with Pool(jobs) as pool:
             results = pool.imap(_examine_graph, payloads, chunksize=256)
-            weak_not_strong = _accumulate(results, totals, progress)
+            weak_not_strong = _accumulate(results, totals, cpu, progress)
     else:
         weak_not_strong = _accumulate(
-            map(_examine_graph, payloads), totals, progress
+            map(_examine_graph, payloads), totals, cpu, progress
         )
 
-    report = SelftestReport(corpus_size=len(payloads), seed=seed)
+    report = SelftestReport(corpus_size=len(payloads), seed=seed, cpu_s=cpu)
     report.weak_not_strong_instance = weak_not_strong
     add = report.criteria.append
     add(
@@ -258,7 +294,9 @@ def run_selftest(
             f"{totals['rainbow_mismatches']} mismatches",
         )
     )
+    start = time.process_time()
     fixed_pass, fixed_detail = _fixed_values()
+    cpu[7] = time.process_time() - start
     add(CriterionResult(7, "fixed solver values on the named graphs", fixed_pass, fixed_detail))
     add(
         CriterionResult(
@@ -272,11 +310,13 @@ def run_selftest(
     return report
 
 
-def _accumulate(results, totals, progress):
+def _accumulate(results, totals, cpu, progress):
     weak_not_strong = None
     for i, rec in enumerate(results):
         for k in _WORK_KEYS:
             totals[k] += rec[k]
+        for number, seconds in rec["cpu_s"].items():
+            cpu[number] += seconds
         if weak_not_strong is None and rec.get("weak_not_strong"):
             weak_not_strong = rec["weak_not_strong"]
         if progress is not None and (i + 1) % 2000 == 0:

@@ -111,3 +111,53 @@ def perfect_matching_through_edge(g: Graph, side_a, side_b, e):
     if len(pair) != len(rest_a):
         return None
     return canonical_matching(list(pair.items()) + [(a, b)])
+
+
+def enumerate_tagged_pms(aux):
+    """Every perfect matching of an auxiliary multigraph with every tag
+    assignment, one tuple of ``(u, v, tag)`` per product: the left vertices
+    ascending, each taking a free pair neighbour, tagged REAL first when
+    the pair is a real edge and then with each of its helper colors."""
+    from evckit.defense import REAL
+
+    adj = aux.graph.adj_mask
+    rows = [
+        (u, [
+            (v, ((REAL,) if adj[u] >> v & 1 else ()) + aux.helper_colors(u, v))
+            for v in vs
+        ])
+        for u, vs in aux.pair_adjacency.items()
+    ]
+
+    def rec(i: int, used: int, acc: list):
+        if i == len(rows):
+            yield tuple(acc)
+            return
+        u, row = rows[i]
+        for v, tags in row:
+            if used >> v & 1:
+                continue
+            for tag in tags:
+                acc.append((u, v, tag))
+                yield from rec(i + 1, used | 1 << v, acc)
+                acc.pop()
+
+    yield from rec(0, 0, [])
+
+
+def reference_rainbow_bruteforce(aux, u: int, v: int) -> tuple[bool, bool]:
+    """(some perfect matching pairs v with one of the attack's partners,
+    some rainbow tagged one does), by listing every tag product of every
+    perfect matching."""
+    from evckit.defense import REAL, _question
+
+    partners = _question(aux, u, v)[0]
+    any_match = False
+    for pm in enumerate_tagged_pms(aux):
+        if not any(b == v and partners >> a & 1 for a, b, _ in pm):
+            continue
+        any_match = True
+        colors = [tag for _, _, tag in pm if tag != REAL]
+        if len(colors) == len(set(colors)):
+            return True, True
+    return any_match, False

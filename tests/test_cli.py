@@ -939,3 +939,50 @@ def test_selftest_report_is_pinned():
 
     report = run_selftest(max_n=5, samples=20, seed=20240, jobs=1)
     assert report.lines() == SELFTEST_LINES
+
+
+def test_selftest_verbose_prints_cpu_seconds_per_criterion(capsys):
+    from evckit.selftest import run_selftest
+
+    argv = ["selftest", "--max-n", "3", "--samples", "0", "--jobs", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    code, verbose_out, err = run_cli(capsys, [*argv, "--verbose"])
+    # stdout keeps the report's lines; the CPU seconds follow on stderr
+    assert code == 0 and verbose_out == out
+    assert out.splitlines() == run_selftest(max_n=3, samples=0, jobs=1).lines()
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"criterion {n}" for n in range(1, 9)
+    ]
+    for line in lines:
+        seconds, unit = line.split(": ")[1].split(" ", 1)
+        assert float(seconds) >= 0 and unit == "s CPU", line
+
+
+def test_one_job_selftest_leaves_multiprocessing_unimported():
+    import evckit
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evckit.__file__)))
+    code = (
+        "import sys\n"
+        "from evckit.selftest import run_selftest\n"
+        "run_selftest(max_n=3, samples=0, jobs=1)\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_two_job_selftest_prints_the_one_job_lines():
+    from evckit.selftest import run_selftest
+
+    one = run_selftest(max_n=4, samples=3, seed=7, jobs=1)
+    two = run_selftest(max_n=4, samples=3, seed=7, jobs=2)
+    assert two.lines() == one.lines()
+    assert sorted(two.cpu_s) == sorted(one.cpu_s) == list(range(1, 9))

@@ -63,6 +63,23 @@ def test_family_transitions_replay(named):
         assert validate_defense_family(named[name], v.family) == [], name
 
 
+def test_a_target_index_outside_the_family_is_reported(named):
+    # on C4 a negative index aliases the real target (-1 and -2 wrap to the
+    # two covers) and replays cleanly, and an index one past the end reads
+    # no cover at all: each is reported once, and nothing else is
+    c4 = named["C4"]
+    fam = spartan_fixpoint(c4)
+    key, (ti, paths) = min(fam.transitions.items())
+    for forged_index in (ti - len(fam.covers), len(fam.covers)):
+        forged = DefenseFamily(
+            covers=fam.covers,
+            transitions={**fam.transitions, key: (forged_index, paths)},
+        )
+        problems = validate_defense_family(c4, forged)
+        assert len(problems) == 1, problems
+        assert f"targets index {forged_index}, outside" in problems[0]
+
+
 def test_strategy_export_c4(named):
     v = is_spartan(named["C4"])
     table = strategy_export(v.family, named["C4"])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,13 +10,13 @@ from evckit.defense import (
     Defense,
     DefenseContext,
     DefenseStats,
+    VERIFY_SIDES_CAP,
     _chain_tree,
     _read_chain,
     _validate_defense_paths,
     all_real_pm,
     build_aux,
     check_defense,
-    enumerate_tagged_pms,
     matching_to_paths,
     rainbow_pm_bruteforce,
     rainbow_pm_with_edge,
@@ -24,7 +25,11 @@ from evckit.errors import IntegrityError, PreconditionError
 from evckit.fixpoint import oriented_attacks
 from evckit.graph import Graph, bits, mask_of
 
-from conftest import random_graph_corpus
+from conftest import (
+    enumerate_tagged_pms,
+    random_graph_corpus,
+    reference_rainbow_bruteforce,
+)
 
 
 def test_build_aux_bowtie(named):
@@ -218,6 +223,42 @@ def test_tagged_pm_enumeration_counts(named):
         (((bow.index("a"), bow.index("b"), REAL)),),
         (((bow.index("a"), bow.index("b"), 0)),),
     ]
+
+
+def test_bruteforce_search_matches_the_reference_enumeration(monkeypatch):
+    # every (minimum-cover pair, attack) of 80 seeded graphs: the search
+    # returns the pair that listing every tag product of every perfect
+    # matching returns.  With an all-real matching, a match always has a
+    # rainbow one (the witness's shortest cycle), so a match with no rainbow
+    # tag choice shows per matching tested: each test is checked against
+    # the tag products of the matching's helper-only pairs
+    import evckit.defense as defense_mod
+
+    original = defense_mod._distinct_colors
+    tested = []
+
+    def checked(choices):
+        got = original(choices)
+        want = any(len(set(p)) == len(p) for p in itertools.product(*choices))
+        assert got == want, choices
+        tested.append(got)
+        return got
+
+    monkeypatch.setattr(defense_mod, "_distinct_colors", checked)
+    outcomes = Counter()
+    for g, _, cover_pairs in _min_cover_pairs(80, 191, 4, 10):
+        for s, t in cover_pairs:
+            aux = build_aux(g, s, t)
+            if not 0 < aux.side_size <= VERIFY_SIDES_CAP:
+                continue
+            for u in s:
+                for v in bits(g.adj_mask[u] & aux.right_mask):
+                    got = rainbow_pm_bruteforce(aux, u, v)
+                    want = reference_rainbow_bruteforce(aux, u, v)
+                    assert got == want, (g.edges, s, t, u, v)
+                    outcomes[got] += 1
+    assert outcomes[(True, True)] > 0 and outcomes[(False, False)] > 0
+    assert tested.count(False) > 0, Counter(tested)
 
 
 def test_check_defense_c4(named):

@@ -19,8 +19,9 @@ from evckit.game import (
     solve_guard_game,
     transition_moves,
 )
-from evckit.graph import Graph, parse_edge_list
-from evckit.reachability import replay_moves
+from evckit.fixpoint import greatest_fixpoint, oriented_attacks
+from evckit.graph import Graph, mask_of, parse_edge_list
+from evckit.reachability import move_feasible_counts, replay_moves
 
 from conftest import random_graph_corpus
 
@@ -96,6 +97,36 @@ def test_one_per_vertex_states_are_covers_of_size_k(named):
                 c for c in enumerate_states(g, k) if max(c) == 1
             )
             assert states == expected
+
+
+def test_a_dead_vertex_decides_a_loss_without_a_search(named, monkeypatch):
+    # at k = mvc no state holds a leaf of P3 or of the star K1,3 (the centre
+    # is their only minimum cover), so every state loses to the attack on
+    # the leaf's edge: the verdict asks no answer, and the rounds read later
+    # are those of the full solve
+    star = Graph(tuple("cxyz"), ((0, 1), (0, 2), (0, 3)))
+    for g in (named["P3"], star):
+        k = mvc_mask(g, g.full_mask)
+        asked = []
+        with monkeypatch.context() as m:
+            m.setattr(game, "some_state_survives", lambda *args: asked.append(args))
+            m.setattr(game, "move_feasible_counts", lambda *args: asked.append(args))
+            outcome = solve_guard_game(g, k)
+        assert not outcome.defender_wins and asked == []
+        states = enumerate_states(g, k)
+        supports = [mask_of(v for v in range(g.n) if s[v]) for s in states]
+        alive, removals, _ = greatest_fixpoint(
+            [oriented_attacks(g, support) for support in supports],
+            lambda threat: [j for j, s in enumerate(states) if s[threat[1]]],
+            lambda i, threat, j: move_feasible_counts(
+                g, game._minus(states[i], threat[0]), game._minus(states[j], threat[1])
+            ),
+        )
+        assert outcome.states == states
+        assert outcome.survivors == [states[i] for i in alive] == []
+        assert outcome.ranks == {states[i]: r for i, _, r in removals}
+        assert outcome.removal_trace == [(states[i], t) for i, t, _ in removals]
+        assert len(outcome.removal_trace) == len(states) > 0
 
 
 def test_state_budget(named):

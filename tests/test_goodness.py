@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -6,7 +7,6 @@ from evckit import goodness
 from evckit.corpus import exhaustive_connected, random_connected
 from evckit.covers import (
     cover_configurations,
-    enumerate_covers_up_to,
     enumerate_min_vcs,
     mvc_mask,
 )
@@ -27,7 +27,7 @@ from evckit.graph import (
     neighbors_of_set,
     parse_edge_list,
 )
-from evckit.reachability import _support_masks, counts_of, move_feasible_counts
+from evckit.reachability import counts_of, move_feasible_counts
 
 from conftest import config_of_labels, random_graph_corpus
 
@@ -264,12 +264,18 @@ def _lifted_targets(g, comp_mask, guards_left):
         yield tuple(target)
 
 
+@functools.lru_cache(maxsize=4096)
+def _lifted_target_list(labels, edges, comp_mask, guards_left):
+    return tuple(_lifted_targets(Graph(labels, edges), comp_mask, guards_left))
+
+
 def _plain_replacement_reachable(g, comp_mask, residual, guards_left):
     # the replacement check without the stay-put shortcut or the per-graph
-    # caches: a fresh induced subgraph and a full configuration scan
+    # caches: a full scan of the configurations of a fresh induced subgraph,
+    # kept here per (graph, component, guard count)
     return any(
         move_feasible_counts(g, residual, target)
-        for target in _lifted_targets(g, comp_mask, guards_left)
+        for target in _lifted_target_list(g.labels, g.edges, comp_mask, guards_left)
     )
 
 
@@ -285,6 +291,7 @@ def test_strongly_good_matches_plain_replacement_check(monkeypatch):
     for g in _shortcut_corpus():
         configs = [counts_of(g, c) for c in enumerate_min_vcs(g).covers]
         configs += cover_configurations(g, mvc_mask(g, g.full_mask) + 1)
+        configs += cover_configurations(g, mvc_mask(g, g.full_mask) + 2)
         for counts in configs:
             got = is_strongly_good(g, counts)
             with monkeypatch.context() as m:
@@ -423,107 +430,99 @@ def test_revalidation_ignores_kept_verdicts():
     assert forged > 0
 
 
-def _counts_of(targets):
-    return [counts for counts, _, _ in targets]
-
-
-def test_lazy_targets_follow_the_eager_order():
-    # targets drawn on g's own masks equal a fresh induced subgraph's
-    # configurations lifted to g, in the same order, read whole or in part,
-    # and each comes with its own support masks
+def test_saturation_matches_every_target_on_random_residuals():
+    # the cover saturation check answers as the scan of every target
+    # configuration does, on residuals drawn at random inside random vertex
+    # masks, stacked guards and guard counts past the cover number included
     import random
 
     rng = random.Random(419)
-    checked = 0
+    answers = []
     for g in random_graph_corpus(40, 2, 9, seed=421):
-        for _ in range(4):
+        for _ in range(6):
             comp = rng.randrange(1, 1 << g.n)
-            for guards_left in range(comp.bit_count() + 2):
-                want = list(_lifted_targets(g, comp, guards_left))
-                reader = goodness._component_targets(g, comp, guards_left)
-                head = _counts_of(itertools.islice(reader, 2))
-                assert head == want[:2], (g.edges, comp, guards_left)
-                got = list(goodness._component_targets(g, comp, guards_left))
-                assert _counts_of(got) == want, (g.edges, comp, guards_left)
-                for counts, *masks in got:
-                    assert tuple(masks) == _support_masks(g, counts), counts
-                checked += len(got)
-    assert checked > 5000
+            inside = list(bits(comp))
+            for guards_left in range(1, len(inside) + 2):
+                residual = [0] * g.n
+                for _ in range(guards_left):
+                    residual[rng.choice(inside)] += 1
+                residual = tuple(residual)
+                got = goodness._replacement_reachable(g, comp, residual, guards_left)
+                want = _plain_replacement_reachable(g, comp, residual, guards_left)
+                assert got == want, (g.edges, comp, residual)
+                answers.append(got)
+    assert answers.count(True) > 500 and answers.count(False) > 100
 
 
-def _counting_draws(monkeypatch):
-    drawn = []
-    configurations = goodness.cover_configurations
+def _recording_fills(monkeypatch, answer=None):
+    # every cover the replacement check asks about, as its vertex tuple; the
+    # check answers with ``answer`` when it is given
+    asked = []
+    fills = goodness.fills
 
-    def counting(*args):
-        for target in configurations(*args):
-            drawn.append(target)
-            yield target
+    def recording(g, need, have, slots):
+        asked.append(tuple(v for v in range(g.n) if need >> v * slots & 1))
+        return fills(g, need, have, slots) if answer is None else answer
 
-    monkeypatch.setattr(goodness, "cover_configurations", counting)
-    return drawn
+    monkeypatch.setattr(goodness, "fills", recording)
+    return asked
 
 
-def test_replacement_check_draws_only_what_it_reads(monkeypatch):
+def test_replacement_check_tries_covers_up_to_the_first_filled(monkeypatch):
+    # C6 has two covers of three vertices, {a, c, e} below {b, d, f}.  Two
+    # guards on a and one on d leave b c and e f bare; c and e can each take
+    # only the guard on d, so {a, c, e} is not filled and {b, d, f} is
     c6 = Graph(tuple("abcdef"), ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)))
-    residual = (1, 0, 0, 1, 0, 0)  # leaves edges uncovered: no stay-put answer
-    drawn = _counting_draws(monkeypatch)
+    residual = (2, 0, 0, 1, 0, 0)
     with monkeypatch.context() as m:
-        m.setattr(goodness, "move_feasible_counts", lambda g, c1, c2: True)
+        asked = _recording_fills(m)
         assert goodness._replacement_reachable(c6, c6.full_mask, residual, 3)
-        assert len(drawn) == 1
-        assert goodness._replacement_reachable(c6, c6.full_mask, residual, 3)
-        assert len(drawn) == 1  # read again from the drawn list
+        assert asked == [(0, 2, 4), (1, 3, 5)]
     with monkeypatch.context() as m:
-        m.setattr(goodness, "move_feasible_counts", lambda g, c1, c2: False)
+        asked = _recording_fills(m, answer=True)
+        assert goodness._replacement_reachable(c6, c6.full_mask, residual, 3)
+        assert asked == [(0, 2, 4)]  # it stops at the first filled cover
+    with monkeypatch.context() as m:
+        asked = _recording_fills(m, answer=False)
         assert not goodness._replacement_reachable(c6, c6.full_mask, residual, 3)
-    assert drawn == list(_lifted_targets(c6, c6.full_mask, 3))
+        assert asked == [(0, 2, 4), (1, 3, 5)]
+        # three guards on a reach f, a and b only: no cover is asked about
+        asked.clear()
+        assert not goodness._replacement_reachable(
+            c6, c6.full_mask, (3, 0, 0, 0, 0, 0), 3
+        )
+        assert asked == []
 
 
-def test_interleaved_readers_of_one_key_see_every_target():
-    g = Graph(tuple("abcdefg"), WEAK_NOT_STRONG_EDGES)
-    want = list(_lifted_targets(g, g.full_mask, 5))
-    assert len(want) > 20
-    readers = [goodness._component_targets(g, g.full_mask, 5) for _ in range(2)]
-    got = [[], []]
-    # the lead changes hands turn by turn, so each reader reads targets the
-    # other drew and then draws new ones
-    for steps in itertools.cycle([(2, 4), (5, 1), (1, 6), (6, 1)]):
-        more = [list(itertools.islice(r, step)) for r, step in zip(readers, steps)]
-        if not any(more):
-            break
-        for seen, items in zip(got, more):
-            seen += _counts_of(items)
-    assert got == [want, want]
-    assert _counts_of(goodness._component_targets(g, g.full_mask, 5)) == want
-
-
-def test_a_failed_draw_is_not_kept():
-    # a 21-vertex component is refused; asking again must refuse again, not
-    # read the finished generator as a component without targets
+def test_replacement_check_refuses_a_component_above_twenty_vertices():
+    # the path on 21 vertices, a component of C22 less one vertex, with
+    # edges bare under its residual: the cover scan refuses it, each time
     c22 = Graph(
         tuple(f"v{i}" for i in range(22)),
         tuple(sorted([(i, i + 1) for i in range(21)] + [(0, 21)])),
     )
+    residual = tuple(2 if i == 18 else int(i < 18 and i % 2 == 0) for i in range(22))
+    assert sum(residual) == 11
     for _ in range(2):
         with pytest.raises(PreconditionError, match="capped at 20 vertices"):
-            next(goodness._component_targets(c22, c22.full_mask >> 1, 11))
+            goodness._replacement_reachable(c22, c22.full_mask >> 1, residual, 11)
 
 
-def test_battery_on_twenty_vertices_draws_few_targets(monkeypatch):
+def test_battery_on_twenty_vertices_tries_few_covers(monkeypatch):
     # a guard by work, not by wall time: on a seeded 20-vertex sparse graph
-    # the battery draws a few thousand targets, where listing every target
-    # of each component it meets would build millions
-    from math import comb
-
+    # the 10,144 replacement checks past the stay-put shortcut list the
+    # covers of 1,112 (component, guard count) keys and each asks one
+    # saturation check, where the targets of those keys number 4,725,547
     g = random_connected(20, 0.2, 1, 7)[0]
-    drawn = _counting_draws(monkeypatch)
+    asked = _recording_fills(monkeypatch)
+    listed = []
+    enumerate_covers = goodness.enumerate_covers_up_to
+
+    def recording(g, k, within=None):
+        listed.append((within, k))
+        return enumerate_covers(g, k, within)
+
+    monkeypatch.setattr(goodness, "enumerate_covers_up_to", recording)
     report = necessary_conditions_report(g, mvc_mask(g, g.full_mask))
     assert report["verdict"] == "necessary_conditions_hold"
-    keys = g._memo["component_targets"]
-    every = sum(
-        comb(k - 1, c.bit_count() - 1) if c else k == 0
-        for mask, k in keys
-        for c in enumerate_covers_up_to(g, k, mask)
-    )
-    assert (len(keys), len(drawn), every) == (1112, 3184, 4725547)
+    assert (len(set(listed)), len(listed), len(asked)) == (1112, 10144, 10144)
