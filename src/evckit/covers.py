@@ -1,16 +1,17 @@
 """Exact minimum vertex covers and the guard configurations that vertex
 covers support.
 
-``mvc_mask`` finds the cover number by branch-and-bound on the
-maximum-degree vertex with a matching-based lower bound.  Every list of
-covers comes from one enumerator, ``_covers_between``, which branches on
-independent sets and returns their complements in ascending mask order, so
-its cost follows the number of covers: all minimum covers (the fixpoint
-decider needs the full candidate universe), the first minimum cover that
-contains a given vertex, and the covers of every size up to k that the game
-solver's states stand on and the strongly-good check fills.  A cap guards
-against exponential minimum-cover counts; a truncated list keeps the covers
-with the smallest masks.
+One search answers the cover number and every list of covers.
+``_covers_between`` branches on independent sets and draws their
+complements lazily in ascending mask order, so its cost follows the number
+of covers drawn.  The cover number ``mvc_mask`` is the least size, from a
+matching lower bound up, at which it draws a cover; the minimum covers (the
+fixpoint decider needs the full candidate universe) are its draws at that
+size, a minimum cover that contains a given vertex is its first draw on the
+rest of the graph, and the covers up to a size, which the game solver's
+states stand on and the strongly-good check fills, are its draws over a
+range of sizes.  A cap guards against exponential minimum-cover counts; a
+truncated list keeps the covers with the smallest masks.
 """
 
 from __future__ import annotations
@@ -51,43 +52,19 @@ def _greedy_matching_lb(g: Graph, mask: int) -> int:
     return size
 
 
-def _max_degree_vertex(g: Graph, mask: int) -> int:
-    adj = g.adj_mask
-    best_v = -1
-    best_d = 0
-    for v in bits(mask):
-        d = (adj[v] & mask).bit_count()
-        if d > best_d:
-            best_d = d
-            best_v = v
-    return best_v  # -1 when the induced graph has no edges
-
-
 def mvc_mask(g: Graph, mask: int) -> int:
-    """Minimum vertex cover size of the subgraph induced by ``mask``."""
+    """Minimum vertex cover size of the subgraph induced by ``mask``: the
+    least s, from a greedy matching's size up, at which the cover search
+    draws a cover of exactly s vertices.  A matching bounds the cover number
+    from below, and any cover pads up to every size s <= |mask|."""
     memo = g._memo.setdefault("mvc_mask", {})
     got = memo.get(mask)
-    if got is not None:
-        return got
-
-    best = mask.bit_count()
-
-    def branch(m: int, current: int) -> None:
-        nonlocal best
-        v = _max_degree_vertex(g, m)
-        if v < 0:
-            if current < best:
-                best = current
-            return
-        if current + _greedy_matching_lb(g, m) >= best:
-            return
-        branch(m ^ (1 << v), current + 1)
-        nb = g.adj_mask[v] & m
-        branch(m & ~((1 << v) | nb), current + nb.bit_count())
-
-    branch(mask, 0)
-    memo[mask] = best
-    return best
+    if got is None:
+        got = _greedy_matching_lb(g, mask)
+        while next(_covers_between(g, mask, got, got), None) is None:
+            got += 1
+        memo[mask] = got
+    return got
 
 
 def mvc(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -103,8 +80,8 @@ def _min_cover_containing(g: Graph, forced: int):
     vertex mask ``forced``, or None: ``forced`` plus a cover of G - forced
     of size mvc(G) - |forced|."""
     size = mvc_mask(g, g.full_mask) - forced.bit_count()
-    found = _covers_between(g, g.full_mask & ~forced, size, size, limit=1)
-    return tuple(bits(found[0] | forced)) if found else None
+    found = next(_covers_between(g, g.full_mask & ~forced, size, size), None)
+    return None if found is None else tuple(bits(found | forced))
 
 
 def enumerate_min_vcs(g: Graph, cap: int = DEFAULT_COVER_CAP) -> CoverSet:
@@ -116,7 +93,7 @@ def enumerate_min_vcs(g: Graph, cap: int = DEFAULT_COVER_CAP) -> CoverSet:
     memo = g._memo.setdefault("min_vcs", {})
     if cap not in memo:
         k = mvc_mask(g, g.full_mask)
-        found = _covers_between(g, g.full_mask, k, k, limit=cap + 1)
+        found = list(itertools.islice(_covers_between(g, g.full_mask, k, k), cap + 1))
         covers = tuple(sorted(tuple(bits(c)) for c in found[:cap]))
         truncated = len(found) > cap
         memo[cap] = CoverSet(size=k, covers=covers, truncated=truncated, cap=cap)
@@ -132,63 +109,54 @@ def min_vc_containing(g: Graph, v: int):
     return _min_cover_containing(g, 1 << v)
 
 
-def enumerate_covers_up_to(g: Graph, k: int, within: int | None = None) -> list[int]:
-    """All vertex covers (not only minimal ones) of size at most ``k`` of the
-    subgraph induced by the vertex mask ``within`` (default: every vertex),
-    as masks of ``g`` in ascending order.
+def enumerate_covers_up_to(
+    g: Graph, k: int, within: int | None = None, least: int = 0
+) -> Iterator[int]:
+    """The vertex covers (not only minimal ones) of ``least`` to ``k``
+    vertices of the subgraph induced by the vertex mask ``within`` (default:
+    every vertex), drawn lazily as masks of ``g`` in ascending order.
 
-    Each cover is the complement in ``within`` of an independent set, so
-    ``_covers_between`` branches on independent sets and its work follows
-    the number of covers, not the 2^n subsets.  Refused above 20 vertices,
-    which caps the game solver's state spaces.  ``g._memo`` keeps, per
-    ``within``, the largest size enumerated and the covers found, so a
-    rising k enumerates only the new sizes.
+    Refused above 20 vertices at the call, before any draw, which caps the
+    game solver's state spaces.  Nothing is kept between calls: a caller
+    that stops early, like the strongly-good check at its first filled
+    cover, draws only the covers it reads.
     """
     if within is None:
         within = g.full_mask
     width = within.bit_count()
     if width > 20:
         raise PreconditionError("cover scan capped at 20 vertices")
-    k = min(k, width)
-    memo = g._memo.setdefault("covers_up_to", {})
-    done, covers = memo.get(within, (-1, []))
-    if done < k:
-        # both runs are ascending, so the sort is a linear merge
-        done, covers = k, sorted(covers + _covers_between(g, within, done + 1, k))
-        memo[within] = (done, covers)
-    if k == done:
-        return list(covers)
-    return [mask for mask in covers if mask.bit_count() <= k]
+    return _covers_between(g, within, least, min(k, width))
 
 
-def _covers_between(
-    g: Graph, within: int, lo: int, hi: int, limit: int | None = None
-) -> list[int]:
-    """The first ``limit`` (default: all) covers C of the subgraph induced by
-    ``within`` with lo <= |C| <= hi, ascending, as complements of its
-    independent sets.
+def _covers_between(g: Graph, within: int, lo: int, hi: int) -> Iterator[int]:
+    """The covers C of the subgraph induced by ``within`` with
+    lo <= |C| <= hi, drawn lazily in ascending mask order as complements of
+    its independent sets; each draw resumes the search where the last one
+    stopped.
 
     Depth first on the highest candidate vertex, taking it (and dropping its
-    neighbours) before skipping it, lists the independent sets in descending
-    mask order, hence their complements in ascending order.  A branch ends
-    when it cannot reach ``width - hi`` vertices, and takes no vertex once
-    it holds ``width - lo`` (a larger set gives a smaller cover).  An
-    independent set of the candidates leaves out one end of every edge of a
-    greedy matching among them, which bounds the branch from above.
+    neighbours) before skipping it, reaches the independent sets in
+    descending mask order, hence their complements in ascending order.  A
+    branch ends when it cannot reach ``width - hi`` vertices, and takes no
+    vertex once it holds ``width - lo`` (a larger set gives a smaller
+    cover).  An independent set of the candidates leaves out one end of
+    every edge of a greedy matching among them, which bounds the branch from
+    above.  Its cost follows the number of covers drawn, not the 2^n
+    subsets.
     """
+    if hi < 0 or hi < lo:
+        return  # no size fits
     adj = g.adj_mask
     width = within.bit_count()
     need = width - hi
     room = width - lo
-    found: list[int] = []
-    # (independent set, candidates, its size); a negative hi admits no cover
-    stack = [(0, within, 0)] if hi >= 0 else []
+    # (independent set, candidates, its size)
+    stack = [(0, within, 0)]
     while stack:
         ind, cand, size = stack.pop()
         if not cand or size == room:
-            found.append(within ^ ind)
-            if len(found) == limit:
-                break
+            yield within ^ ind
             continue
         free = cand.bit_count()
         # a matching has at most free // 2 edges, so the bound can end the
@@ -203,7 +171,6 @@ def _covers_between(
         take = rest & ~adj[v]
         if size + 1 + take.bit_count() >= need:
             stack.append((ind | 1 << v, take, size + 1))
-    return found
 
 
 def cover_configurations(

@@ -88,7 +88,7 @@ def _state_masks(
     limit = _state_budget(budget)
     if one_per_vertex:
         slots = 1
-        configs = (m for m in enumerate_covers_up_to(g, k) if m.bit_count() == k)
+        configs = enumerate_covers_up_to(g, k, least=k)
     else:
         slots = max(1, k - mvc_mask(g, g.full_mask) + 1)
         configs = (layered(c, slots) for c in cover_configurations(g, k))

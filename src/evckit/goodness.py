@@ -28,10 +28,10 @@ question on covers, not on target configurations: the guards can regroup
 exactly when some cover of the component with at most as many vertices as
 guards can take a distinct guard on each vertex from the vertex's closed
 neighbourhood, the other guards standing still (the proof is in
-``_replacement_reachable``).  The covers come from the cover enumerator
-restricted to the component mask, memoized per graph, and each is one
-augmenting-path check (``reachability.fills``), up to the first filled
-one.  ``revalidate_bad_set`` keeps no verdict and recomputes every claim.
+``_replacement_reachable``).  The covers are drawn lazily from the cover
+search restricted to the component mask, and each is one augmenting-path
+check (``reachability.fills``); drawing stops at the first filled one.
+``revalidate_bad_set`` keeps no verdict and recomputes every claim.
 """
 
 from __future__ import annotations
@@ -228,8 +228,8 @@ def _replacement_reachable(
 
     The answer is True at once when the residual already covers every edge
     of the component (it is then a target, every guard standing still).
-    Otherwise the covers come in ascending mask order from
-    ``enumerate_covers_up_to`` and the check stops at the first filled one;
+    Otherwise the covers are drawn in ascending mask order from
+    ``enumerate_covers_up_to`` and drawing stops at the first filled one;
     a cover holding a vertex that no guard can reach is skipped unrouted.
     """
     support1, near1 = _support_masks(g, residual)

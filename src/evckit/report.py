@@ -153,9 +153,16 @@ def _revalidate(g: Graph, cert: dict) -> bool:
         cyc = data["cycle"]
         if len(cyc) % 2 == 0 or len(set(cyc)) != len(cyc):
             return False
-        return all(
+        if not all(
             g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))
-        )
+        ):
+            return False
+        # an odd cycle proves nothing on its own (C5 is Spartan): only the
+        # bipartite Koenig graphs can be Spartan, so it must lie in a
+        # component whose largest matching equals its cover number
+        comp = next(c for c in connected_components(g) if cyc[0] in c)
+        h = g.induced(comp)
+        return max_matching_size(h) == mvc_mask(h, h.full_mask)
     if kind == "vertex_in_no_min_cover":
         # checked apart from the cover listing that found it: v lies in no
         # minimum cover iff deleting it leaves the cover number unchanged

@@ -10,6 +10,7 @@ import pytest
 
 from evckit.cli import main
 from evckit.corpus import exhaustive_connected, fixtures, random_connected
+from evckit.decider import is_spartan
 from evckit.errors import PreconditionError, ValidationError
 from evckit.graph import Graph, is_connected, parse_edge_list, serialize_edge_list
 from evckit.report import delabelize, revalidate_certificate
@@ -426,6 +427,36 @@ def test_component_verdicts_use_input_labels(
     assert result.get("certificate") == cert
     if cert is not None:
         assert revalidate_certificate(parse_edge_list(text), cert)
+
+
+# each graph is Spartan and holds an odd cycle; its components are not
+# Koenig (largest matching below the cover number), so the cycle proves
+# nothing
+ODD_CYCLES_ON_SPARTAN = {
+    "C5": ("a b\nb c\nc d\nd e\ne a\n", ["a", "b", "c", "d", "e"]),
+    "K4": ("a b\na c\na d\nb c\nb d\nc d\n", ["a", "b", "c"]),
+    "bowtie": ("a b\nb x\nx a\nx c\nc d\nd x\n", ["a", "b", "x"]),
+}
+
+
+@pytest.mark.parametrize(
+    "text,cycle", ODD_CYCLES_ON_SPARTAN.values(), ids=ODD_CYCLES_ON_SPARTAN.keys()
+)
+def test_odd_cycle_outside_a_koenig_component_rejected(text, cycle):
+    g = parse_edge_list(text)
+    assert is_spartan(g).spartan
+    assert not revalidate_certificate(g, {"kind": "odd_cycle", "cycle": cycle})
+
+
+def test_odd_cycle_of_the_net_holds(graph_file, capsys):
+    # the net, a triangle with a pendant edge at each corner, is Koenig
+    # (3 = 3) and not bipartite: the decider's cycle is a certificate
+    text = "a b\nb c\nc a\na x\nb y\nc z\n"
+    f = graph_file("net.edges", text)
+    code, out, _ = run_cli(capsys, ["spartan", f, "--json"])
+    cert = json.loads(out)["result"]["certificate"]
+    assert code == 0 and cert == {"kind": "odd_cycle", "cycle": ["b", "a", "c"]}
+    assert revalidate_certificate(parse_edge_list(text), cert)
 
 
 def test_genuine_game_and_non_elementary_certificates_hold():

@@ -129,7 +129,7 @@ def test_edgeless_graph():
 
 def test_enumerate_covers_up_to():
     g = Graph(("a", "b", "c"), ((0, 1), (1, 2)))
-    covers = enumerate_covers_up_to(g, 2)
+    covers = list(enumerate_covers_up_to(g, 2))
     assert covers == sorted(covers)
     named_covers = sorted(
         tuple(g.labels[i] for i in range(3) if m >> i & 1) for m in covers
@@ -158,65 +158,6 @@ def test_cover_configurations_edgeless():
     assert sorted(cover_configurations(g, 1)) == [(0, 1), (1, 0)]
 
 
-def test_cover_scan_memo_matches_brute_force_in_any_order(monkeypatch):
-    # the enumeration is memoized per graph: whatever order the sizes are
-    # asked in, each answer equals an itertools brute force, stays ascending
-    # and is a fresh list; an ask at or below the largest size done
-    # enumerates nothing, a rising ask enumerates only the new sizes, and so
-    # every cover is enumerated exactly once; a limit of j lists the first j
-    import random
-
-    listed = []
-    enumerate_between = covers._covers_between
-
-    def counting(g, within, lo, hi, limit=None):
-        found = enumerate_between(g, within, lo, hi, limit)
-        listed.append((lo, hi, found))
-        return found
-
-    monkeypatch.setattr(covers, "_covers_between", counting)
-    rng = random.Random(337)
-    edgeless = [Graph((), ()), Graph(("a",), ()), Graph(("a", "b"), ())]
-    for g0 in random_graph_corpus(30, 2, 9, seed=331) + edgeless:
-        expected = {
-            k: sorted(
-                sum(1 << v for v in combo)
-                for size in range(min(k, g0.n) + 1)
-                for combo in itertools.combinations(range(g0.n), size)
-                if all(u in combo or w in combo for u, w in g0.edges)
-            )
-            for k in range(g0.n + 2)
-        }
-        orders = [list(range(g0.n + 2)), list(range(g0.n + 1, -1, -1))]
-        orders.append(rng.sample(orders[0], len(orders[0])))
-        for order in orders:
-            g = Graph(g0.labels, g0.edges)
-            listed.clear()
-            done = -1
-            for k in order + [-1]:
-                before = len(listed)
-                got = enumerate_covers_up_to(g, k)
-                assert got == expected.get(k, []), (g0.edges, order, k)
-                got.append(-1)  # callers own their list
-                assert enumerate_covers_up_to(g, k) == expected.get(k, [])
-                new = listed[before:]
-                top = min(k, g0.n)
-                if top <= done:
-                    assert new == [], (g0.edges, order, k)
-                    continue
-                assert [(lo, hi) for lo, hi, _ in new] == [(done + 1, top)]
-                assert new[0][2] == [
-                    c for c in expected[top] if c.bit_count() > done
-                ], (g0.edges, order, k)
-                for j in range(1, len(new[0][2]) + 2):
-                    assert enumerate_between(
-                        g, g.full_mask, done + 1, top, limit=j
-                    ) == new[0][2][:j], (g0.edges, order, k, j)
-                done = top
-            once = sorted(c for _, _, found in listed for c in found)
-            assert once == expected[g0.n], (g0.edges, order)
-
-
 def _path_or_cycle(n, closed):
     edges = [(i, i + 1) for i in range(n - 1)]
     if closed:
@@ -238,7 +179,7 @@ def test_cover_counts_of_paths_and_cycles_match_closed_forms():
             else:
                 sets = [comb(n - j + 1, j) for j in range(n + 1)]
             g = _path_or_cycle(n, closed)
-            full = enumerate_covers_up_to(g, n)
+            full = list(enumerate_covers_up_to(g, n))
             assert len(full) == sum(sets)
             assert all(a < b for a, b in zip(full, full[1:]))
             assert all(c >> u & 1 or c >> w & 1 for c in full for u, w in g.edges)
@@ -246,9 +187,9 @@ def test_cover_counts_of_paths_and_cycles_match_closed_forms():
             for k in range(n + 1):
                 want = [c for c in full if c.bit_count() <= k]
                 assert len(want) == sum(sets[n - k:]), (n, closed, k)
-                fresh = enumerate_covers_up_to(_path_or_cycle(n, closed), k)
+                fresh = list(enumerate_covers_up_to(_path_or_cycle(n, closed), k))
                 assert fresh == want, (n, closed, k)
-                assert enumerate_covers_up_to(rising, k) == want, (n, closed, k)
+                assert list(enumerate_covers_up_to(rising, k)) == want, (n, closed, k)
 
 
 def test_covers_within_a_mask_match_brute_force():
@@ -272,11 +213,11 @@ def test_covers_within_a_mask_match_brute_force():
                 )
                 fresh = Graph(g0.labels, g0.edges)
                 case = (g0.edges, within, k)
-                assert enumerate_covers_up_to(fresh, k, within) == want, case
-                assert enumerate_covers_up_to(g, k, within) == want, case
-            # the whole graph's memo is kept apart from the mask's
-            assert enumerate_covers_up_to(g, g0.n) == enumerate_covers_up_to(
-                Graph(g0.labels, g0.edges), g0.n
+                assert list(enumerate_covers_up_to(fresh, k, within)) == want, case
+                assert list(enumerate_covers_up_to(g, k, within)) == want, case
+            # the whole graph's covers are kept apart from the mask's
+            assert list(enumerate_covers_up_to(g, g0.n)) == list(
+                enumerate_covers_up_to(Graph(g0.labels, g0.edges), g0.n)
             )
 
 
@@ -287,7 +228,108 @@ def test_cover_enumeration_refused_above_twenty_vertices():
     # a 20-vertex part of the same graph, the path P20, is answered: its
     # 10-vertex covers are the complements of its comb(11, 10) largest
     # independent sets
-    assert len(enumerate_covers_up_to(c21, 10, c21.full_mask >> 1)) == 11
+    assert len(list(enumerate_covers_up_to(c21, 10, c21.full_mask >> 1))) == 11
+
+
+def test_cover_enumeration_refused_at_the_call_before_any_draw(monkeypatch):
+    # the refusal comes with the call, not with the first draw, and the
+    # search is never started
+    started = []
+    monkeypatch.setattr(covers, "_covers_between", lambda *a: started.append(a))
+    c21 = _path_or_cycle(21, True)
+    for within in (None, c21.full_mask):
+        with pytest.raises(PreconditionError, match="cover scan capped at 20 vertices"):
+            enumerate_covers_up_to(c21, 11, within, least=11)
+    assert started == []
+
+
+def test_covers_from_least_match_brute_force():
+    # ``least`` to k yields exactly the covers of those sizes, ascending
+    for g in random_graph_corpus(30, 2, 9, seed=367):
+        every = sorted(
+            sum(1 << v for v in combo)
+            for size in range(g.n + 1)
+            for combo in itertools.combinations(range(g.n), size)
+            if all(u in combo or w in combo for u, w in g.edges)
+        )
+        for least in range(g.n + 2):
+            for k in range(least - 1, g.n + 2):
+                want = [c for c in every if least <= c.bit_count() <= k]
+                got = list(enumerate_covers_up_to(g, k, least=least))
+                assert got == want, (g.edges, least, k)
+
+
+def _brute_force_cover_number(g, mask):
+    inside = list(bits(mask))
+    edges = [(u, w) for u, w in g.edges if mask >> u & 1 and mask >> w & 1]
+    for size in range(len(inside) + 1):
+        for combo in itertools.combinations(inside, size):
+            if all(u in combo or w in combo for u, w in edges):
+                return size
+    raise AssertionError("unreachable")
+
+
+def test_cover_number_on_vertex_masks_matches_brute_force():
+    import random
+
+    rng = random.Random(373)
+    for g in random_graph_corpus(60, 2, 10, seed=371):
+        masks = [0, g.full_mask] + [rng.getrandbits(g.n) for _ in range(6)]
+        fresh = Graph(g.labels, g.edges)
+        for mask in masks:
+            want = _brute_force_cover_number(g, mask)
+            assert covers.mvc_mask(fresh, mask) == want, (g.edges, mask)
+            assert covers.mvc_mask(fresh, mask) == want  # memoized
+    edgeless = Graph(tuple("abc"), ())
+    assert [covers.mvc_mask(edgeless, m) for m in range(8)] == [0] * 8
+
+
+def _windmill(t):
+    # t triangles sharing the hub 0: edges 0 a_i, 0 b_i and a_i b_i
+    edges = []
+    for i in range(t):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [(0, a), (0, b), (a, b)]
+    return Graph(tuple(f"v{i}" for i in range(2 * t + 1)), tuple(sorted(edges)))
+
+
+def test_cover_number_matches_closed_forms_past_the_brute_force():
+    # P_n needs floor(n / 2), C_n ceil(n / 2), K_n n - 1 and the windmill
+    # W_t the hub plus one vertex of each triangle, t + 1
+    for n in range(2, 41):
+        p = _path_or_cycle(n, False)
+        assert covers.mvc_mask(p, p.full_mask) == n // 2, n
+        if n >= 3:
+            c = _path_or_cycle(n, True)
+            assert covers.mvc_mask(c, c.full_mask) == (n + 1) // 2, n
+    for n in range(1, 13):
+        edges = tuple(itertools.combinations(range(n), 2))
+        k = Graph(tuple(f"v{i}" for i in range(n)), edges)
+        assert covers.mvc_mask(k, k.full_mask) == n - 1, n
+    for t in range(1, 14):
+        w = _windmill(t)
+        assert covers.mvc_mask(w, w.full_mask) == t + 1, t
+
+
+def test_cover_number_of_seeded_trees_matches_a_leaf_up_matching():
+    # a tree's cover number is its largest matching (Konig), which the
+    # leaf-up greedy finds; the vertices are shuffled so that the search's
+    # own greedy bound does not see the tree's hanging order
+    import random
+
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(20, 40)
+        parent = [None] + [rng.randrange(i) for i in range(1, n)]
+        matched = set()
+        for v in range(n - 1, 0, -1):
+            if v not in matched and parent[v] not in matched:
+                matched |= {v, parent[v]}
+        name = rng.sample(range(n), n)
+        edges = [(name[v], name[parent[v]]) for v in range(1, n)]
+        edges = tuple(sorted((min(e), max(e)) for e in edges))
+        tree = Graph(tuple(f"v{i}" for i in range(n)), edges)
+        assert covers.mvc_mask(tree, tree.full_mask) == len(matched) // 2, seed
 
 
 def test_min_covers_above_twenty_vertices_match_closed_forms():

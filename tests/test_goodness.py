@@ -510,19 +510,28 @@ def test_replacement_check_refuses_a_component_above_twenty_vertices():
 
 def test_battery_on_twenty_vertices_tries_few_covers(monkeypatch):
     # a guard by work, not by wall time: on a seeded 20-vertex sparse graph
-    # the 10,144 replacement checks past the stay-put shortcut list the
-    # covers of 1,112 (component, guard count) keys and each asks one
-    # saturation check, where the targets of those keys number 4,725,547
+    # the 10,144 replacement checks past the stay-put shortcut ask for the
+    # covers of 1,112 (component, guard count) keys, and each draws one
+    # cover and asks one saturation check, where the targets of those keys
+    # number 4,725,547
     g = random_connected(20, 0.2, 1, 7)[0]
     asked = _recording_fills(monkeypatch)
     listed = []
+    drawn = []
     enumerate_covers = goodness.enumerate_covers_up_to
 
     def recording(g, k, within=None):
         listed.append((within, k))
-        return enumerate_covers(g, k, within)
+        return _drawing(enumerate_covers(g, k, within), drawn)
 
     monkeypatch.setattr(goodness, "enumerate_covers_up_to", recording)
     report = necessary_conditions_report(g, mvc_mask(g, g.full_mask))
     assert report["verdict"] == "necessary_conditions_hold"
     assert (len(set(listed)), len(listed), len(asked)) == (1112, 10144, 10144)
+    assert len(drawn) == 10144
+
+
+def _drawing(covers, drawn):
+    for cover in covers:
+        drawn.append(cover)
+        yield cover
