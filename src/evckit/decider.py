@@ -7,11 +7,11 @@ alternating trees of each cover pair's auxiliary graph
 (``DefenseContext.defends``), a yes/no answer with no witness; afterwards
 each exported transition takes its guard paths from one
 ``DefenseContext.witness`` call, which reads the same cached tree and the
-one entry per (cover pair, question) that keeps the matching and its
-chains, so only a chain through the attacked guard is expanded per
-transition.  A non-empty fixpoint *is* a defender strategy; an empty one
-yields a deletion trace naming each cover's indefensible edge.  Component
-verdicts speak the whole graph's vertices.
+one entry per (cover pair, question) that holds the matching, and expands
+that matching through the attacked guard.  A non-empty fixpoint *is* a
+defender strategy; an empty one yields a deletion trace naming each
+cover's indefensible edge.  Component verdicts speak the whole graph's
+vertices.
 
 Optional ``DefenseStats`` are recorded by ``DefenseContext.defends`` alone,
 once per fixpoint ask; the witnesses of the export record nothing.  The
@@ -326,7 +326,7 @@ def validate_defense_family(g: Graph, family: DefenseFamily) -> list[str]:
                 problems.append(f"missing transition for cover {cover} edge {attack}")
                 continue
             ti, paths = family.transitions[key]
-            if not (isinstance(ti, int) and 0 <= ti < len(family.covers)):
+            if not (type(ti) is int and 0 <= ti < len(family.covers)):
                 problems.append(
                     f"transition of {cover} {attack} targets index {ti!r}, "
                     f"outside the family's {len(family.covers)} covers"

@@ -59,13 +59,11 @@ The tuple and set views (``left``, ``right``, ``colors``, ``dead_zone``,
 ``real_pairs``, ``helper_pairs``, ``helper_colors``) are built from the
 masks when ``evckit aux``, the tests or brute force read them.
 ``DefenseContext`` keeps one record per (S, T) and one entry per (S, T,
-question): the witness and the guard chains expanded from it
-(``matching_to_paths``).  Only the forced pair's helper chain routes
-through the attacked guard, so it alone is read per transition and checked
-against the mask of the other kept chains.  Each is a pure function of its
-key, so cached and recomputed answers are identical.  Optional
-``DefenseStats`` are taken at one ask, ``defends``, and read the witness
-from the same entry.
+question) that holds the question's matching.  Each witness expands that
+matching through the attacked guard (``matching_to_paths``).  Each is a
+pure function of its key, so cached and recomputed answers are identical.
+Optional ``DefenseStats`` are taken at one ask, ``defends``, and read the
+matching from the same entry.
 """
 
 from __future__ import annotations
@@ -428,26 +426,24 @@ def _distinct_colors(choices: list[tuple[int, ...]]) -> bool:
     return len(pair) == len(choices)
 
 
-def matching_to_paths(
-    aux: AuxiliaryGraph, rm: RainbowMatching, through: int | None = None
-) -> GuardPaths:
-    """Expand a rainbow matching into vertex-disjoint guard chains.
+def matching_to_paths(aux: AuxiliaryGraph, rm: RainbowMatching, u: int) -> GuardPaths:
+    """Expand a rainbow matching into vertex-disjoint guard chains, for the
+    attack on the guard u.
 
     Real edges become single steps; a helper edge of color i threads through
-    H_i (``_helper_chain``).  ``through`` pins the last interior vertex of
-    the forced pair's helper chain, which the defense scan sets to the
-    attacked guard so that the chain crosses the attacked edge.
+    H_i (``_helper_chain``) to a neighbour of its right end.  The forced
+    pair's helper chain ends at u instead, so that it crosses the attacked
+    edge; u is ignored when the forced pair is REAL.
     """
     g = aux.graph
     paths = []
     for edge in rm.edges:
-        u, v, tag = edge
+        a, b, tag = edge
         if tag == REAL:
-            paths.append((u, v))
-        elif through is not None and edge == rm.forced:
-            paths.append(_helper_chain(aux, edge, 1 << through))
+            paths.append((a, b))
         else:
-            paths.append(_helper_chain(aux, edge, g.adj_mask[v]))
+            ends = 1 << u if edge == rm.forced else g.adj_mask[b]
+            paths.append(_helper_chain(aux, edge, ends))
     paths = tuple(paths)
     _validate_defense_paths(g, aux, paths)
     return paths
@@ -512,27 +508,20 @@ def _read_chain(tree: tuple[list[int], dict[int, int]], targets_mask: int):
     return None
 
 
-def _check_chain(adj, dead: int, used: int, chain: tuple[int, ...]) -> int:
-    """Check one chain against the mask ``used`` of the vertices of the
-    chains before it; returns the mask with the chain's vertices added."""
-    for a, b in zip(chain, chain[1:]):
-        if not adj[a] >> b & 1:
-            raise IntegrityError("defense path uses a non-edge")
-    for x in chain:
-        bit = 1 << x
-        if used & bit:
-            raise IntegrityError("defense paths are not vertex-disjoint")
-        used |= bit
-        if dead & bit:
-            raise IntegrityError("defense path enters the dead zone")
-    return used
-
-
 def _validate_defense_paths(g: Graph, aux: AuxiliaryGraph, paths: GuardPaths) -> None:
     adj, dead = g.adj_mask, aux.dead_mask
     used = 0
     for p in paths:
-        used = _check_chain(adj, dead, used, p)
+        for a, b in zip(p, p[1:]):
+            if not adj[a] >> b & 1:
+                raise IntegrityError("defense path uses a non-edge")
+        for x in p:
+            bit = 1 << x
+            if used & bit:
+                raise IntegrityError("defense paths are not vertex-disjoint")
+            used |= bit
+            if dead & bit:
+                raise IntegrityError("defense path enters the dead zone")
 
 
 # -- the defense scan --------------------------------------------------------
@@ -564,19 +553,15 @@ class DefenseStats:
 class DefenseContext:
     """Caches, for the scans of one graph, each cover pair's auxiliary graph
     (the mask record of ``build_aux``, with the alternating trees and chain
-    trees it keeps) and one entry per (S, T, question): ``[rainbow matching
-    or None, chains]``, the chains filled on the first ``witness`` of an
-    answered question.
+    trees it keeps) and one entry per (S, T, question) that holds the
+    question's rainbow matching, or None when no matching answers it.
 
     All are exact: the auxiliary graph (with the views and trees it caches)
-    is a pure function of (S, T), ``rainbow_pm_with_edge`` a deterministic
-    pure function of the auxiliary graph and the question, and the chains a
-    pure function of the matching.  The question of a guard of S n T names
-    its shared component and not the guard, so all guards of one shared
-    component share its entry; only the forced pair's helper chain routes
-    through the attacked guard, so ``witness`` reads that one per call off
-    the pair's chain tree of (color, left end) and checks it against the
-    mask of the other kept chains.
+    is a pure function of (S, T), and ``rainbow_pm_with_edge`` a
+    deterministic pure function of the auxiliary graph and the question.
+    The question of a guard of S n T names its shared component and not the
+    guard, so all guards of one shared component share its entry; each
+    ``witness`` expands the entry's matching through its own attacked guard.
 
     With ``stats``, each ``defends`` ask compares the yes/no answer, the
     entry's matching and brute force; ``witness`` records nothing.
@@ -586,11 +571,8 @@ class DefenseContext:
         self.g = g
         self.stats = stats
         self._aux: dict[tuple[tuple[int, ...], tuple[int, ...]], AuxiliaryGraph] = {}
-        # (S, T, question) -> [its rainbow matching or None, its matching's
-        # chains with the forced pair's index among them, the forced pair
-        # and the mask of the other chains' vertices, or None until the
-        # first witness]
-        self._entries: dict[tuple, list] = {}
+        # (S, T, question) -> its rainbow matching or None
+        self._entries: dict[tuple, RainbowMatching | None] = {}
 
     def aux_for(self, s, t) -> AuxiliaryGraph:
         aux = self._aux.get((s, t))
@@ -598,13 +580,12 @@ class DefenseContext:
             aux = self._aux[(s, t)] = build_aux(self.g, s, t)
         return aux
 
-    def _entry(self, key, aux, attack) -> list:
-        """The entry of ``key``, the attack's (S, T, question), its matching
-        ``rainbow_pm_with_edge(aux, *attack)`` computed on first use."""
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self._entries[key] = [rainbow_pm_with_edge(aux, *attack), None]
-        return entry
+    def _matching(self, key, aux, attack) -> RainbowMatching | None:
+        """The entry of ``key``, the attack's (S, T, question): its matching
+        ``rainbow_pm_with_edge(aux, *attack)``, computed on first use."""
+        if key not in self._entries:
+            self._entries[key] = rainbow_pm_with_edge(aux, *attack)
+        return self._entries[key]
 
     def defends(self, s, attack: tuple[int, int], t) -> bool:
         """Whether cover ``t`` answers the attack ``(u, v)`` on cover ``s``,
@@ -620,7 +601,7 @@ class DefenseContext:
         if self.stats is not None and aux.side_size <= VERIFY_SIDES_CAP:
             start = time.process_time()
             self.stats.instances += 1
-            search = self._entry((s, t, question), aux, attack)[0] is not None
+            search = self._matching((s, t, question), aux, attack) is not None
             any_match, _ = rainbow_pm_bruteforce(aux, *attack)
             if not answer == search == any_match:
                 self.stats.mismatches += 1
@@ -629,34 +610,13 @@ class DefenseContext:
 
     def witness(self, s, attack: tuple[int, int], t) -> GuardPaths | None:
         """The guard paths by which cover ``t`` answers the attack ``(u, v)``
-        on cover ``s`` (u in s, v in t - s), or None when it does not.
-
-        The paths are ``matching_to_paths(aux, rm, through=u)`` for the
-        matching rm of the question's entry.  The chains that do not route
-        through u are expanded once per entry and kept in it; a
-        helper-tagged forced chain is read here, through u, and checked
-        against the vertices of the other kept chains.
+        on cover ``s`` (u in s, v in t - s), or None when it does not: the
+        matching rm of the question's entry, expanded through u by
+        ``matching_to_paths(aux, rm, u)``.
         """
         aux = self.aux_for(s, t)
-        u, v = attack
-        entry = self._entry((s, t, _checked_question(aux, u, v)), aux, attack)
-        rm, kept = entry
-        if rm is None:
-            return None
-        if kept is None:
-            paths = matching_to_paths(aux, rm)
-            i = rm.edges.index(rm.forced)
-            others = mask_of(x for j, p in enumerate(paths) if j != i for x in p)
-            kept = entry[1] = (paths, i, rm.forced, others)
-        paths, i, forced, others = kept
-        if forced[2] == REAL:
-            return paths
-        # a guard of S n T keeps its post: its color's chain ends ...-> u -> v
-        chain = _helper_chain(aux, forced, 1 << u)
-        if chain == paths[i]:  # the kept system, validated when expanded
-            return paths
-        _check_chain(self.g.adj_mask, aux.dead_mask, others, chain)
-        return (*paths[:i], chain, *paths[i + 1:])
+        rm = self._matching((s, t, _checked_question(aux, *attack)), aux, attack)
+        return None if rm is None else matching_to_paths(aux, rm, attack[0])
 
 
 def check_defense(

@@ -225,22 +225,20 @@ def solve_guard_game(
         return move_feasible_counts(g, s1, s2, slots)
 
     def rounds():
-        # the full solve over the states in canonical order, asking the
-        # search's answer function, whose residuals it shares
-        counts = [_counts(m, slots, n) for m in masks]
-        order = sorted(range(len(masks)), key=counts.__getitem__)
-        states = [counts[i] for i in order]
-        ordered = [[c for c, s in enumerate(states) if s[v]] for v in range(n)]
+        # the full solve on the search's closures, over the states in mask
+        # order: synchronous rounds, and the first threat each state loses
+        # to in its round, do not depend on the order, so only the report
+        # is sorted
         alive, removals, _ = greatest_fixpoint(
-            [threats_of(i) for i in order],
-            lambda threat: ordered[threat[1]],
-            lambda c, threat, d: answer(order[c], threat, order[d]),
+            [threats_of(i) for i in range(len(masks))], holding, answer
         )
+        counts = [_counts(m, slots, n) for m in masks]
+        removals.sort(key=lambda removal: (removal[2], counts[removal[0]]))
         return (
-            states,
-            [states[c] for c in alive],
-            {states[c]: r for c, _, r in removals},
-            [(states[c], threat) for c, threat, _ in removals],
+            sorted(counts),
+            sorted(counts[i] for i in alive),
+            {counts[i]: r for i, _, r in removals},
+            [(counts[i], threat) for i, threat, _ in removals],
         )
 
     held = 0

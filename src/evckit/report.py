@@ -301,15 +301,20 @@ def _revalidate(g: Graph, cert: dict) -> bool:
     if kind == "game_attacker_win":
         # the defender loses the k-guard game on a whole component with k at
         # least its cover number: that component, and so the graph, needs
-        # more guards than its cover number
+        # more guards than its cover number.  The defender wins at twice the
+        # cover number (``evc`` relies on it), and so at every larger k, as
+        # the multiset game is monotone: such a k reads False unsolved
         from .game import solve_guard_game
 
         k = data["k"]
+        if type(k) is not int:
+            return False
         comp = tuple(sorted(data.get("component", range(g.n))))
         if comp not in connected_components(g):
             return False
         h = g.induced(comp)
-        if k < mvc_mask(h, h.full_mask):
+        mvc = mvc_mask(h, h.full_mask)
+        if not mvc <= k < 2 * mvc:
             return False
         return not solve_guard_game(h, k).defender_wins
     return False

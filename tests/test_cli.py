@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -457,6 +458,17 @@ def test_odd_cycle_of_the_net_holds(graph_file, capsys):
     cert = json.loads(out)["result"]["certificate"]
     assert code == 0 and cert == {"kind": "odd_cycle", "cycle": ["b", "a", "c"]}
     assert revalidate_certificate(parse_edge_list(text), cert)
+
+
+def test_game_certificate_past_twice_the_cover_number_reads_false_unsolved():
+    # the defender wins at twice the cover number and above, so a forged k
+    # there reads False at once: a billion guards on K2 would never be
+    # solved; a bool k is no guard count
+    k2 = parse_edge_list("a b\n")
+    start = time.process_time()
+    for k in (2, 10**9, True, False):
+        assert not revalidate_certificate(k2, {"kind": "game_attacker_win", "k": k})
+    assert time.process_time() - start < 1.0
 
 
 def test_genuine_game_and_non_elementary_certificates_hold():

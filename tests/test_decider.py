@@ -65,12 +65,13 @@ def test_family_transitions_replay(named):
 
 def test_a_target_index_outside_the_family_is_reported(named):
     # on C4 a negative index aliases the real target (-1 and -2 wrap to the
-    # two covers) and replays cleanly, and an index one past the end reads
-    # no cover at all: each is reported once, and nothing else is
+    # two covers), as True aliases cover 1, and replays cleanly; an index
+    # one past the end reads no cover at all: each is reported once, and
+    # nothing else is
     c4 = named["C4"]
     fam = spartan_fixpoint(c4)
     key, (ti, paths) = min(fam.transitions.items())
-    for forged_index in (ti - len(fam.covers), len(fam.covers)):
+    for forged_index in (ti - len(fam.covers), len(fam.covers), True):
         forged = DefenseFamily(
             covers=fam.covers,
             transitions={**fam.transitions, key: (forged_index, paths)},
@@ -240,9 +241,9 @@ def test_witness_runs_once_per_exported_transition(monkeypatch):
 
 
 def test_exported_witnesses_equal_fresh_check_defense():
-    # the witnesses cached per matching change nothing: every exported path
-    # system equals a fresh scan's and the unsplit expansion through the
-    # attacked guard, and the family replays
+    # the matchings cached per question change nothing: every exported path
+    # system equals a fresh scan's and a fresh matching's expansion through
+    # the attacked guard, and the family replays
     from evckit.defense import (
         DefenseContext,
         build_aux,
@@ -262,7 +263,7 @@ def test_exported_witnesses_equal_fresh_check_defense():
             assert fresh is not None and fresh.paths == paths, (g.edges, s, attack)
             aux = build_aux(g, s, t)
             rm = rainbow_pm_with_edge(aux, *attack)
-            assert matching_to_paths(aux, rm, through=attack[0]) == paths
+            assert matching_to_paths(aux, rm, attack[0]) == paths
             transitions += 1
             shared += attack[0] in t
         assert validate_defense_family(g, result) == [], g.edges

@@ -132,7 +132,7 @@ def test_rainbow_forced_real_c4(named):
     rm = rainbow_pm_with_edge(aux, 0, 1)
     assert rm.edges == ((0, 1, REAL), (2, 3, REAL))
     assert rm.forced == (0, 1, REAL)
-    assert matching_to_paths(aux, rm) == ((0, 1), (2, 3))
+    assert matching_to_paths(aux, rm, 0) == ((0, 1), (2, 3))
 
 
 def test_rainbow_partner_mode_bowtie(named):
@@ -142,7 +142,7 @@ def test_rainbow_partner_mode_bowtie(named):
     aux = build_aux(bow, bow.index_set(["x", "a", "c"]), bow.index_set(["x", "b", "c"]))
     rm = rainbow_pm_with_edge(aux, bow.index("x"), bow.index("b"))
     assert rm.forced == (bow.index("a"), bow.index("b"), 0)
-    ps = matching_to_paths(aux, rm, through=bow.index("x"))
+    ps = matching_to_paths(aux, rm, bow.index("x"))
     assert [bow.labels_of(p) for p in ps] == [("a", "x", "b")]
 
 
@@ -398,7 +398,7 @@ def test_shortest_cycle_witness_on_larger_cover_pairs():
                 asked += 1
                 if rm is None:
                     continue
-                paths = matching_to_paths(aux, rm, through=u)
+                paths = matching_to_paths(aux, rm, u)
                 assert any(p[-2:] == (u, v) for p in paths), where
                 witnessed += 1
                 flipped += any(e[2] != REAL for e in rm.edges if e != rm.forced)
@@ -707,11 +707,12 @@ def _forged_chains(g, aux, paths, i):
 
 
 def test_witness_rejects_a_forged_forced_chain(monkeypatch):
-    # once an entry keeps its chains, a transition of a shared guard reads
-    # only its forced chain; a forged one must fail the same three checks
-    # that the whole system passed
+    # a transition of a shared guard reads its forced chain through the
+    # attacked guard; a forged one must fail the same three checks that the
+    # whole system passes, while every other chain stays genuine
     import evckit.defense as defense_mod
 
+    genuine_chain = defense_mod._helper_chain
     rejected = dict.fromkeys(("non-edge", "dead zone", "vertex-disjoint"), 0)
     for g, covers, _ in _min_cover_pairs(80, 203, 5, 10):
         ctx = DefenseContext(g)
@@ -722,9 +723,15 @@ def test_witness_rejects_a_forged_forced_chain(monkeypatch):
             if genuine is None:
                 continue
             aux = ctx.aux_for(s, t)
-            paths, i, _, _ = ctx._entries[(s, t, defense_mod._question(aux, *attack))][1]
+            rm = ctx._entries[(s, t, defense_mod._question(aux, *attack))]
+            paths = matching_to_paths(aux, rm, attack[0])
+            assert paths == genuine
+            i = rm.edges.index(rm.forced)
             for kind, chain in _forged_chains(g, aux, paths, i).items():
-                monkeypatch.setattr(defense_mod, "_helper_chain", lambda *_: chain)
+                def forged(aux, edge, ends, chain=chain, forced=rm.forced):
+                    return chain if edge == forced else genuine_chain(aux, edge, ends)
+
+                monkeypatch.setattr(defense_mod, "_helper_chain", forged)
                 with pytest.raises(IntegrityError, match=kind):
                     ctx.witness(s, attack, t)
                 monkeypatch.undo()
