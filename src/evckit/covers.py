@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .graph import Graph, bits
 
 DEFAULT_COVER_CAP = 10_000
@@ -116,16 +116,17 @@ def enumerate_covers_up_to(
     vertices of the subgraph induced by the vertex mask ``within`` (default:
     every vertex), drawn lazily as masks of ``g`` in ascending order.
 
-    Refused above 20 vertices at the call, before any draw, which caps the
-    game solver's state spaces.  Nothing is kept between calls: a caller
-    that stops early, like the strongly-good check at its first filled
-    cover, draws only the covers it reads.
+    Refused above 20 vertices at the call, before any draw, with a
+    ``ResourceLimitError``: the cap bounds the game solver's state spaces.
+    Nothing is kept between calls: a caller that stops early, like the
+    strongly-good check at its first filled cover, draws only the covers it
+    reads.
     """
     if within is None:
         within = g.full_mask
     width = within.bit_count()
     if width > 20:
-        raise PreconditionError("cover scan capped at 20 vertices")
+        raise ResourceLimitError("cover scan capped at 20 vertices")
     return _covers_between(g, within, least, min(k, width))
 
 
@@ -173,17 +174,13 @@ def _covers_between(g: Graph, within: int, lo: int, hi: int) -> Iterator[int]:
             stack.append((ind | 1 << v, take, size + 1))
 
 
-def cover_configurations(
-    g: Graph, k: int, within: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Every k-guard count vector whose support is a vertex cover of the
-    subgraph induced by ``within`` (default: every vertex), over all of
-    ``g``'s vertices.
+def cover_configurations(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """Every k-guard count vector whose support is a vertex cover of ``g``.
 
     Covers come in mask order; each takes one guard per support vertex and
     spreads the remaining guards over its support in every possible way.
     """
-    for cover_mask in enumerate_covers_up_to(g, k, within):
+    for cover_mask in enumerate_covers_up_to(g, k):
         support = tuple(bits(cover_mask))
         base = [0] * g.n
         for v in support:

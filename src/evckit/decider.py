@@ -16,7 +16,8 @@ vertices.
 Optional ``DefenseStats`` are recorded by ``DefenseContext.defends`` alone,
 once per fixpoint ask; the witnesses of the export record nothing.  The
 game solver is the independent route: ``method="game"`` decides each
-component with it, and ``cross_check`` asks that route of each component.
+component with it, and ``cross_check`` asks that route of each component
+(with ``method="game"``, the lane's verdict is its answer).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .covers import DEFAULT_COVER_CAP, enumerate_min_vcs, mvc_mask
 from .defense import DefenseContext, DefenseStats, GuardPaths
 from .errors import IntegrityError, PreconditionError, ResourceLimitError
 from .fixpoint import greatest_fixpoint, oriented_attacks
+from .game import solve_guard_game
 from .graph import (
     Graph,
     OddCycle,
@@ -126,42 +128,32 @@ def _decide_component(
     k = mvc_mask(g, g.full_mask)
     mm = max_matching_size(g)
     if method == "game":
-        from .game import solve_guard_game
-
         wins = solve_guard_game(g, k).defender_wins
         lost = {"kind": "game_attacker_win", "k": k, "component": tuple(range(g.n))}
-        return SpartanVerdict(
-            spartan=wins,
-            method="gameOracle",
-            certificate=None if wins else lost,
-            mvc=k,
-            max_matching=mm,
+        verdict = SpartanVerdict(
+            spartan=wins, method="gameOracle", certificate=None if wins else lost
         )
-    covers = _all_min_covers(g, cover_cap)
-    if method != "fixpoint" and mm == k:
-        return _decide_konig(g, covers, k, mm, stats=stats)
-    result = spartan_fixpoint(g, covers=covers, stats=stats)
-    if isinstance(result, DefenseFamily):
-        return SpartanVerdict(
-            spartan=True, method="fixpoint", family=result, mvc=k, max_matching=mm
-        )
-    return SpartanVerdict(
-        spartan=False,
-        method="fixpoint",
-        certificate={
-            "kind": "empty_fixpoint",
-            "deletions": [
+    elif method != "fixpoint" and mm == k:
+        verdict = _decide_konig(g, _all_min_covers(g, cover_cap), stats=stats)
+    else:
+        result = spartan_fixpoint(g, covers=_all_min_covers(g, cover_cap), stats=stats)
+        if isinstance(result, DefenseFamily):
+            verdict = SpartanVerdict(spartan=True, method="fixpoint", family=result)
+        else:
+            deletions = [
                 {"cover": c, "attack": e, "round": r} for c, e, r in result.deletions
-            ],
-        },
-        mvc=k,
-        max_matching=mm,
-    )
+            ]
+            verdict = SpartanVerdict(
+                spartan=False,
+                method="fixpoint",
+                certificate={"kind": "empty_fixpoint", "deletions": deletions},
+            )
+    verdict.mvc = k
+    verdict.max_matching = mm
+    return verdict
 
 
-def _decide_konig(
-    g: Graph, covers, k: int, mm: int, *, stats: DefenseStats | None
-) -> SpartanVerdict:
+def _decide_konig(g: Graph, covers, *, stats: DefenseStats | None) -> SpartanVerdict:
     """Koenig component (max matching = cover number): Spartan iff bipartite
     and elementary; the fixpoint still runs on a positive answer so the
     verdict ships a defense family."""
@@ -171,8 +163,6 @@ def _decide_konig(
             spartan=False,
             method="konig",
             certificate={"kind": "odd_cycle", "cycle": res.vertices},
-            mvc=k,
-            max_matching=mm,
         )
     ok, witness = is_elementary(g)
     if not ok:
@@ -185,17 +175,13 @@ def _decide_konig(
         if witness and witness.deficiency is not None:
             cert["deficient_set"] = witness.deficiency.violator
             cert["deficient_neighborhood"] = witness.deficiency.neighborhood
-        return SpartanVerdict(
-            spartan=False, method="konig", certificate=cert, mvc=k, max_matching=mm
-        )
+        return SpartanVerdict(spartan=False, method="konig", certificate=cert)
     family = spartan_fixpoint(g, covers=covers, stats=stats)
     if not isinstance(family, DefenseFamily):
         raise IntegrityError(
             "bipartite elementary component produced an empty fixpoint"
         )
-    return SpartanVerdict(
-        spartan=True, method="konig", family=family, mvc=k, max_matching=mm
-    )
+    return SpartanVerdict(spartan=True, method="konig", family=family)
 
 
 def _decide_lifted(g: Graph, comp: tuple[int, ...], **kwargs) -> SpartanVerdict:
@@ -263,9 +249,15 @@ def is_spartan(
     decide_ms = (time.perf_counter() - t0) * 1000.0
     if cross_check:
         t1 = time.perf_counter()
-        # component by component, stopping at the first loss, so that a
-        # component the game refuses is not asked once the answer is known
-        oracle = all(is_spartan(g.induced(c), method="game").spartan for c in comps)
+        # the game lane's verdict is the oracle's answer; any other lane asks
+        # the game of each component at the cover number its verdict holds,
+        # stopping at the first loss, so that a component the game refuses
+        # is not asked once the answer is known
+        parts = verdict.components or [verdict]
+        oracle = verdict.spartan if method == "game" else all(
+            solve_guard_game(g.induced(c), part.mvc).defender_wins
+            for c, part in zip(comps, parts)
+        )
         oracle_ms = (time.perf_counter() - t1) * 1000.0
         # both routes are timed so the two paths can be compared empirically;
         # no structural conclusion is drawn from the numbers

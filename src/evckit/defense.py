@@ -110,14 +110,6 @@ class AuxiliaryGraph:
         return self.graph.full_mask & ~(self.s_mask | self.t_mask)
 
     @cached_property
-    def cover_s(self) -> tuple[int, ...]:
-        return tuple(bits(self.s_mask))
-
-    @cached_property
-    def cover_t(self) -> tuple[int, ...]:
-        return tuple(bits(self.t_mask))
-
-    @cached_property
     def left(self) -> tuple[int, ...]:
         return tuple(bits(self.left_mask))
 

@@ -16,9 +16,8 @@ minimum cover is dead).  Otherwise it decides with the search
 stops at the first non-empty closed set, which lies inside the fixpoint, so
 a win need not verify every surviving state.  The fixpoint itself, with
 the round in which each other state leaves (``fixpoint.greatest_fixpoint``),
-is computed on the first read of the outcome's ``states``, ``survivors``,
-``ranks`` or ``removal_trace``, over the same answer function; ``play`` and
-``hint`` read it.
+is computed on the first read of the outcome's ``states``, ``survivors`` or
+``ranks``, over the same answer function; ``play`` and ``hint`` read it.
 
 A response is checked on residuals, the two states less the guard that
 crosses: the remaining guards must reach the responder's in one step.  The
@@ -107,23 +106,13 @@ def _counts(mask: int, slots: int, n: int) -> Counts:
     return tuple((mask >> v * slots & group).bit_count() for v in range(n))
 
 
-def enumerate_states(
-    g: Graph, k: int, budget: int | None = None, *, one_per_vertex: bool = False
-) -> list[Counts]:
-    """All k-guard configurations whose support covers the graph, canonical
-    order; with ``one_per_vertex`` only the 0/1 ones (covers of size k)."""
-    masks, slots = _state_masks(g, k, budget, one_per_vertex)
-    return sorted(_counts(m, slots, g.n) for m in masks)
-
-
 class GameOutcome:
     """The verdict of the k-guard game, and its greatest fixpoint on demand.
 
     ``defender_wins`` is known when the outcome is built.  ``states`` (in
-    canonical order), ``survivors``, ``ranks`` (the removal round of each
-    removed state) and ``removal_trace`` (each removed state with the
-    attack it lost to, in round then state order) come from one full solve,
-    ``rounds()``, run on first read.
+    canonical order), ``survivors`` and ``ranks`` (the removal round of each
+    removed state) come from one full solve, ``rounds()``, run on first
+    read.
     """
 
     def __init__(self, k: int, defender_wins: bool, rounds) -> None:
@@ -146,10 +135,6 @@ class GameOutcome:
     @property
     def ranks(self) -> dict[Counts, int]:
         return self._solved[2]
-
-    @property
-    def removal_trace(self) -> list[tuple[Counts, tuple[int, int]]]:
-        return self._solved[3]
 
 
 def _minus(counts: Counts, v: int) -> Counts:
@@ -226,19 +211,16 @@ def solve_guard_game(
 
     def rounds():
         # the full solve on the search's closures, over the states in mask
-        # order: synchronous rounds, and the first threat each state loses
-        # to in its round, do not depend on the order, so only the report
-        # is sorted
+        # order: synchronous rounds do not depend on the order, so only the
+        # report is sorted
         alive, removals, _ = greatest_fixpoint(
             [threats_of(i) for i in range(len(masks))], holding, answer
         )
         counts = [_counts(m, slots, n) for m in masks]
-        removals.sort(key=lambda removal: (removal[2], counts[removal[0]]))
         return (
             sorted(counts),
             sorted(counts[i] for i in alive),
             {counts[i]: r for i, _, r in removals},
-            [(counts[i], threat) for i, threat, _ in removals],
         )
 
     held = 0
@@ -258,20 +240,14 @@ def _best_response(
     counts: Counts,
     attack: tuple[int, int],
 ):
-    """Deterministic response to an attack from an arbitrary configuration.
+    """Deterministic response to an attack on an edge with exactly one
+    guarded end, or None when no state answers it.
 
     Prefers surviving states; otherwise (lost positions) the latest-removed
     reachable state, which maximizes the rounds the defender can still hold.
     """
     a, b = attack
-    if counts[a] and counts[b]:
-        return counts, ((a, b), (b, a))
-    if counts[a]:
-        u, v = a, b
-    elif counts[b]:
-        u, v = b, a
-    else:
-        return None
+    u, v = (a, b) if counts[a] else (b, a)
     c_from = _minus(counts, u)
     survivors_set = {tuple(s) for s in outcome.survivors}
     best = None
@@ -326,8 +302,8 @@ def _component_evc(sub: Graph, k0: int, budget: int | None) -> int:
     ``k0`` that loss is already known: a ``k0``-guard multiset covering the
     graph has ``k0`` support vertices, one guard on each, so the multiset
     game at ``k0`` is the one-per-vertex game the climb lost.  A refused
-    solve raises with the bracket [lo, hi] known for this graph at that
-    point.
+    solve (the state budget or the cover scan's cap) raises with the
+    bracket [lo, hi] known for this graph at that point.
     """
     lo, hi = k0, 2 * k0
 
@@ -339,7 +315,7 @@ def _component_evc(sub: Graph, k0: int, budget: int | None) -> int:
         except ResourceLimitError as exc:
             game = "one-per-vertex" if one_per_vertex else "multiset"
             raise ResourceLimitError(
-                f"state budget exhausted while solving the {game} game at k={k}",
+                f"{exc} while solving the {game} game at k={k}",
                 bracket=(lo, hi),
             ) from exc
         return outcome.defender_wins

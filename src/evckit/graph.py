@@ -101,9 +101,6 @@ class Graph:
         # masks, matching sizes, ...); safe because the graph is immutable
         return {}
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_mask[u] >> v & 1) if u != v else False
 

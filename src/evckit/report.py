@@ -130,8 +130,9 @@ def delabelize(g: Graph, obj, active: bool = False):
 def revalidate_certificate(g: Graph, cert: dict) -> bool:
     """Re-check a (label-space) certificate against the graph from scratch.
 
-    A malformed or forged certificate reads False.  A refusal, such as the
-    capped cover scan's PreconditionError, still raises: it is no verdict.
+    A malformed or forged certificate reads False.  A refusal (a
+    ResourceLimitError, such as the capped cover scan's) or a
+    PreconditionError still raises: neither is a verdict.
     """
     try:
         return _revalidate(g, cert)

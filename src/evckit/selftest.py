@@ -57,6 +57,57 @@ _WORK_KEYS = (
     "families_emitted",
 )
 
+# every criterion but 7 (``_fixed_values``): its number, its name, its
+# detail over the summed counters, and the counters that must all read 0
+_SUMMED_CRITERIA = (
+    (
+        1,
+        "characterization equivalence (decider vs game oracle)",
+        "{graphs} graphs, {decider_oracle_mismatches} mismatches",
+        ("decider_oracle_mismatches",),
+    ),
+    (
+        2,
+        "Koenig characterization (bipartite + essentially elementary)",
+        "{konig_graphs} Koenig graphs, {konig_mismatches} mismatches",
+        ("konig_mismatches",),
+    ),
+    (
+        3,
+        "minimum-cover pairs joined by a direct perfect matching",
+        "{cover_pairs} pairs, {cover_pair_failures} failures",
+        ("cover_pair_failures",),
+    ),
+    (
+        4,
+        "necessary-condition battery on oracle-confirmed graphs",
+        "{oracle_spartan} graphs confirmed by the game oracle, "
+        "{battery_failures} battery failures",
+        ("battery_failures",),
+    ),
+    (
+        5,
+        "strongly good implies weakly good; covers missing a cut vertex are "
+        "not weakly good",
+        "{covers_checked} covers, {sgwg_violations} implication violations, "
+        "{cut_violations} cut-vertex violations",
+        ("sgwg_violations", "cut_violations"),
+    ),
+    (
+        6,
+        "rainbow reducer agrees with exhaustive matching enumeration",
+        "{rainbow_instances} instances, {rainbow_mismatches} mismatches",
+        ("rainbow_mismatches",),
+    ),
+    (
+        8,
+        "defense replays are legal moves crossing the attacked edge",
+        "{families_emitted} families + scripted sessions, "
+        "{replay_failures} replay failures",
+        ("replay_failures",),
+    ),
+)
+
 
 def _elementary_by_cover_count(g: Graph) -> bool:
     """Independent route for the Koenig check: a connected bipartite component
@@ -68,7 +119,7 @@ def _elementary_by_cover_count(g: Graph) -> bool:
         sides = bipartition(sub)
         if isinstance(sides, OddCycle):
             return False
-        cs = enumerate_min_vcs(sub, cap=8)
+        cs = enumerate_min_vcs(sub)
         expected = {tuple(sides[0]), tuple(sides[1])}
         if set(cs.covers) != expected:
             return False
@@ -96,7 +147,6 @@ def _examine_graph(payload) -> dict:
     g = Graph(labels, edges)
     out = {k: 0 for k in _WORK_KEYS}
     out["graphs"] = 1
-    out["weak_not_strong"] = None
     cpu = out["cpu_s"] = dict.fromkeys(CRITERIA, 0.0)
     start = time.process_time()
 
@@ -147,8 +197,6 @@ def _examine_graph(payload) -> dict:
             out["sgwg_violations"] += 1
         if cut_set - set(cover) and weak:
             out["cut_violations"] += 1
-        if weak and not strong and out["weak_not_strong"] is None:
-            out["weak_not_strong"] = (labels, edges, cover)
     lap(5)
 
     if verdict.spartan and verdict.family is not None:
@@ -176,7 +224,6 @@ class SelftestReport:
     criteria: list[CriterionResult] = field(default_factory=list)
     corpus_size: int = 0
     seed: int = DEFAULT_SEED
-    weak_not_strong_instance: tuple | None = None
     # criterion number -> CPU seconds of its checks
     cpu_s: dict[int, float] = field(default_factory=dict)
 
@@ -229,99 +276,35 @@ def run_selftest(
 
         with Pool(jobs) as pool:
             results = pool.imap(_examine_graph, payloads, chunksize=256)
-            weak_not_strong = _accumulate(results, totals, cpu, progress)
+            _accumulate(results, totals, cpu, progress)
     else:
-        weak_not_strong = _accumulate(
-            map(_examine_graph, payloads), totals, cpu, progress
-        )
+        _accumulate(map(_examine_graph, payloads), totals, cpu, progress)
 
-    report = SelftestReport(corpus_size=len(payloads), seed=seed, cpu_s=cpu)
-    report.weak_not_strong_instance = weak_not_strong
-    add = report.criteria.append
-    add(
-        CriterionResult(
-            1,
-            "characterization equivalence (decider vs game oracle)",
-            totals["decider_oracle_mismatches"] == 0,
-            f"{totals['graphs']} graphs, "
-            f"{totals['decider_oracle_mismatches']} mismatches",
-        )
-    )
-    add(
-        CriterionResult(
-            2,
-            "Koenig characterization (bipartite + essentially elementary)",
-            totals["konig_mismatches"] == 0,
-            f"{totals['konig_graphs']} Koenig graphs, "
-            f"{totals['konig_mismatches']} mismatches",
-        )
-    )
-    add(
-        CriterionResult(
-            3,
-            "minimum-cover pairs joined by a direct perfect matching",
-            totals["cover_pair_failures"] == 0,
-            f"{totals['cover_pairs']} pairs, "
-            f"{totals['cover_pair_failures']} failures",
-        )
-    )
-    add(
-        CriterionResult(
-            4,
-            "necessary-condition battery on oracle-confirmed graphs",
-            totals["battery_failures"] == 0,
-            f"{totals['oracle_spartan']} graphs confirmed by the game oracle, "
-            f"{totals['battery_failures']} battery failures",
-        )
-    )
-    add(
-        CriterionResult(
-            5,
-            "strongly good implies weakly good; covers missing a cut vertex "
-            "are not weakly good",
-            totals["sgwg_violations"] == 0 and totals["cut_violations"] == 0,
-            f"{totals['covers_checked']} covers, "
-            f"{totals['sgwg_violations']} implication violations, "
-            f"{totals['cut_violations']} cut-vertex violations",
-        )
-    )
-    add(
-        CriterionResult(
-            6,
-            "rainbow reducer agrees with exhaustive matching enumeration",
-            totals["rainbow_mismatches"] == 0,
-            f"{totals['rainbow_instances']} instances, "
-            f"{totals['rainbow_mismatches']} mismatches",
-        )
-    )
     start = time.process_time()
-    fixed_pass, fixed_detail = _fixed_values()
+    fixed = CriterionResult(7, "fixed solver values on the named graphs", *_fixed_values())
     cpu[7] = time.process_time() - start
-    add(CriterionResult(7, "fixed solver values on the named graphs", fixed_pass, fixed_detail))
-    add(
+    summed = [
         CriterionResult(
-            8,
-            "defense replays are legal moves crossing the attacked edge",
-            totals["replay_failures"] == 0,
-            f"{totals['families_emitted']} families + scripted sessions, "
-            f"{totals['replay_failures']} replay failures",
+            number, name, all(totals[key] == 0 for key in failures), detail.format(**totals)
         )
+        for number, name, detail, failures in _SUMMED_CRITERIA
+    ]
+    return SelftestReport(
+        criteria=sorted([*summed, fixed], key=lambda c: c.number),
+        corpus_size=len(payloads),
+        seed=seed,
+        cpu_s=cpu,
     )
-    return report
 
 
-def _accumulate(results, totals, cpu, progress):
-    weak_not_strong = None
+def _accumulate(results, totals, cpu, progress) -> None:
     for i, rec in enumerate(results):
         for k in _WORK_KEYS:
             totals[k] += rec[k]
         for number, seconds in rec["cpu_s"].items():
             cpu[number] += seconds
-        if weak_not_strong is None and rec.get("weak_not_strong"):
-            weak_not_strong = rec["weak_not_strong"]
         if progress is not None and (i + 1) % 2000 == 0:
             progress(i + 1)
-    return weak_not_strong
 
 
 def _fixed_values() -> tuple[bool, str]:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from evckit.corpus import fixtures
+from evckit.covers import cover_configurations, enumerate_covers_up_to
 from evckit.errors import PreconditionError
 from evckit.graph import Graph, bits, is_connected, mask_of
 from evckit.matching import canonical_matching, hopcroft_karp
@@ -37,6 +38,16 @@ def random_graph_corpus(count: int, n_lo: int, n_hi: int, seed: int):
         random_connected_graph(rng.randint(n_lo, n_hi), rng.uniform(0.25, 0.9), rng)
         for _ in range(count)
     ]
+
+
+def game_states(g: Graph, k: int, one_per_vertex: bool = False) -> list[tuple[int, ...]]:
+    """The k-guard game's states in canonical order, drawn from the cover
+    enumerators and not through the solver: the covers of exactly k
+    vertices (one guard each) or every k-guard configuration on a cover."""
+    if one_per_vertex:
+        covers = enumerate_covers_up_to(g, k, least=k)
+        return sorted(tuple(c >> v & 1 for v in range(g.n)) for c in covers)
+    return sorted(cover_configurations(g, k))
 
 
 def config_of_labels(g: Graph, mapping) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ import pytest
 from evckit.cli import main
 from evckit.corpus import exhaustive_connected, fixtures, random_connected
 from evckit.decider import is_spartan
-from evckit.errors import PreconditionError, ValidationError
+from evckit.errors import PreconditionError, ResourceLimitError, ValidationError
 from evckit.graph import Graph, is_connected, parse_edge_list, serialize_edge_list
 from evckit.report import delabelize, revalidate_certificate
 
@@ -133,6 +133,19 @@ def test_budget_refusal_exit_code(graph_file, capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["evc", f, "--budget", "2"])
     assert code == 1
     assert "refused" in err
+
+
+def test_cover_scan_refusal_exits_as_a_refusal(graph_file, capsys):
+    # the cover scan refuses C21 (above 20 vertices); evc brackets its value,
+    # 11, between the cover number and twice it
+    f = graph_file("c21.edges", "".join(f"v{i} v{(i + 1) % 21}\n" for i in range(21)))
+    code, out, err = run_cli(capsys, ["evc", f, "--json"])
+    assert code == 1 and out == ""
+    assert "cover scan capped at 20 vertices" in err and "(known bounds: 11..22)" in err
+    for extra in (["--method", "game"], ["--cross-check"]):
+        code, out, err = run_cli(capsys, ["spartan", f, *extra])
+        assert code == 1 and out == "", extra
+        assert "analysis refused: cover scan capped at 20 vertices" in err, extra
 
 
 def test_budget_refusal_bounds_hold_across_components(graph_file, capsys):
@@ -321,7 +334,7 @@ def test_revalidation_refusal_still_raises():
     # the cover scan's cap is a refusal, not a forgery
     c22 = parse_edge_list("".join(f"v{i} v{(i + 1) % 22}\n" for i in range(22)))
     cert = {"kind": "no_strongly_good_coverage", "k": 11, "vertex": "v0"}
-    with pytest.raises(PreconditionError, match="capped at 20 vertices"):
+    with pytest.raises(ResourceLimitError, match="capped at 20 vertices"):
         revalidate_certificate(c22, cert)
 
 

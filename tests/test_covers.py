@@ -10,7 +10,7 @@ from evckit.covers import (
     min_vc_containing,
     mvc,
 )
-from evckit.errors import PreconditionError
+from evckit.errors import PreconditionError, ResourceLimitError
 from evckit.graph import Graph, bits
 
 from conftest import brute_force_min_covers, random_graph_corpus
@@ -223,7 +223,7 @@ def test_covers_within_a_mask_match_brute_force():
 
 def test_cover_enumeration_refused_above_twenty_vertices():
     c21 = _path_or_cycle(21, True)
-    with pytest.raises(PreconditionError, match="cover scan capped at 20 vertices"):
+    with pytest.raises(ResourceLimitError, match="cover scan capped at 20 vertices"):
         enumerate_covers_up_to(c21, 11)
     # a 20-vertex part of the same graph, the path P20, is answered: its
     # 10-vertex covers are the complements of its comb(11, 10) largest
@@ -238,7 +238,7 @@ def test_cover_enumeration_refused_at_the_call_before_any_draw(monkeypatch):
     monkeypatch.setattr(covers, "_covers_between", lambda *a: started.append(a))
     c21 = _path_or_cycle(21, True)
     for within in (None, c21.full_mask):
-        with pytest.raises(PreconditionError, match="cover scan capped at 20 vertices"):
+        with pytest.raises(ResourceLimitError, match="cover scan capped at 20 vertices"):
             enumerate_covers_up_to(c21, 11, within, least=11)
     assert started == []
 

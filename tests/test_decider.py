@@ -163,10 +163,33 @@ def test_cross_check_of_a_disconnected_graph():
     # already loses, so the cross-check stops there
     ring = " ".join(f"v{i} v{(i + 1) % 21}" for i in range(21))
     g = parse_edge_list("p q\nq r\nr s\ns t\n" + ring + "\n")
-    with pytest.raises(PreconditionError, match="capped at 20 vertices"):
+    with pytest.raises(ResourceLimitError, match="capped at 20 vertices"):
         is_spartan(g, method="game")
     v = is_spartan(g, cross_check=True)
     assert v.cross_check["agrees"] and v.cross_check["game_oracle"] is False
+
+
+def test_cross_check_solves_each_component_once(monkeypatch):
+    # C4 wins at its cover number and P3 loses: the game lane's own solves
+    # answer the cross-check, and any other lane solves each component once
+    import evckit.decider
+    import evckit.game
+
+    solves = []
+    real = evckit.game.solve_guard_game
+
+    def counting(g, k, **kwargs):
+        solves.append((g.labels, k))
+        return real(g, k, **kwargs)
+
+    monkeypatch.setattr(evckit.game, "solve_guard_game", counting)
+    monkeypatch.setattr(evckit.decider, "solve_guard_game", counting, raising=False)
+    g = parse_edge_list("a b\nb c\nc d\nd a\nx y\ny z\n")
+    for method in ("game", "auto", "fixpoint"):
+        solves.clear()
+        v = is_spartan(g, method=method, cross_check=True)
+        assert not v.spartan and v.cross_check["game_oracle"] is False
+        assert solves == [(tuple("abcd"), 2), (tuple("xyz"), 1)], method
 
 
 def test_truncated_enumeration_is_refused(named):

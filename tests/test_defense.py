@@ -386,15 +386,14 @@ def test_shortest_cycle_witness_on_larger_cover_pairs():
         for i, j in itertools.islice(
             itertools.combinations(range(len(cs.covers)), 2), 6
         ):
-            aux = build_aux(g, cs.covers[i], cs.covers[j])
+            s, t = cs.covers[i], cs.covers[j]
+            aux = build_aux(g, s, t)
             if aux.side_size == 0 or aux.side_size > 6 or not aux.helper_pairs:
                 continue
             for u, v in _all_attacks(aux):
                 rm = rainbow_pm_with_edge(aux, u, v)
-                where = (g.edges, aux.cover_s, aux.cover_t, u, v)
-                assert (rm is not None) == ctx.defends(
-                    aux.cover_s, (u, v), aux.cover_t
-                ), where
+                where = (g.edges, s, t, u, v)
+                assert (rm is not None) == ctx.defends(s, (u, v), t), where
                 asked += 1
                 if rm is None:
                     continue
@@ -488,7 +487,8 @@ def test_reducer_instance_computed_once_per_context(monkeypatch):
     original = defense_mod.rainbow_pm_with_edge
 
     def recording(aux, u, v):
-        calls.append((aux.cover_s, aux.cover_t, defense_mod._question(aux, u, v)))
+        s, t = tuple(bits(aux.s_mask)), tuple(bits(aux.t_mask))
+        calls.append((s, t, defense_mod._question(aux, u, v)))
         return original(aux, u, v)
 
     monkeypatch.setattr(defense_mod, "rainbow_pm_with_edge", recording)
@@ -597,7 +597,7 @@ def test_mode_satisfiable_checks_the_mode(named):
     for aux, u, v, error, message in _invalid_attacks(named):
         ctx = DefenseContext(aux.graph)
         with pytest.raises(error, match=message):
-            ctx.witness(aux.cover_s, (u, v), aux.cover_t)
+            ctx.witness(tuple(bits(aux.s_mask)), (u, v), tuple(bits(aux.t_mask)))
         with pytest.raises(error, match=message):
             rainbow_pm_bruteforce(aux, u, v)
 

@@ -6,11 +6,11 @@ from evckit.covers import enumerate_min_vcs, mvc_mask
 from evckit.decider import DefenseFamily, FixpointTrace, spartan_fixpoint
 from evckit.defense import Defense, check_defense
 from evckit.fixpoint import greatest_fixpoint, oriented_attacks, some_state_survives
-from evckit.game import enumerate_states, solve_guard_game
+from evckit.game import solve_guard_game
 from evckit.graph import Graph, mask_of
 from evckit.reachability import move_feasible_counts
 
-from conftest import random_graph_corpus
+from conftest import game_states, random_graph_corpus
 
 # the 25 graphs of the former order-independence test, then larger ones
 CORPUS = random_graph_corpus(25, 3, 6, seed=131) + random_graph_corpus(
@@ -59,7 +59,7 @@ def test_game_matches_naive_rounds():
         # at k0 every covering multiset has one guard per vertex, so the
         # one-per-vertex game is a new input only above it
         for k, one_per_vertex in ((k0, False), (k0 + 1, False), (k0 + 1, True)):
-            states = enumerate_states(g, k, one_per_vertex=one_per_vertex)
+            states = game_states(g, k, one_per_vertex)
 
             def first_responder(i, threat, alive):
                 u, v = threat
@@ -83,7 +83,6 @@ def test_game_matches_naive_rounds():
             assert out.states == states
             assert out.survivors == [states[i] for i in alive], (g.edges, k)
             assert out.ranks == {states[i]: r for i, _, r in removals}
-            assert out.removal_trace == [(states[i], t) for i, t, _ in removals]
 
 
 def test_decider_matches_naive_rounds():

@@ -13,7 +13,6 @@ from evckit.decider import is_spartan
 from evckit.errors import PreconditionError, ResourceLimitError
 from evckit.game import (
     GameOutcome,
-    enumerate_states,
     evc,
     play_session,
     solve_guard_game,
@@ -23,7 +22,7 @@ from evckit.fixpoint import greatest_fixpoint, oriented_attacks
 from evckit.graph import Graph, mask_of, parse_edge_list
 from evckit.reachability import move_feasible_counts, replay_moves
 
-from conftest import random_graph_corpus
+from conftest import game_states, random_graph_corpus
 
 
 def test_k2_one_guard(named):
@@ -41,10 +40,10 @@ def test_p3_values(named):
 def test_footnote_two_guards_lose(named):
     out = solve_guard_game(named["footnote"], 2)
     assert not out.defender_wins
-    # the only two-guard cover state dies on an attack toward b1 or b2
-    assert out.removal_trace
-    state, edge = out.removal_trace[0]
-    assert state == (1, 1, 0, 0)
+    # the only two-guard cover state dies in the first round, on an attack
+    # toward b1 or b2
+    assert out.states == [(1, 1, 0, 0)]
+    assert out.ranks == {(1, 1, 0, 0): 0}
 
 
 def test_fixed_values(named):
@@ -80,11 +79,13 @@ def test_game_requires_connected(named):
 
 def test_state_enumeration_counts(named):
     # C5 with three guards: exactly the five minimum covers, one guard each
-    states = enumerate_states(named["C5"], 3)
+    states = game_states(named["C5"], 3)
+    assert solve_guard_game(named["C5"], 3).states == states
     assert len(states) == 5
     assert all(sum(s) == 3 and max(s) == 1 for s in states)
     # one extra guard may double up anywhere on a cover or extend the support
-    states4 = enumerate_states(named["C5"], 4)
+    states4 = game_states(named["C5"], 4)
+    assert solve_guard_game(named["C5"], 4).states == states4
     assert all(sum(s) == 4 for s in states4)
     assert len(states4) > 5
 
@@ -92,11 +93,9 @@ def test_state_enumeration_counts(named):
 def test_one_per_vertex_states_are_covers_of_size_k(named):
     for g in random_graph_corpus(20, 2, 7, seed=163):
         for k in range(1, g.n + 1):
-            states = enumerate_states(g, k, one_per_vertex=True)
-            expected = sorted(
-                c for c in enumerate_states(g, k) if max(c) == 1
-            )
-            assert states == expected
+            states = solve_guard_game(g, k, one_per_vertex=True).states
+            expected = [c for c in game_states(g, k) if max(c) == 1]
+            assert states == game_states(g, k, one_per_vertex=True) == expected
 
 
 def test_a_dead_vertex_decides_a_loss_without_a_search(named, monkeypatch):
@@ -113,7 +112,7 @@ def test_a_dead_vertex_decides_a_loss_without_a_search(named, monkeypatch):
             m.setattr(game, "move_feasible_counts", lambda *args: asked.append(args))
             outcome = solve_guard_game(g, k)
         assert not outcome.defender_wins and asked == []
-        states = enumerate_states(g, k)
+        states = game_states(g, k)
         supports = [mask_of(v for v in range(g.n) if s[v]) for s in states]
         alive, removals, _ = greatest_fixpoint(
             [oriented_attacks(g, support) for support in supports],
@@ -125,8 +124,7 @@ def test_a_dead_vertex_decides_a_loss_without_a_search(named, monkeypatch):
         assert outcome.states == states
         assert outcome.survivors == [states[i] for i in alive] == []
         assert outcome.ranks == {states[i]: r for i, _, r in removals}
-        assert outcome.removal_trace == [(states[i], t) for i, t, _ in removals]
-        assert len(outcome.removal_trace) == len(states) > 0
+        assert len(outcome.ranks) == len(states) > 0
 
 
 def test_state_budget(named):
@@ -406,10 +404,8 @@ def test_refusal_of_the_multiset_check_brackets_evc():
     # P6: mvc 3, evc 5; the one-per-vertex game has at most 10 states at
     # k = 3..5, the multiset game 22 at k = 4
     p6 = parse_edge_list("a b\nb c\nc d\nd e\ne f")
-    assert max(
-        len(enumerate_states(p6, k, one_per_vertex=True)) for k in (3, 4, 5)
-    ) == 10
-    assert len(enumerate_states(p6, 4)) == 22
+    assert max(len(game_states(p6, k, one_per_vertex=True)) for k in (3, 4, 5)) == 10
+    assert len(game_states(p6, 4)) == 22
     assert evc(p6).value == 5
     for text, truth, bracket in [
         ("a b\nb c\nc d\nd e\ne f", 5, (3, 5)),
@@ -459,7 +455,7 @@ _CLOSED_FORMS = (
 @pytest.mark.parametrize("g,family", _CLOSED_FORMS)
 def test_evc_closed_forms(g, family):
     if family == "tree":
-        expected = 1 + sum(1 for v in range(g.n) if g.degree(v) > 1)
+        expected = 1 + sum(1 for v in range(g.n) if len(g.adjacency[v]) > 1)
     elif family == "cycle":
         expected = math.ceil(g.n / 2)
     else:
@@ -489,7 +485,7 @@ def test_support_filter_rejects_only_unroutable_pairs():
     rejected = kept = stacked = 0
     for g in random_graph_corpus(60, 4, 7, seed=251):
         k = mvc_mask(g, g.full_mask) + rng.randint(0, 1)
-        states = enumerate_states(g, k)
+        states = game_states(g, k)
         slots = max(max(c) for c in states)
         closed = _closed_slots(g, slots)
         for c in states:

@@ -10,7 +10,7 @@ from evckit.covers import (
     enumerate_min_vcs,
     mvc_mask,
 )
-from evckit.errors import PreconditionError
+from evckit.errors import PreconditionError, ResourceLimitError
 from evckit.goodness import (
     BadSetCertificate,
     is_strongly_good,
@@ -504,7 +504,7 @@ def test_replacement_check_refuses_a_component_above_twenty_vertices():
     residual = tuple(2 if i == 18 else int(i < 18 and i % 2 == 0) for i in range(22))
     assert sum(residual) == 11
     for _ in range(2):
-        with pytest.raises(PreconditionError, match="capped at 20 vertices"):
+        with pytest.raises(ResourceLimitError, match="capped at 20 vertices"):
             goodness._replacement_reachable(c22, c22.full_mask >> 1, residual, 11)
 
 
