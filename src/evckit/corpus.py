@@ -55,7 +55,7 @@ def exhaustive_connected(n: int):
     for bitsel in range(1 << len(pairs)):
         edges = tuple(pairs[i] for i in range(len(pairs)) if bitsel >> i & 1)
         g = Graph(labels, edges)
-        if is_connected(g) and (n == 1 or not g.isolated_vertices()):
+        if is_connected(g):
             yield g
 
 
@@ -68,7 +68,7 @@ def random_connected(n: int, p: float, count: int, seed: int) -> list[Graph]:
     while len(out) < count:
         edges = tuple(e for e in pairs if rng.random() < p)
         g = Graph(labels, edges)
-        if is_connected(g) and not g.isolated_vertices():
+        if is_connected(g):
             out.append(g)
     return out
 

@@ -47,7 +47,6 @@ class Graph:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValidationError("vertex labels must be distinct")
-        seen = set()
         prev = None
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -56,13 +55,13 @@ class Graph:
                 raise ValidationError(f"self-loop at {self.labels[u]!r}")
             if u > v:
                 raise ValidationError("edges must be stored as (u, v) with u < v")
-            if (u, v) in seen:
+            # sorted edges put a duplicate right after its twin
+            if (u, v) == prev:
                 raise ValidationError(
                     f"duplicate edge {self.labels[u]} {self.labels[v]}"
                 )
             if prev is not None and (u, v) < prev:
                 raise ValidationError("edges must be sorted")
-            seen.add((u, v))
             prev = (u, v)
 
     # -- basic views ---------------------------------------------------
@@ -142,28 +141,17 @@ class Graph:
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[str, str]]) -> "Graph":
-        """Build a graph from labeled edge pairs in first-appearance order."""
-        order: list[str] = []
+        """Build a graph from labeled edge pairs in first-appearance order.
+
+        The constructor rejects a self-loop or a duplicate edge.
+        """
         index: dict[str, int] = {}
-
-        def intern(lab: str) -> int:
-            if lab not in index:
-                index[lab] = len(order)
-                order.append(lab)
-            return index[lab]
-
         edges = []
-        seen = set()
         for a, b in pairs:
-            u, v = intern(a), intern(b)
-            if u == v:
-                raise ValidationError(f"self-loop at {a!r}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValidationError(f"duplicate edge {a} {b}")
-            seen.add(e)
-            edges.append(e)
-        return Graph(tuple(order), tuple(sorted(edges)))
+            u = index.setdefault(a, len(index))
+            v = index.setdefault(b, len(index))
+            edges.append((u, v) if u < v else (v, u))
+        return Graph(tuple(index), tuple(sorted(edges)))
 
 
 # -- parsing and serialization ------------------------------------------
@@ -187,10 +175,7 @@ def parse_edge_list(text: str) -> Graph:
             )
         for i in range(0, len(tokens), 2):
             pairs.append((tokens[i], tokens[i + 1]))
-    try:
-        return Graph.from_pairs(pairs)
-    except ValidationError as exc:
-        raise ValidationError(str(exc)) from None
+    return Graph.from_pairs(pairs)
 
 
 def parse_json_graph(obj) -> Graph:
@@ -218,26 +203,20 @@ def parse_json_graph(obj) -> Graph:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphFormatError(f"bad edge entry: {e!r}")
         pairs.append((_json_label(e[0]), _json_label(e[1])))
-    known: set[str] = set()
+    order: dict[str, int] = {}
     for lab in vertices:
-        if lab in known:
+        if lab in order:
             raise GraphFormatError(f"repeated vertex label {lab!r}")
-        known.add(lab)
-    for a, b in pairs:
-        for lab in (a, b):
-            if vertices and lab not in known:
-                raise ValidationError(f"edge uses unlisted vertex {lab!r}")
+        order[lab] = len(order)
     if vertices:
-        order = {lab: i for i, lab in enumerate(vertices)}
-        idx_pairs = []
+        edges = []
         for a, b in pairs:
+            for lab in (a, b):
+                if lab not in order:
+                    raise ValidationError(f"edge uses unlisted vertex {lab!r}")
             u, v = order[a], order[b]
-            if u == v:
-                raise ValidationError(f"self-loop at {a!r}")
-            idx_pairs.append((u, v) if u < v else (v, u))
-        if len(set(idx_pairs)) != len(idx_pairs):
-            raise ValidationError("duplicate edge in JSON graph")
-        g = Graph(tuple(vertices), tuple(sorted(idx_pairs)))
+            edges.append((u, v) if u < v else (v, u))
+        g = Graph(tuple(vertices), tuple(sorted(edges)))
     else:
         g = Graph.from_pairs(pairs)
     if g.isolated_vertices():
@@ -328,43 +307,10 @@ def cut_vertices(g: Graph) -> tuple[int, ...]:
     """All vertices whose removal disconnects the graph (g must be connected)."""
     if not is_connected(g):
         raise PreconditionError("cut_vertices requires a connected graph")
-    n = g.n
-    if n <= 2:
-        return ()
-    disc = [-1] * n
-    low = [0] * n
-    result = set()
-    adj = g.adjacency
-    timer = 0
-    # iterative lowpoint DFS from vertex 0
-    stack: list[tuple[int, int, int]] = [(0, -1, 0)]  # (vertex, parent, next child pos)
-    root_children = 0
-    while stack:
-        v, parent, ci = stack[-1]
-        if disc[v] == -1:
-            disc[v] = low[v] = timer
-            timer += 1
-        if ci < len(adj[v]):
-            stack[-1] = (v, parent, ci + 1)
-            w = adj[v][ci]
-            if w == parent:
-                continue
-            if disc[w] != -1:
-                low[v] = min(low[v], disc[w])
-            else:
-                if v == 0:
-                    root_children += 1
-                stack.append((w, v, 0))
-        else:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if p != 0 and low[v] >= disc[p]:
-                    result.add(p)
-    if root_children >= 2:
-        result.add(0)
-    return tuple(sorted(result))
+    full = g.full_mask
+    return tuple(
+        v for v in range(g.n) if len(mask_components(g, full & ~(1 << v))) > 1
+    )
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Reports are JSON objects with a fixed schema version.  Certificates cross
 the JSON boundary in label space (indices never appear in reports) and can
 be re-checked against the same graph after a round trip; revalidation always
-recomputes the claimed facts from scratch.
+recomputes the claimed facts from scratch.  It accepts exactly the kinds that
+``spartan`` and ``certify`` emit (README, "Why (not)?"); any other kind reads
+False.
 """
 
 from __future__ import annotations
@@ -75,24 +77,19 @@ def base_report(g: Graph, command: str) -> dict:
 _VERTEX_KEYS = frozenset(
     {
         "vertex",
-        "exit_vertex",
         "cycle",
         "cover",
-        "covers",
         "covers_containing",
-        "bad_set",
         "component",
         "violator",
         "neighborhood",
         "independent_set",
-        "edge",
         "attack",
         "edge_in_no_perfect_matching",
         "tight_set",
         "tight_neighborhood",
         "deficient_set",
         "deficient_neighborhood",
-        "support",
     }
 )
 
@@ -144,7 +141,6 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
 
 def _revalidate(g: Graph, cert: dict) -> bool:
     from .covers import enumerate_min_vcs, mvc_mask
-    from .goodness import BadSetCertificate, revalidate_bad_set
     from .graph import OddCycle, bipartition, connected_components, is_connected
     from .matching import is_essentially_elementary, max_matching_size
 
@@ -180,7 +176,7 @@ def _revalidate(g: Graph, cert: dict) -> bool:
         if not x or xm.bit_count() != len(x) or xm & ~im:
             return False
         nb = neighbors_of_set(g, xm)
-        return set(bits(nb)) == set(data["neighborhood"]) and nb.bit_count() < len(x)
+        return sorted(data["neighborhood"]) == list(bits(nb)) and nb.bit_count() < len(x)
     if kind == "tight_independent_set":
         m = mask_of(data["independent_set"])
         if not m or m.bit_count() != len(data["independent_set"]):
@@ -197,26 +193,6 @@ def _revalidate(g: Graph, cert: dict) -> bool:
         )
     if kind == "mvc_below_half":
         return 2 * mvc_mask(g, g.full_mask) < g.n
-    if kind in ("weakly_bad", "strongly_bad"):
-        support, claimed = data["support"], data["counts_on_support"]
-        # a positive whole number of guards per support entry; a repeated
-        # vertex adds them up
-        if len(claimed) != len(support):
-            return False
-        if any(type(c) is not int or c < 1 for c in claimed):
-            return False
-        counts = [0] * g.n
-        for v, c in zip(support, claimed):
-            counts[v] += c
-        bc = BadSetCertificate(
-            kind=kind,
-            support=tuple(support),
-            counts=tuple(counts),
-            bad_set=tuple(data["bad_set"]),
-            component=tuple(data["component"]),
-            exit_vertex=data.get("exit_vertex"),
-        )
-        return revalidate_bad_set(g, bc)
     if kind == "non_elementary":
         sides = []  # both sides of every component, as masks of g
         for comp in connected_components(g):

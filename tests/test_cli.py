@@ -228,21 +228,6 @@ FORGED_ON_C4 = [
     {"kind": "hall_violator", "violator": ["a", "c"], "neighborhood": ["b", "d"]},
     {"kind": "tight_independent_set", "independent_set": ["a"]},
     {"kind": "mvc_below_half", "mvc": 1, "n": 4},
-    {
-        "kind": "weakly_bad",
-        "support": ["a", "c"],
-        "counts_on_support": [1, 1],
-        "bad_set": ["b"],
-        "component": ["a", "c", "d"],
-    },
-    {
-        "kind": "strongly_bad",
-        "support": ["a", "c"],
-        "counts_on_support": [1, 1],
-        "bad_set": ["b"],
-        "component": ["a", "c", "d"],
-        "exit_vertex": "a",
-    },
     {"kind": "no_weakly_good_coverage", "k": 2, "vertex": "a"},
     {"kind": "no_strongly_good_coverage", "k": 3, "vertex": "a"},
     {"kind": "empty_fixpoint", "deletions": []},
@@ -286,42 +271,38 @@ MALFORMED_ON_P5 = [
     {"kind": "vertex_in_no_min_cover", "vertex": "zz"},
     {"kind": "hall_violator", "violator": ["a"]},
     {"kind": "odd_cycle", "cycle": "abc"},
+    # {a, c, e} violates Hall's condition; the violator {a, a} does not
     {
-        "kind": "weakly_bad",
-        "support": ["b"],
-        "counts_on_support": [-1],
-        "bad_set": ["a"],
-        "component": ["b", "c", "d", "e"],
+        "kind": "hall_violator",
+        "independent_set": ["a", "c", "e"],
+        "violator": ["a", "a"],
+        "neighborhood": ["b"],
     },
-    # {a, d} is weakly bad; the claimed {a, d, e} and {a, d, d} are not
+    # an edge with one end, and a deletion with no round
+    {"kind": "non_elementary", "edge_in_no_perfect_matching": ["a"]},
     {
-        "kind": "weakly_bad",
-        "support": ["a", "d", "e"],
-        "counts_on_support": [1, 1],
-        "bad_set": ["b"],
-        "component": ["c", "d", "e"],
-    },
-    {
-        "kind": "weakly_bad",
-        "support": ["a", "d", "d"],
-        "counts_on_support": [1, 1, 1],
-        "bad_set": ["b"],
-        "component": ["c", "d", "e"],
+        "kind": "empty_fixpoint",
+        "deletions": [{"cover": ["b", "d"], "attack": ["b", "a"]}],
     },
     {"kind": "no_weakly_good_coverage", "vertex": "a"},
     {"kind": "game_attacker_win", "k": "x"},
-    # a vertex field takes labels only: an index, read as a position,
-    # would turn -1, -2 and 4 into e, d and e
+    # a vertex field takes labels only: an index, read as a position, would
+    # turn -1 and 4 into e and -2 into d, and each certificate would hold
     *(
         {
-            "kind": "weakly_bad",
-            "support": ["a", index],
-            "counts_on_support": [1, 1],
-            "bad_set": ["b"],
-            "component": ["c", "d", "e"],
+            "kind": "hall_violator",
+            "independent_set": ["a", "c", "e"],
+            "violator": ["a", "c", index],
+            "neighborhood": ["b", "d"],
         }
-        for index in (-1, -2, 4)
+        for index in (-1, 4)
     ),
+    {
+        "kind": "hall_violator",
+        "independent_set": ["a", "c", "e"],
+        "violator": ["a", "c", "e"],
+        "neighborhood": ["b", -2],
+    },
 ]
 
 
@@ -587,6 +568,18 @@ def test_tight_independent_set_needs_its_neighbourhood():
     assert revalidate_certificate(p4, {**cert, "neighborhood": ["b"]})
     assert not revalidate_certificate(p4, {**cert, "neighborhood": ["d"]})
     assert not revalidate_certificate(p4, {**cert, "neighborhood": ["b", "b"]})
+
+
+def test_hall_violator_needs_its_neighbourhood():
+    # on K1,3, X = {x, y} has N(X) = {c}: naming c twice is no neighbourhood
+    k13 = parse_edge_list("c x\nc y\nc z\n")
+    cert = {
+        "kind": "hall_violator",
+        "independent_set": ["x", "y", "z"],
+        "violator": ["x", "y"],
+    }
+    assert revalidate_certificate(k13, {**cert, "neighborhood": ["c"]})
+    assert not revalidate_certificate(k13, {**cert, "neighborhood": ["c", "c"]})
 
 
 def test_object_in_a_vertex_field_is_rejected():

@@ -103,6 +103,21 @@ def test_json_graph_names_a_repeated_vertex_label(vertices, edges):
         parse_json_graph({"vertices": vertices, "edges": edges})
 
 
+@pytest.mark.parametrize(
+    "edges,message",
+    [([["a", "a"]], "self-loop at 'a'"), ([["a", "b"], ["b", "a"]], "duplicate edge a b")],
+    ids=["self-loop", "duplicate"],
+)
+def test_json_graph_with_vertices_rejects_loops_and_duplicates(edges, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_json_graph({"vertices": ["a", "b"], "edges": edges})
+
+
+def test_graph_rejects_an_unsorted_duplicate():
+    with pytest.raises(ValidationError):
+        Graph(("a", "b", "c"), ((0, 1), (1, 2), (0, 1)))
+
+
 def test_json_graph_reads_integer_labels_as_strings():
     g = load_graph_text('{"vertices": [1, "b", 30], "edges": [[1, "b"], ["b", 30]]}')
     assert g.labels == ("1", "b", "30")
