@@ -363,7 +363,3 @@ def main(argv=None) -> int:
     except EvckitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -2,7 +2,9 @@
 
 The defense family is the greatest fixpoint (the shared ``fixpoint`` engine)
 over the complete set of minimum covers: a cover survives while every attack
-on it is defended by some surviving cover.  The fixpoint is decided on the
+on it is defended by some surviving cover.  A Koenig component (largest
+matching = cover number) draws no cover list: its fixpoint, run on a
+positive answer, is over the two sides.  The fixpoint is decided on the
 alternating trees of each cover pair's auxiliary graph
 (``DefenseContext.defends``), a yes/no answer with no witness; afterwards
 each exported transition takes its guard paths from one
@@ -134,7 +136,7 @@ def _decide_component(
             spartan=wins, method="gameOracle", certificate=None if wins else lost
         )
     elif method != "fixpoint" and mm == k:
-        verdict = _decide_konig(g, _all_min_covers(g, cover_cap), stats=stats)
+        verdict = _decide_konig(g, stats=stats)
     else:
         result = spartan_fixpoint(g, covers=_all_min_covers(g, cover_cap), stats=stats)
         if isinstance(result, DefenseFamily):
@@ -153,10 +155,11 @@ def _decide_component(
     return verdict
 
 
-def _decide_konig(g: Graph, covers, *, stats: DefenseStats | None) -> SpartanVerdict:
+def _decide_konig(g: Graph, *, stats: DefenseStats | None) -> SpartanVerdict:
     """Koenig component (max matching = cover number): Spartan iff bipartite
-    and elementary; the fixpoint still runs on a positive answer so the
-    verdict ships a defense family."""
+    and elementary.  On a positive answer the fixpoint runs over the two
+    sides, the only minimum covers of a connected elementary bipartite graph,
+    so that the verdict ships a defense family; no cover list is drawn."""
     res = bipartition(g)
     if isinstance(res, OddCycle):
         return SpartanVerdict(
@@ -166,17 +169,17 @@ def _decide_konig(g: Graph, covers, *, stats: DefenseStats | None) -> SpartanVer
         )
     ok, witness = is_elementary(g)
     if not ok:
-        cert: dict = {"kind": "non_elementary"}
-        if witness and witness.edge is not None:
-            cert["edge_in_no_perfect_matching"] = witness.edge
-        if witness and witness.tight_set is not None:
+        cert = {"kind": "non_elementary", "edge_in_no_perfect_matching": witness.edge}
+        if witness.tight_set is not None:
             cert["tight_set"] = witness.tight_set.violator
             cert["tight_neighborhood"] = witness.tight_set.neighborhood
-        if witness and witness.deficiency is not None:
+        if witness.deficiency is not None:
             cert["deficient_set"] = witness.deficiency.violator
             cert["deficient_neighborhood"] = witness.deficiency.neighborhood
         return SpartanVerdict(spartan=False, method="konig", certificate=cert)
-    family = spartan_fixpoint(g, covers=covers, stats=stats)
+    # a non-empty fixpoint over any cover list is a closed family, so the
+    # answer does not rest on the sides being every minimum cover
+    family = spartan_fixpoint(g, covers=tuple(sorted(res)), stats=stats)
     if not isinstance(family, DefenseFamily):
         raise IntegrityError(
             "bipartite elementary component produced an empty fixpoint"

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .covers import cover_configurations, enumerate_covers_up_to, mvc_mask
-from .errors import IntegrityError, PreconditionError, ResourceLimitError
+from .errors import IntegrityError, PreconditionError, ResourceLimitError, ValidationError
 from .fixpoint import greatest_fixpoint, oriented_attacks, some_state_survives
 from .graph import Graph, connected_components, is_connected
 from .reachability import (
@@ -456,7 +456,7 @@ def play_session(g: Graph, k: int, in_stream, out_stream) -> list[dict]:
             try:
                 a = g.index(tokens[1])
                 b = g.index(tokens[2])
-            except Exception:
+            except ValidationError:
                 say(f"unknown vertex in: {tokens[1]} {tokens[2]}")
                 continue
             if not g.has_edge(a, b):

@@ -354,8 +354,6 @@ def necessary_conditions_report(g: Graph, k: int) -> dict:
     partial_b = cs.truncated
     for cover in cs.covers:
         ind = tuple(sorted(set(range(g.n)) - set(cover)))
-        if not ind:
-            continue
         res = hall_check(g, ind, cover)
         if isinstance(res, HallWitness):
             _check_cover_claim(g, res, cs)

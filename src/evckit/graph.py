@@ -331,7 +331,6 @@ def bipartition(g: Graph):
     n = g.n
     color = [-1] * n
     parent = [-1] * n
-    depth = [0] * n
     color[0] = 0
     queue = [0]
     qi = 0
@@ -342,33 +341,24 @@ def bipartition(g: Graph):
             if color[w] == -1:
                 color[w] = color[v] ^ 1
                 parent[w] = v
-                depth[w] = depth[v] + 1
                 queue.append(w)
             elif color[w] == color[v]:
-                return OddCycle(_odd_cycle_from(parent, depth, v, w))
+                return OddCycle(_odd_cycle_from(parent, v, w))
     side0 = tuple(v for v in range(n) if color[v] == 0)
     side1 = tuple(v for v in range(n) if color[v] == 1)
     return side0, side1
 
 
-def _odd_cycle_from(parent, depth, v, w) -> tuple[int, ...]:
-    # walk both endpoints of the offending edge up to their BFS-tree LCA
+def _odd_cycle_from(parent, v, w) -> tuple[int, ...]:
+    # a breadth-first edge joins depths at most one apart, and the colour is
+    # the depth's parity, so v and w share a depth: climb both in step to
+    # their lowest common ancestor
     up_v, up_w = [v], [w]
-    a, b = v, w
-    while depth[a] > depth[b]:
-        a = parent[a]
-        up_v.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        up_w.append(b)
-    while a != b:
-        a = parent[a]
-        b = parent[b]
-        up_v.append(a)
-        up_w.append(b)
-    # up_v ends at the LCA, up_w's last element is also the LCA: drop it
-    cycle = up_v + list(reversed(up_w[:-1]))
-    return tuple(cycle)
+    while up_v[-1] != up_w[-1]:
+        up_v.append(parent[up_v[-1]])
+        up_w.append(parent[up_w[-1]])
+    # up_v ends at the ancestor, and so does up_w: drop its copy
+    return tuple(up_v + up_w[-2::-1])
 
 
 def require_analysis_ready(g: Graph) -> None:

@@ -252,11 +252,10 @@ def max_matching(g: Graph) -> Matching:
 
 @dataclass(frozen=True)
 class HallWitness:
-    """A subset of the source side violating (or tight against) Hall's condition."""
+    """A set X of sources with N(X): deficient or, in an elementary witness, tight."""
 
     violator: tuple[int, ...]
     neighborhood: tuple[int, ...]
-    kind: str  # "deficient" (|N(X)| < |X|) or "tight" (|N(X)| = |X|, X proper)
 
 
 def _check_hall_preconditions(g: Graph, sources, targets) -> None:
@@ -272,7 +271,13 @@ def _check_hall_preconditions(g: Graph, sources, targets) -> None:
 
 def hall_check(g: Graph, sources, targets):
     """Either a matching saturating ``sources`` into ``targets``, or an
-    inclusion-wise minimal deficient :class:`HallWitness`.
+    inclusion-wise minimal deficient :class:`HallWitness`: the alternating
+    tree X of the first free source under a maximum matching pm, with
+    N(X) = pm(X - free).
+
+    X is minimal.  A deficient Y inside X holds the free source, since pm
+    saturates the rest; so N(Y) = pm(Y - free), each tree step from Y stays
+    in Y, and Y = X.
     """
     sources = tuple(sorted(sources))
     targets = tuple(sorted(targets))
@@ -282,31 +287,11 @@ def hall_check(g: Graph, sources, targets):
     if len(pair) == len(sources):
         return canonical_matching(pair.items())
     free = next(u for u in sources if u not in pair)
-    # the tree of a free source is deficient: its whole neighborhood is
-    # matched back into it, and the source itself is unmatched
     back = {w: u for u, w in pair.items()}
-    violator = set(alternating_tree(adj, back, free))
-
-    def nbhd(xs) -> set[int]:
-        out: set[int] = set()
-        for x in xs:
-            out.update(adj[x])
-        return out
-
-    # greedy element removal down to an inclusion-wise minimal violator;
-    # removing larger indices first keeps the smallest labels in the witness
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(violator, reverse=True):
-            cand = violator - {x}
-            if cand and len(nbhd(cand)) < len(cand):
-                violator = cand
-                changed = True
+    violator = alternating_tree(adj, back, free)
     return HallWitness(
         violator=tuple(sorted(violator)),
-        neighborhood=tuple(sorted(nbhd(violator))),
-        kind="deficient",
+        neighborhood=tuple(sorted(pair[u] for u in violator if u != free)),
     )
 
 
@@ -314,7 +299,7 @@ def hall_check(g: Graph, sources, targets):
 class ElementaryWitness:
     """Evidence that a connected bipartite graph is not elementary."""
 
-    edge: tuple[int, int] | None = None  # an edge in no perfect matching
+    edge: tuple[int, int]  # an edge in no perfect matching
     tight_set: HallWitness | None = None
     deficiency: HallWitness | None = None
 
@@ -331,15 +316,14 @@ def is_elementary(g: Graph) -> tuple[bool, ElementaryWitness | None]:
         raise PreconditionError("is_elementary requires a bipartite graph")
     side_a, side_b = res
     if g.m == 0:
-        # single vertex: vacuous; larger edgeless graphs cannot be connected
-        return (False, ElementaryWitness()) if g.n > 1 else (True, None)
-    if len(side_a) != len(side_b):
-        hall = hall_check(g, side_a, tuple(sorted(set(range(g.n)) - set(side_a))))
-        witness = hall if isinstance(hall, HallWitness) else None
-        return False, ElementaryWitness(edge=g.edges[0], deficiency=witness)
+        return True, None  # a connected edgeless graph is one vertex
     saturating = hall_check(g, side_a, side_b)
-    if isinstance(saturating, HallWitness):
-        return False, ElementaryWitness(edge=g.edges[0], deficiency=saturating)
+    deficient = isinstance(saturating, HallWitness)
+    if deficient or len(side_a) != len(side_b):
+        # no perfect matching: no edge lies in one
+        return False, ElementaryWitness(
+            edge=g.edges[0], deficiency=saturating if deficient else None
+        )
     in_a = set(side_a)
     adj = _crossing_adjacency(g, side_a, side_b)
     pm = dict((x, y) if x in in_a else (y, x) for x, y in saturating)
@@ -361,7 +345,6 @@ def is_elementary(g: Graph) -> tuple[bool, ElementaryWitness | None]:
                 tight_set=HallWitness(
                     violator=tuple(sorted(tight)),
                     neighborhood=tuple(sorted(pm[a] for a in tight)),
-                    kind="tight",
                 ),
             )
     return True, None

@@ -139,6 +139,16 @@ def revalidate_certificate(g: Graph, cert: dict) -> bool:
         return False
 
 
+def _hall_claim(g: Graph, vertices, claimed):
+    """``(X, N(X))`` as vertex masks for a Hall claim, or None when X is
+    empty, repeats a vertex, or its claimed neighbourhood is not N(X)."""
+    xm = mask_of(vertices)
+    nb = neighbors_of_set(g, xm)
+    if not xm or xm.bit_count() != len(vertices) or sorted(claimed) != list(bits(nb)):
+        return None
+    return xm, nb
+
+
 def _revalidate(g: Graph, cert: dict) -> bool:
     from .covers import enumerate_min_vcs, mvc_mask
     from .graph import OddCycle, bipartition, connected_components, is_connected
@@ -167,30 +177,25 @@ def _revalidate(g: Graph, cert: dict) -> bool:
         return mvc_mask(g, full & ~(1 << data["vertex"])) == mvc_mask(g, full)
     if kind == "hall_violator":
         # a non-empty X inside a maximum independent set I, |N(X)| < |X|
-        ind, x = data["independent_set"], data["violator"]
-        im, xm = mask_of(ind), mask_of(x)
+        ind = data["independent_set"]
+        im = mask_of(ind)
         if im.bit_count() != len(ind) or len(ind) != g.n - mvc_mask(g, g.full_mask):
             return False
         if any(g.adj_mask[v] & im for v in ind):
             return False
-        if not x or xm.bit_count() != len(x) or xm & ~im:
+        claim = _hall_claim(g, data["violator"], data["neighborhood"])
+        if claim is None:
             return False
-        nb = neighbors_of_set(g, xm)
-        return sorted(data["neighborhood"]) == list(bits(nb)) and nb.bit_count() < len(x)
+        xm, nb = claim
+        return not xm & ~im and nb.bit_count() < xm.bit_count()
     if kind == "tight_independent_set":
-        m = mask_of(data["independent_set"])
-        if not m or m.bit_count() != len(data["independent_set"]):
+        claim = _hall_claim(g, data["independent_set"], data["neighborhood"])
+        if claim is None:
             return False
-        nb = neighbors_of_set(g, m)
-        if sorted(data["neighborhood"]) != list(bits(nb)):
-            return False
-        independent = all(not (g.adj_mask[v] & m) for v in data["independent_set"])
+        m, nb = claim
+        independent = not any(g.adj_mask[v] & m for v in bits(m))
         non_maximal = bool(g.full_mask & ~m & ~nb)
-        return (
-            independent
-            and non_maximal
-            and nb.bit_count() == len(data["independent_set"])
-        )
+        return independent and non_maximal and nb.bit_count() == m.bit_count()
     if kind == "mvc_below_half":
         return 2 * mvc_mask(g, g.full_mask) < g.n
     if kind == "non_elementary":
@@ -205,16 +210,16 @@ def _revalidate(g: Graph, cert: dict) -> bool:
         for prefix in ("tight", "deficient"):
             if f"{prefix}_set" not in data:
                 continue
-            x = data[f"{prefix}_set"]
-            xm = mask_of(x)
-            nb = neighbors_of_set(g, xm)
-            claimed = data[f"{prefix}_neighborhood"]
-            if xm.bit_count() != len(x) or sorted(claimed) != list(bits(nb)):
+            claim = _hall_claim(
+                g, data[f"{prefix}_set"], data[f"{prefix}_neighborhood"]
+            )
+            if claim is None:
                 return False
+            xm, nb = claim
             if prefix == "deficient":
-                holds = nb.bit_count() < len(x)
-            else:  # and X a non-empty proper subset of one side
-                holds = nb.bit_count() == len(x) > 0 and any(
+                holds = nb.bit_count() < xm.bit_count()
+            else:  # and X a proper subset of one side
+                holds = nb.bit_count() == xm.bit_count() and any(
                     xm != side and not xm & ~side for side in sides
                 )
             if not holds:

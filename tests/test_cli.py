@@ -13,6 +13,7 @@ from evckit.cli import main
 from evckit.corpus import exhaustive_connected, fixtures, random_connected
 from evckit.decider import is_spartan
 from evckit.errors import PreconditionError, ResourceLimitError, ValidationError
+from evckit.game import play_session
 from evckit.graph import Graph, is_connected, parse_edge_list, serialize_edge_list
 from evckit.report import delabelize, revalidate_certificate
 
@@ -520,6 +521,123 @@ def test_windmill_with_too_many_minimum_covers_is_refused(graph_file, capsys):
     code, out, err = run_cli(capsys, ["spartan", f, "--json"])
     assert (code, out) == (1, "")
     assert "refused" in err and "more than 10000 minimum covers" in err
+
+
+NET = "a b\nb c\nc a\na x\nb y\nc z\n"
+C6 = "a b\nb c\nc d\nd e\ne f\nf a\n"
+# the corona of P22: a spine s0 ... s21 with a leaf on each spine vertex; a
+# minimum cover takes s_i or l_i from each pair and no two adjacent leaves,
+# 46,368 covers past the default cap of 10,000
+CORONA_P22 = "".join(f"s{i} s{i + 1}\n" for i in range(21)) + "".join(
+    f"s{i} l{i}\n" for i in range(22)
+)
+
+
+def test_konig_components_are_answered_at_any_cap(graph_file, capsys):
+    # a Koenig component is decided on its bipartition and one alternating
+    # tree and draws no cover list, so --cap bounds the fixpoint lane alone
+    f = graph_file("net.edges", NET)
+    code, out, _ = run_cli(capsys, ["spartan", f, "--json", "--cap", "1"])
+    cert = json.loads(out)["result"]["certificate"]
+    assert code == 0 and cert == {"kind": "odd_cycle", "cycle": ["b", "a", "c"]}
+    f = graph_file("c6.edges", C6)
+    code, out, _ = run_cli(capsys, ["spartan", f, "--json", "--cap", "1"])
+    result = json.loads(out)["result"]
+    assert code == 0 and (result["spartan"], result["method"]) == (True, "konig")
+    assert result["family"] == [["a", "c", "e"], ["b", "d", "f"]]
+    code, out, err = run_cli(
+        capsys, ["spartan", f, "--json", "--cap", "1", "--method", "fixpoint"]
+    )
+    assert (code, out) == (1, "") and "more than 1 minimum covers" in err
+
+
+def test_corona_of_a_long_path_is_answered_at_the_default_cap(graph_file, capsys):
+    f = graph_file("corona.edges", CORONA_P22)
+    code, out, _ = run_cli(capsys, ["spartan", f, "--json"])
+    result = json.loads(out)["result"]
+    assert code == 0 and (result["spartan"], result["method"]) == (False, "konig")
+    cert = result["certificate"]
+    # {s0, l1} sees only {s1, l0}: no perfect matching pairs s0 with s1
+    assert cert == {
+        "kind": "non_elementary",
+        "edge_in_no_perfect_matching": ["s0", "s1"],
+        "tight_set": ["s0", "l1"],
+        "tight_neighborhood": ["s1", "l0"],
+    }
+    assert revalidate_certificate(parse_edge_list(CORONA_P22), cert)
+    code, out, err = run_cli(capsys, ["spartan", f, "--method", "fixpoint"])
+    assert (code, out) == (1, "") and "more than 10000 minimum covers" in err
+
+
+def test_balanced_component_without_a_perfect_matching(graph_file, capsys):
+    # both sides have three vertices, but a and b share their one neighbour
+    text = "a x\nb x\nc x\nc y\nc z\n"
+    f = graph_file("balanced.edges", text)
+    code, out, _ = run_cli(capsys, ["spartan", f, "--json"])
+    cert = json.loads(out)["result"]["certificate"]
+    assert code == 0 and cert == {
+        "kind": "non_elementary",
+        "edge_in_no_perfect_matching": ["a", "x"],
+        "deficient_set": ["a", "b"],
+        "deficient_neighborhood": ["x"],
+    }
+    assert revalidate_certificate(parse_edge_list(text), cert)
+
+
+def test_cross_check_prints_both_answers(graph_file, capsys):
+    # --json leaves out the two timings, like timings_ms; the pretty
+    # output keeps them
+    f = graph_file("c4.edges", "a b\nb c\nc d\nd a\n")
+    code, out, _ = run_cli(capsys, ["spartan", f, "--cross-check", "--json"])
+    assert code == 0 and '"cross_check":{"agrees":true,"game_oracle":true}' in out
+    code, out, _ = run_cli(capsys, ["spartan", f, "--cross-check"])
+    cc = json.loads(out)["result"]["cross_check"]
+    assert code == 0 and set(cc) == {"agrees", "game_oracle", "decider_ms", "oracle_ms"}
+    f = graph_file("p5.edges", "a b\nb c\nc d\nd e\n")
+    code, out, _ = run_cli(capsys, ["spartan", f, "--cross-check", "--json"])
+    cc = json.loads(out)["result"]["cross_check"]
+    assert code == 0 and cc == {"agrees": True, "game_oracle": False}
+
+
+def test_play_below_the_cover_number(graph_file, capsys, monkeypatch):
+    # one guard cannot even cover C4, whose cover number is 2
+    f = graph_file("c4.edges", "a b\nb c\nc d\nd a\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+    code, out, _ = run_cli(capsys, ["play", f, "--guards", "1"])
+    assert code == 0 and out == (
+        "no cover-supported placement of 1 guards exists; "
+        "the attacker wins immediately\n"
+    )
+    c4 = parse_edge_list("a b\nb c\nc d\nd a\n")
+    events = play_session(c4, 1, io.StringIO("quit\n"), io.StringIO())
+    assert events == [{"event": "immediate_loss", "k": 1}]
+    code, out, err = run_cli(capsys, ["play", f, "--guards", "0"])
+    assert (code, out) == (2, "") and "at least one guard is required" in err
+
+
+def test_certify_above_the_cover_number(graph_file, capsys):
+    # the tree's cover number is 2; no 3-guard configuration that is weakly
+    # or strongly good puts a guard on the leaf e
+    text = "a c\na e\na f\nb c\nb d\n"
+    f = graph_file("tree.edges", text)
+    code, out, _ = run_cli(capsys, ["certify", f, "--k", "3", "--json"])
+    result = json.loads(out)["result"]
+    assert code == 0 and (result["mvc"], result["verdict"]) == (2, "exceeds_k")
+    conditions = {c["id"]: c for c in result["conditions"]}
+    g = parse_edge_list(text)
+    for cid in ("weakly-good-coverage", "strongly-good-coverage"):
+        cert = conditions[cid]["certificate"]
+        assert not conditions[cid]["passed"] and not conditions[cid]["partial"]
+        assert (cert["vertex"], cert["k"]) == ("e", 3)
+        assert revalidate_certificate(g, cert)
+    # C11 has more vertices than the configuration scan takes above the
+    # cover number, so both coverage checks are partial
+    f = graph_file("c11.edges", "".join(f"v{i} v{(i + 1) % 11}\n" for i in range(11)))
+    code, out, _ = run_cli(capsys, ["certify", f, "--k", "7", "--json"])
+    conditions = {c["id"]: c for c in json.loads(out)["result"]["conditions"]}
+    assert code == 0
+    for cid in ("weakly-good-coverage", "strongly-good-coverage"):
+        assert conditions[cid]["partial"] is True
 
 
 # the genuine non_elementary certificates of P4 and K1,3 name an edge in no
